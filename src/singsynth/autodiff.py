@@ -264,12 +264,18 @@ def exp(a) -> Node:
     return Node(out, parents=[(a, lambda g: g * out)])
 
 
+def _softmax_(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, computed in place in ``x``; returns ``x``."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
+
+
 def softmax(a) -> Node:
     """Softmax over the last axis."""
     a = as_node(a)
-    shifted = a.value - a.value.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax_(np.array(a.value))
 
     def pull(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -428,10 +434,18 @@ def reduce_mean(a) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# compositions
+# attention
 
-def scaled_dot_attention(q, k, v) -> Node:
-    """softmax(q k^T / sqrt(d_k)) v for single-head 2-D inputs."""
+def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
+    """Multi-head ``softmax(q k^T / sqrt(d_h)) v`` as one op.
+
+    ``q`` is T x D, ``k`` is S x D and ``v`` is S x D_v. The last axis of each
+    holds ``heads`` contiguous heads of width d_h = D / heads (D_v / heads for
+    ``v``); the output is T x D_v with the heads side by side in that order.
+    All heads run as one batched matmul into an H x T x S score buffer that
+    is normalised in place, and only those probabilities are kept for the
+    pullback.
+    """
     q, k, v = as_node(q), as_node(k), as_node(v)
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise ShapeError(
@@ -441,8 +455,51 @@ def scaled_dot_attention(q, k, v) -> Node:
         raise ShapeError(
             f"attention: incompatible shapes q={q.shape} k={k.shape} v={v.shape}"
         )
-    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[1]))
-    return matmul(softmax(scores), v)
+    if heads < 1 or q.shape[1] % heads or v.shape[1] % heads:
+        raise ShapeError(
+            f"attention: widths q={q.shape[1]} v={v.shape[1]} do not split "
+            f"into {heads} heads"
+        )
+    t, s = q.shape[0], k.shape[0]
+    c = 1.0 / math.sqrt(q.shape[1] // heads)
+
+    def split(x):  # rows x (H * w) -> H x rows x w view
+        return x.reshape(x.shape[0], heads, x.shape[1] // heads).transpose(1, 0, 2)
+
+    def merge(x):  # H x rows x w -> rows x (H * w)
+        h, rows, w = x.shape
+        return x.transpose(1, 0, 2).reshape(rows, h * w)
+
+    qh, kh, vh = split(q.value), split(k.value), split(v.value)
+    probs = _softmax_(np.matmul(split(q.value * c), kh.transpose(0, 2, 1)))
+    out = merge(np.matmul(probs, vh))
+    # d loss / d(q k^T), computed by the first of the q and k pullbacks of a
+    # backward pass and dropped by the last one that needs it
+    shared: dict = {}
+
+    def score_grad(g):
+        if shared.get("g") is not g:
+            gh = split(g)
+            ds = np.matmul(gh, vh.transpose(0, 2, 1))
+            # sum_s dP * P == rowsum(g * out), since out = P v
+            ds -= (gh * split(out)).sum(axis=-1, keepdims=True)
+            ds *= probs
+            ds *= c
+            shared.update(g=g, ds=ds, users=q.requires_grad + k.requires_grad)
+        ds = shared["ds"]
+        shared["users"] -= 1
+        if shared["users"] == 0:
+            shared.clear()
+        return ds
+
+    return Node(
+        out,
+        parents=[
+            (q, lambda g: merge(np.matmul(score_grad(g), kh))),
+            (k, lambda g: merge(np.matmul(score_grad(g).transpose(0, 2, 1), qh))),
+            (v, lambda g: merge(np.matmul(probs.transpose(0, 2, 1), split(g)))),
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------

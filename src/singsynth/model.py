@@ -75,9 +75,6 @@ class ModelParameters:
         for node in self.tensors.values():
             node.zero_grad()
 
-    def as_arrays(self) -> dict[str, np.ndarray]:
-        return {name: node.value for name, node in self.tensors.items()}
-
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
@@ -164,14 +161,7 @@ def self_attention(x: Node, params: ModelParameters, prefix: str,
     q = ad.add(ad.matmul(x, p("wq")), p("bq"))
     k = ad.add(ad.matmul(x, p("wk")), p("bk"))
     v = ad.add(ad.matmul(x, p("wv")), p("bv"))
-    head_dim = config.hidden_dim // config.attention_heads
-    sizes = [head_dim] * config.attention_heads
-    heads = [
-        ad.scaled_dot_attention(qh, kh, vh)
-        for qh, kh, vh in zip(ad.split_last(q, sizes), ad.split_last(k, sizes),
-                              ad.split_last(v, sizes))
-    ]
-    merged = heads[0] if len(heads) == 1 else ad.concat_last(heads)
+    merged = ad.scaled_dot_attention(q, k, v, heads=config.attention_heads)
     return ad.add(ad.matmul(merged, p("wo")), p("bo"))
 
 
@@ -239,9 +229,24 @@ def predict_durations(hidden: Node, params: ModelParameters, config: ModelConfig
 
 
 def decode_durations(log_durations: np.ndarray) -> np.ndarray:
-    """Integer frame counts from log(frames + 1) values, clamped to >= 1."""
-    linear = np.exp(np.asarray(log_durations, dtype=np.float64)) - 1.0
-    return np.maximum(1, np.floor(linear + 0.5).astype(np.int64))
+    """Integer frame counts from log(frames + 1) values, clamped to >= 1.
+
+    Raises ValueError naming the first phoneme whose prediction is not
+    finite or whose frame count does not fit in int64.
+    """
+    log_durations = np.asarray(log_durations, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        rounded = np.floor(np.exp(log_durations) - 1.0 + 0.5)
+    ok = np.isfinite(log_durations) & (rounded < 2.0 ** 63)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        cause = ("is not finite" if not np.isfinite(log_durations[i])
+                 else "gives a frame count beyond int64")
+        raise ValueError(
+            f"duration prediction for phoneme {i} {cause}: "
+            f"log(frames + 1) = {float(log_durations[i])!r}"
+        )
+    return np.maximum(1, rounded.astype(np.int64))
 
 
 def length_regulate(hidden: Node, durations) -> Node:
@@ -325,12 +330,9 @@ def forward_train(tokens: PhonemeTokenSequence, gt_features: AcousticFeatureSequ
     return TrainForward(log_durations=log_durs, decoder=dec)
 
 
-def synthesize_with_durations(tokens: PhonemeTokenSequence,
-                              params: ModelParameters, config: ModelConfig,
-                              durations) -> AcousticFeatureSequence:
-    """Inference with externally supplied frame counts (e.g. ground truth,
-    for frame-aligned evaluation)."""
-    hidden = encode(tokens, params, config, train=False)
+def _synthesize_from_hidden(tokens: PhonemeTokenSequence, hidden: Node,
+                            params: ModelParameters, config: ModelConfig,
+                            durations) -> AcousticFeatureSequence:
     expanded = length_regulate(hidden, durations)
     note_logf0, nonrest = frame_pitch_arrays(tokens, durations)
     dec = decode(expanded, note_logf0, nonrest, params, config, train=False)
@@ -338,6 +340,15 @@ def synthesize_with_durations(tokens: PhonemeTokenSequence,
         mgc=dec.mgc.value, bap=dec.bap.value,
         logf0=dec.logf0.value, vuv=dec.vuv_prob.value,
     )
+
+
+def synthesize_with_durations(tokens: PhonemeTokenSequence,
+                              params: ModelParameters, config: ModelConfig,
+                              durations) -> AcousticFeatureSequence:
+    """Inference with externally supplied frame counts (e.g. ground truth,
+    for frame-aligned evaluation)."""
+    hidden = encode(tokens, params, config, train=False)
+    return _synthesize_from_hidden(tokens, hidden, params, config, durations)
 
 
 def predicted_durations(tokens: PhonemeTokenSequence, params: ModelParameters,
@@ -350,7 +361,11 @@ def predicted_durations(tokens: PhonemeTokenSequence, params: ModelParameters,
 
 def synthesize(tokens: PhonemeTokenSequence, params: ModelParameters,
                config: ModelConfig) -> tuple[AcousticFeatureSequence, np.ndarray]:
-    """Inference path: predicted durations drive the length regulator."""
-    durations = predicted_durations(tokens, params, config)
-    feats = synthesize_with_durations(tokens, params, config, durations)
+    """Inference path: predicted durations drive the length regulator. The
+    encoder runs once; its output feeds both the duration head and the
+    decoder."""
+    hidden = encode(tokens, params, config, train=False)
+    durations = decode_durations(predict_durations(hidden, params, config,
+                                                   train=False).value)
+    feats = _synthesize_from_hidden(tokens, hidden, params, config, durations)
     return feats, durations

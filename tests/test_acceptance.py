@@ -108,6 +108,11 @@ def _op_gradient_battery():
         "dropout": (lambda p: dot(ad.dropout(p, mask), probe), x),
         "attention": (lambda p: dot(ad.scaled_dot_attention(
             p, ad.constant(y), ad.constant(x)), probe), x),
+        # two heads, 5 queries against 6 keys; the second case feeds k and v
+        "attention_mh": (lambda p: dot(ad.scaled_dot_attention(
+            p, ad.constant(m.T), ad.constant(m.T), heads=2), probe), x),
+        "attention_mh_kv": (lambda p: dot(ad.scaled_dot_attention(
+            ad.constant(x), p, p, heads=2), probe), m.T),
         "concat_split": (lambda p: dot(ad.concat_last(
             list(reversed(ad.split_last(p, [1, 3])))), probe), x),
         "reduce_sum": (lambda p: ad.reduce_sum(ad.mul(p, p)), x),

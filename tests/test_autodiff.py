@@ -199,6 +199,63 @@ def test_grad_attention(seed):
     check_grad(lambda p: ad.reduce_sum(ad.scaled_dot_attention(ad.constant(q), ad.constant(k), p)), v)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_grad_multi_head_attention(seed):
+    # two heads, 4 queries against 6 keys, value heads narrower than q/k heads
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(-1, 1, size=(4, 6))
+    k = rng.uniform(-1, 1, size=(6, 6))
+    v = rng.uniform(-1, 1, size=(6, 4))
+    w = rng.uniform(-1, 1, size=(4, 4))
+
+    def loss(q, k, v):
+        out = ad.scaled_dot_attention(q, k, v, heads=2)
+        return ad.reduce_sum(ad.mul(out, ad.constant(w)))
+
+    check_grad(lambda p: loss(p, ad.constant(k), ad.constant(v)), q)
+    check_grad(lambda p: loss(ad.constant(q), p, ad.constant(v)), k)
+    check_grad(lambda p: loss(ad.constant(q), ad.constant(k), p), v)
+    # one node as q, k and v: both score-gradient users sit on one parent
+    probe = ad.constant(rng.uniform(-1, 1, size=(6, 6)))
+    check_grad(lambda p: ad.reduce_sum(ad.mul(
+        ad.scaled_dot_attention(p, p, p, heads=2), probe)), k)
+
+
+def per_head_attention(q, k, v, heads):
+    """Attention as one chain of plain ops per head: the reference the fused
+    op must reproduce."""
+    qk_width, v_width = q.shape[1] // heads, v.shape[1] // heads
+    outs = []
+    for qh, kh, vh in zip(ad.split_last(q, [qk_width] * heads),
+                          ad.split_last(k, [qk_width] * heads),
+                          ad.split_last(v, [v_width] * heads)):
+        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(qk_width))
+        outs.append(ad.matmul(ad.softmax(scores), vh))
+    return outs[0] if heads == 1 else ad.concat_last(outs)
+
+
+@pytest.mark.parametrize("heads,width,v_width", [(1, 4, 4), (2, 8, 6), (3, 9, 3)])
+def test_attention_matches_per_head_composition(heads, width, v_width):
+    rng = np.random.default_rng(heads)
+    arrays = [rng.normal(size=(5, width)), rng.normal(size=(7, width)),
+              rng.normal(size=(7, v_width))]
+    w = ad.constant(rng.normal(size=(5, v_width)))
+    results = []
+    for attention in (per_head_attention, ad.scaled_dot_attention):
+        q, k, v = (ad.parameter(a) for a in arrays)
+        out = attention(q, k, v, heads)
+        ad.backward(ad.reduce_sum(ad.mul(out, w)))
+        results.append((out.value, q.grad, k.grad, v.grad))
+    for reference, fused in zip(*results):
+        np.testing.assert_allclose(fused, reference, rtol=0, atol=1e-12)
+
+
+def test_attention_rejects_widths_not_divisible_by_heads():
+    x = ad.constant(np.zeros((3, 6)))
+    with pytest.raises(ad.ShapeError, match="4 heads"):
+        ad.scaled_dot_attention(x, x, x, heads=4)
+
+
 def test_grad_dropout(rng):
     x = rng.uniform(-2, 2, size=(4, 5))
     mask = ad.dropout_mask((4, 5), 0.4, np.random.default_rng(7))

@@ -19,7 +19,9 @@ from singsynth.model import (
     length_regulate,
     positional_encoding,
     predict_durations,
+    predicted_durations,
     synthesize,
+    synthesize_with_durations,
     zeroed_params,
 )
 from singsynth.score import parse_score, score_to_tokens
@@ -120,6 +122,20 @@ def test_decode_durations_examples():
 @given(st.lists(st.floats(min_value=-50, max_value=10), min_size=1, max_size=20))
 def test_decoded_durations_at_least_one(values):
     assert np.all(decode_durations(np.array(values)) >= 1)
+
+
+def test_decode_durations_rejects_non_finite_prediction():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="phoneme 2 is not finite"):
+            decode_durations(np.array([0.0, 1.0, bad, 2.0]))
+
+
+def test_decode_durations_rejects_int64_overflow():
+    # exp(800) overflows float64; exp(50) ~ 5e21 frames overflows int64
+    with pytest.raises(ValueError, match="phoneme 1 gives a frame count beyond int64"):
+        decode_durations(np.array([0.0, 800.0, math.nan]))
+    with pytest.raises(ValueError, match="phoneme 0 gives a frame count beyond int64"):
+        decode_durations(np.array([50.0, 1.0]))
 
 
 def test_predict_durations_shape(lexicon, tiny_config):
@@ -263,6 +279,20 @@ def test_synthesis_deterministic_and_shape_contract(lexicon, tiny_config):
     np.testing.assert_array_equal(dur_a, dur_b)
     np.testing.assert_array_equal(feats_a.mgc, feats_b.mgc)
     np.testing.assert_array_equal(feats_a.logf0, feats_b.logf0)
+
+
+def test_synthesize_equals_predicted_then_aligned_synthesis(lexicon, tiny_config):
+    params = init_params(tiny_config, np.random.default_rng(5))
+    params["dur.proj.b"].value[:] = math.log(5.0)  # several frames per phoneme
+    tokens = make_tokens(lexicon)
+    feats, durations = synthesize(tokens, params, tiny_config)
+    expected_durations = predicted_durations(tokens, params, tiny_config)
+    expected = synthesize_with_durations(tokens, params, tiny_config,
+                                         expected_durations)
+    assert durations.tobytes() == expected_durations.tobytes()
+    assert durations.sum() > len(tokens)
+    for name in ("mgc", "bap", "logf0", "vuv"):
+        assert getattr(feats, name).tobytes() == getattr(expected, name).tobytes()
 
 
 def test_train_mode_requires_rng(lexicon, tiny_config):
