@@ -17,10 +17,10 @@ import numpy as np
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .corpus import OracleConfig, generate_corpus, load_corpus_items, \
     load_manifest
-from .features import load_features, save_features
+from .features import concatenate_features, load_features, save_features
 from .losses import LossWeights
-from .metrics import EvalReport, REPORT_KEYS, UtteranceEval, bapd, f0_metrics, \
-    format_gv_table, format_per_utterance_table, gv, mcd, rmse_corr, vuv_error
+from .metrics import EvalReport, REPORT_KEYS, UtteranceEval, format_gv_table, \
+    format_per_utterance_table, gv, metric_values
 from .model import ModelConfig, predicted_durations, synthesize, \
     synthesize_with_durations
 from .score import PhonemeLexicon, demo_lexicon, load_lexicon, parse_score, \
@@ -239,54 +239,10 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _pooled_report(rows: list[dict]) -> dict[str, float | None]:
-    """Corpus-level metrics from per-utterance prediction/reference arrays."""
-    values: dict[str, float | None] = {key: None for key in REPORT_KEYS}
-    dur_pred = [r["dur_pred"] for r in rows if r.get("dur_pred") is not None]
-    if dur_pred:
-        pred = np.concatenate(dur_pred).astype(float)
-        gt = np.concatenate([r["dur_gt"] for r in rows
-                             if r.get("dur_pred") is not None]).astype(float)
-        values["Dur RMSE"], values["Dur CORR"] = rmse_corr(pred, gt)
-    pred_feats = [r["pred"] for r in rows]
-    gt_feats = [r["gt"] for r in rows]
-    values["MCD (dB)"] = mcd(np.concatenate([p.mgc for p in pred_feats]),
-                             np.concatenate([g.mgc for g in gt_feats]))
-    values["BAPD (dB)"] = bapd(np.concatenate([p.bap for p in pred_feats]),
-                               np.concatenate([g.bap for g in gt_feats]))
-    values["V/UV Error (%)"] = vuv_error(
-        np.concatenate([p.vuv for p in pred_feats]),
-        np.concatenate([g.vuv for g in gt_feats]))
-    hz_pairs = []
-    for pred, gt in zip(pred_feats, gt_feats):
-        both = pred.voiced_mask() & gt.voiced_mask()
-        if both.any():
-            hz_pairs.append((np.exp(pred.logf0[both]), np.exp(gt.logf0[both])))
-    if hz_pairs:
-        pred_hz = np.concatenate([p for p, _ in hz_pairs])
-        gt_hz = np.concatenate([g for _, g in hz_pairs])
-        if pred_hz.size >= 2:
-            values["F0 RMSE (Hz)"], values["F0 CORR"] = rmse_corr(pred_hz, gt_hz)
-    return values
-
-
-def _utterance_row(utt_id, pred, gt, dur_pred=None, dur_gt=None) -> UtteranceEval:
-    values: dict[str, float | None] = {key: None for key in REPORT_KEYS}
-    values["MCD (dB)"] = mcd(pred.mgc, gt.mgc)
-    values["BAPD (dB)"] = bapd(pred.bap, gt.bap)
-    values["V/UV Error (%)"] = vuv_error(pred.vuv, gt.vuv)
-    values["F0 RMSE (Hz)"], values["F0 CORR"] = f0_metrics(pred, gt)
-    if dur_pred is not None:
-        values["Dur RMSE"], values["Dur CORR"] = rmse_corr(
-            np.asarray(dur_pred, float), np.asarray(dur_gt, float))
-    return UtteranceEval(utt_id=utt_id, num_frames=gt.num_frames, values=values)
-
-
 def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows: list[dict] = []
-    table_rows: list[UtteranceEval] = []
+    rows: list[tuple] = []   # (utt_id, pred, gt, dur_pred, dur_gt)
     notes: list[str] = []
     failures: list[str] = []
 
@@ -309,15 +265,11 @@ def cmd_eval(args) -> int:
                 utt.tokens, params, train_cfg.model,
                 utt.tokens.gt_phoneme_durations)
             dur_pred = predicted_durations(utt.tokens, params, train_cfg.model)
-            row = {"utt_id": utt.utt_id, "pred": pred, "gt": utt.features,
-                   "dur_pred": dur_pred,
-                   "dur_gt": np.asarray(utt.tokens.gt_phoneme_durations)}
-            rows.append(row)
-            table_rows.append(_utterance_row(
-                utt.utt_id, pred, utt.features, dur_pred, row["dur_gt"]))
+            rows.append((utt.utt_id, pred, utt.features, dur_pred,
+                         np.asarray(utt.tokens.gt_phoneme_durations)))
     elif args.pair:
         notes.append("feature-pair mode: duration metrics unavailable")
-        for idx, (pred_path, gt_path) in enumerate(args.pair):
+        for pred_path, gt_path in args.pair:
             try:
                 pred = load_features(pred_path)
                 gt = load_features(gt_path)
@@ -328,9 +280,7 @@ def cmd_eval(args) -> int:
             except (OSError, ValueError) as exc:
                 failures.append(f"{pred_path} vs {gt_path}: {exc}")
                 continue
-            utt_id = Path(pred_path).stem
-            rows.append({"utt_id": utt_id, "pred": pred, "gt": gt})
-            table_rows.append(_utterance_row(utt_id, pred, gt))
+            rows.append((Path(pred_path).stem, pred, gt, None, None))
         for failure in failures:
             print(f"error: {failure}", file=sys.stderr)
         if not rows:
@@ -338,12 +288,22 @@ def cmd_eval(args) -> int:
     else:
         raise CliError("eval needs --manifest or at least one --pair")
 
-    report = EvalReport(values=_pooled_report(rows), per_utterance=table_rows,
+    table_rows = [
+        UtteranceEval(utt_id=utt_id, num_frames=gt.num_frames,
+                      values=metric_values(pred, gt, dur_pred, dur_gt))
+        for utt_id, pred, gt, dur_pred, dur_gt in rows
+    ]
+    _, preds, gts, dur_preds, dur_gts = zip(*rows)
+    durations = ((np.concatenate(dur_preds), np.concatenate(dur_gts))
+                 if args.manifest else ())
+    pooled = metric_values(concatenate_features(preds),
+                           concatenate_features(gts), *durations)
+    report = EvalReport(values=pooled, per_utterance=table_rows,
                         header_notes=notes)
     (out_dir / "eval_report.txt").write_text(report.format(), encoding="utf-8")
     (out_dir / "per_utterance.tsv").write_text(
         format_per_utterance_table(table_rows), encoding="utf-8")
-    gv_values = gv([r["pred"].mgc for r in rows])
+    gv_values = gv([pred.mgc for pred in preds])
     (out_dir / "gv.tsv").write_text(format_gv_table(gv_values), encoding="utf-8")
     print(out_dir / "eval_report.txt")
     for key in REPORT_KEYS:

@@ -20,10 +20,9 @@ import numpy as np
 
 from .features import AcousticFeatureSequence, BAP_DIM, FRAME_SHIFT_S, MGC_DIM, \
     load_features, save_features
-from .model import frame_pitch_arrays
 from .score import MusicalScore, NoteEvent, PhonemeLexicon, PhonemeTokenSequence, \
-    beats_to_frames, event_phonemes, round_half_up, score_to_tokens, \
-    serialize_score
+    beats_to_frames, event_phonemes, frame_pitch_arrays, round_half_up, \
+    score_to_tokens, serialize_score
 
 VOICED_BAP_DB = -60.0
 UNVOICED_BAP_DB = 0.0
@@ -174,6 +173,15 @@ def random_score(lexicon: PhonemeLexicon, rng: np.random.Generator) -> MusicalSc
     return MusicalScore(tempo_bpm=tempo, events=tuple(events))
 
 
+@dataclass
+class Utterance:
+    """Score tokens with ground-truth durations, and their reference frames."""
+
+    utt_id: str
+    tokens: PhonemeTokenSequence
+    features: AcousticFeatureSequence
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     score_path: str    # relative to the manifest's directory
@@ -185,13 +193,6 @@ class ManifestEntry:
 class CorpusManifest:
     base_dir: Path
     entries: list[ManifestEntry]
-
-    def paths_exist(self) -> bool:
-        return all(
-            (self.base_dir / e.score_path).exists()
-            and (self.base_dir / e.feature_path).exists()
-            for e in self.entries
-        )
 
     def subset(self, split: str | None) -> list[ManifestEntry]:
         if split in (None, "all"):
@@ -310,10 +311,9 @@ def generate_corpus(n_songs: int, seed: int, config: OracleConfig, out_dir,
     return manifest
 
 
-def load_corpus_items(manifest: CorpusManifest, split: str | None = None):
-    """(utt_id, tokens, features) triples for a manifest split."""
-    from .training import Utterance
-
+def load_corpus_items(manifest: CorpusManifest,
+                      split: str | None = None) -> list[Utterance]:
+    """The utterances of a manifest split."""
     items = []
     for entry in manifest.subset(split):
         feat_path = manifest.base_dir / entry.feature_path

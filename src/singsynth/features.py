@@ -59,6 +59,16 @@ class AcousticFeatureSequence:
         return self.vuv >= threshold
 
 
+def concatenate_features(seqs) -> AcousticFeatureSequence:
+    """The frames of several sequences, end to end."""
+    return AcousticFeatureSequence(
+        mgc=np.concatenate([s.mgc for s in seqs]),
+        bap=np.concatenate([s.bap for s in seqs]),
+        logf0=np.concatenate([s.logf0 for s in seqs]),
+        vuv=np.concatenate([s.vuv for s in seqs]),
+    )
+
+
 def save_features(path, feats: AcousticFeatureSequence) -> None:
     """Write a feature file atomically (temp file + rename)."""
     path = os.fspath(path)

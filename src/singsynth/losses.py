@@ -1,6 +1,7 @@
 """Training objectives: phoneme and syllable duration losses, L1 spectral
-losses, masked log-F0 loss, and binary cross-entropy voicing loss, all
-weighted and summed into one jointly trained scalar."""
+losses, masked log-F0 loss, and binary cross-entropy voicing loss, each
+written once as a per-utterance (sum, count) term and pooled over a batch
+into one jointly trained scalar."""
 
 from __future__ import annotations
 
@@ -10,8 +11,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .features import AcousticFeatureSequence
-from .model import DecoderOutput, TrainForward
+from .features import AcousticFeatureSequence, BAP_DIM, MGC_DIM
+from .model import TrainForward
+
+# loss components, in log and pooling order; "L_xy" is weighted by w_xy
+LOSS_NAMES = ("L_pd", "L_sd", "L_m", "L_b", "L_f", "L_u")
 
 
 @dataclass(frozen=True)
@@ -35,8 +39,8 @@ def _zero() -> Node:
     return ad.constant(np.asarray(0.0))
 
 
-def mae(pred: Node, target: np.ndarray) -> Node:
-    return ad.reduce_mean(ad.absolute(ad.sub(pred, ad.constant(target))))
+def _abs_error_sum(pred: Node, target: np.ndarray) -> Node:
+    return ad.reduce_sum(ad.absolute(ad.sub(pred, ad.constant(target))))
 
 
 def masked_abs_error(pred: Node, target: np.ndarray,
@@ -74,85 +78,67 @@ def syllable_indicator(syllable_spans, n: int) -> np.ndarray:
     return matrix
 
 
-def linear_durations(pred_log_durations: Node) -> Node:
-    """Back out frame-domain durations from log(frames + 1) predictions."""
-    n = pred_log_durations.shape[0]
-    return ad.sub(ad.exp(pred_log_durations), ad.constant(np.ones(n)))
+def loss_terms(fwd: TrainForward, gt_durations, syllable_spans,
+               gt: AcousticFeatureSequence, frame_nonrest_mask: np.ndarray
+               ) -> dict[str, tuple[Node, int]]:
+    """One utterance's (sum, count) contribution to every loss component.
 
-
-def duration_loss(pred_log_durations: Node, gt_durations, syllable_spans,
-                  weights: LossWeights) -> tuple[Node, dict[str, Node]]:
-    """Phoneme-level L1 in the log(frames + 1) domain plus syllable-level L1
-    between ground-truth syllable frames and the summed linear predictions."""
-    gt = np.asarray(gt_durations, dtype=np.float64)
-    n = gt.shape[0]
-    if pred_log_durations.shape != (n,):
-        raise ValueError(
-            f"duration prediction shape {pred_log_durations.shape} does not "
-            f"match {n} ground-truth durations"
-        )
-    l_pd = mae(pred_log_durations, np.log(gt + 1.0))
-    indicator = syllable_indicator(syllable_spans, n)
-    syl_pred = ad.reshape(
-        ad.matmul(ad.constant(indicator),
-                  ad.reshape(linear_durations(pred_log_durations), (n, 1))),
-        (len(syllable_spans),),
-    )
-    l_sd = mae(syl_pred, indicator @ gt)
-    total = ad.add(ad.scale(l_pd, weights.w_pd), ad.scale(l_sd, weights.w_sd))
-    return total, {"L_pd": l_pd, "L_sd": l_sd}
-
-
-def spectral_loss(pred_mgc: Node, pred_bap: Node, gt_mgc: np.ndarray,
-                  gt_bap: np.ndarray,
-                  weights: LossWeights) -> tuple[Node, dict[str, Node]]:
-    """Mean absolute error over all frames and coefficients, per stream."""
-    if pred_mgc.shape != np.shape(gt_mgc) or pred_bap.shape != np.shape(gt_bap):
-        raise ValueError(
-            f"spectral shapes differ: pred {pred_mgc.shape}/{pred_bap.shape} vs "
-            f"gt {np.shape(gt_mgc)}/{np.shape(gt_bap)}"
-        )
-    l_m = mae(pred_mgc, np.asarray(gt_mgc, dtype=np.float64))
-    l_b = mae(pred_bap, np.asarray(gt_bap, dtype=np.float64))
-    total = ad.add(ad.scale(l_m, weights.w_m), ad.scale(l_b, weights.w_b))
-    return total, {"L_m": l_m, "L_b": l_b}
-
-
-def decoder_loss(pred: DecoderOutput, gt: AcousticFeatureSequence,
-                 frame_nonrest_mask: np.ndarray,
-                 weights: LossWeights) -> tuple[Node, dict[str, Node]]:
-    """Spectral loss plus masked log-F0 L1 and voicing cross entropy.
-
-    The log-F0 term only sees frames that are voiced in the ground truth and
-    not rests; an all-unvoiced utterance contributes a zero loss, not NaN.
+    - L_pd: phoneme-duration L1 in the log(frames + 1) domain;
+    - L_sd: syllable-duration L1 between ground-truth syllable frames and
+      the summed linear-domain predictions;
+    - L_m, L_b: spectral L1 over every frame and coefficient;
+    - L_f: log-F0 L1 over frames voiced in the ground truth and not rests
+      (an all-unvoiced utterance contributes count 0, not NaN);
+    - L_u: voicing cross entropy over every frame.
     """
-    t = gt.num_frames
-    if pred.logf0.shape != (t,):
+    gt_durs = np.asarray(gt_durations, dtype=np.float64)
+    n, t = gt_durs.shape[0], gt.num_frames
+    dec = fwd.decoder
+    if (fwd.log_durations.shape != (n,) or dec.mgc.shape != gt.mgc.shape
+            or dec.bap.shape != gt.bap.shape or dec.logf0.shape != (t,)
+            or dec.vuv_logit.shape != (t,)):
         raise ValueError(
-            f"decoder output length {pred.logf0.shape} vs {t} reference frames"
+            f"prediction shapes (durations {fwd.log_durations.shape}, mgc "
+            f"{dec.mgc.shape}, bap {dec.bap.shape}, logf0 {dec.logf0.shape}) "
+            f"do not match {n} ground-truth durations and {t} reference frames"
         )
-    spec_total, comps = spectral_loss(pred.mgc, pred.bap, gt.mgc, gt.bap, weights)
-    f0_mask = gt.vuv * np.asarray(frame_nonrest_mask, dtype=np.float64)
-    f0_sum, f0_count = masked_abs_error(pred.logf0, gt.logf0, f0_mask)
-    l_f = ad.scale(f0_sum, 1.0 / f0_count) if f0_count else f0_sum
-    l_u = ad.reduce_mean(bce_with_logits(pred.vuv_logit, gt.vuv))
-    total = ad.add(spec_total,
-                   ad.add(ad.scale(l_f, weights.w_f), ad.scale(l_u, weights.w_u)))
-    comps = dict(comps)
-    comps["L_f"] = l_f
-    comps["L_u"] = l_u
-    return total, comps
-
-
-def total_loss(forward: TrainForward, tokens, gt: AcousticFeatureSequence,
-               frame_nonrest_mask: np.ndarray,
-               weights: LossWeights) -> tuple[Node, dict[str, Node]]:
-    """Joint objective: decoder loss plus duration loss, sharing the encoder."""
-    dec_total, comps = decoder_loss(forward.decoder, gt, frame_nonrest_mask, weights)
-    dur_total, dur_comps = duration_loss(
-        forward.log_durations, tokens.gt_phoneme_durations,
-        tokens.syllable_spans, weights,
+    indicator = syllable_indicator(syllable_spans, n)
+    pd = _abs_error_sum(fwd.log_durations, np.log(gt_durs + 1.0))
+    linear = ad.sub(ad.exp(fwd.log_durations), ad.constant(np.ones(n)))
+    syl_pred = ad.reshape(
+        ad.matmul(ad.constant(indicator), ad.reshape(linear, (n, 1))),
+        (indicator.shape[0],),
     )
-    comps = dict(comps)
-    comps.update(dur_comps)
-    return ad.add(dec_total, dur_total), comps
+    return {
+        "L_pd": (pd, n),
+        "L_sd": (_abs_error_sum(syl_pred, indicator @ gt_durs), indicator.shape[0]),
+        "L_m": (_abs_error_sum(dec.mgc, gt.mgc), t * MGC_DIM),
+        "L_b": (_abs_error_sum(dec.bap, gt.bap), t * BAP_DIM),
+        "L_f": masked_abs_error(dec.logf0, gt.logf0, gt.vuv * frame_nonrest_mask),
+        "L_u": (ad.reduce_sum(bce_with_logits(dec.vuv_logit, gt.vuv)), t),
+    }
+
+
+def _pool(parts: list[tuple[Node, int]]) -> Node:
+    """Exact pooled mean over per-utterance (sum, count) contributions."""
+    total_count = sum(count for _, count in parts)
+    if total_count == 0:
+        return _zero()
+    pooled = None
+    for node, count in parts:
+        if count == 0:
+            continue
+        pooled = node if pooled is None else ad.add(pooled, node)
+    return ad.scale(pooled, 1.0 / total_count)
+
+
+def pooled_loss(terms: list[dict[str, tuple[Node, int]]], weights: LossWeights
+                ) -> tuple[Node, dict[str, Node]]:
+    """Each component's mean over every valid element of every utterance,
+    and their weighted sum."""
+    comps = {name: _pool([t[name] for t in terms]) for name in LOSS_NAMES}
+    total = None
+    for name, comp in comps.items():
+        term = ad.scale(comp, getattr(weights, "w_" + name[2:]))
+        total = term if total is None else ad.add(total, term)
+    return total, comps

@@ -9,6 +9,7 @@ rather than silently coerced to a number.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,8 +106,6 @@ def vuv_error(pred_vuv, gt_vuv) -> float:
 def gv(mgc_per_utterance: list[np.ndarray]) -> np.ndarray:
     """Per-coefficient population variance across frames, averaged over
     utterances; single-frame utterances are skipped with a warning."""
-    import warnings
-
     variances = []
     for i, mgc_matrix in enumerate(mgc_per_utterance):
         mgc_matrix = np.asarray(mgc_matrix, dtype=np.float64)
@@ -117,6 +116,22 @@ def gv(mgc_per_utterance: list[np.ndarray]) -> np.ndarray:
     if not variances:
         raise ValueError("gv: no utterance has at least 2 frames")
     return np.mean(variances, axis=0)
+
+
+def metric_values(pred: AcousticFeatureSequence, gt: AcousticFeatureSequence,
+                  dur_pred=None, dur_gt=None) -> dict[str, float | None]:
+    """Every report metric for one prediction/reference pair. The pair is one
+    utterance, or a whole corpus with its utterances concatenated (frames and
+    phonemes pooled); without durations the duration metrics are None."""
+    values: dict[str, float | None] = {key: None for key in REPORT_KEYS}
+    values["MCD (dB)"] = mcd(pred.mgc, gt.mgc)
+    values["BAPD (dB)"] = bapd(pred.bap, gt.bap)
+    values["V/UV Error (%)"] = vuv_error(pred.vuv, gt.vuv)
+    values["F0 RMSE (Hz)"], values["F0 CORR"] = f0_metrics(pred, gt)
+    if dur_pred is not None:
+        values["Dur RMSE"], values["Dur CORR"] = rmse_corr(
+            np.asarray(dur_pred, float), np.asarray(dur_gt, float))
+    return values
 
 
 # ---------------------------------------------------------------------------

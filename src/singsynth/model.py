@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node
 from .features import AcousticFeatureSequence, BAP_DIM, MGC_DIM
-from .score import PhonemeTokenSequence, midi_to_hz
+from .score import PhonemeTokenSequence, frame_pitch_arrays
 
 OUTPUT_DIM = MGC_DIM + BAP_DIM + 1 + 1  # mgc | bap | logf0 residual | vuv logit
 
@@ -288,18 +288,6 @@ def decode(expanded: Node, frame_note_logf0: np.ndarray,
                    ad.constant(frame_nonrest_mask))
     return DecoderOutput(mgc=mgc, bap=bap, logf0=logf0,
                          vuv_logit=logit, vuv_prob=ad.sigmoid(logit))
-
-
-def frame_pitch_arrays(tokens: PhonemeTokenSequence,
-                       durations) -> tuple[np.ndarray, np.ndarray]:
-    """Expand per-phoneme pitch to frame rate: (note log-F0, non-rest mask)."""
-    durations = np.asarray(durations, dtype=np.int64)
-    pitches = np.asarray(tokens.pitch_ids, dtype=np.int64)
-    note_logf0 = np.array(
-        [math.log(midi_to_hz(int(p))) if p > 0 else 0.0 for p in pitches]
-    )
-    mask = (pitches > 0).astype(np.float64)
-    return np.repeat(note_logf0, durations), np.repeat(mask, durations)
 
 
 @dataclass

@@ -18,6 +18,8 @@ import importlib.resources
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 REST_SYLLABLE = "-"
 PAD_PHONEME = "pad"
 SILENCE_PHONEME = "sil"
@@ -363,3 +365,15 @@ def score_to_tokens(score: MusicalScore, lexicon: PhonemeLexicon,
         note_frame_counts=frame_counts,
         syllable_spans=spans,
     )
+
+
+def frame_pitch_arrays(tokens: PhonemeTokenSequence,
+                       durations) -> tuple[np.ndarray, np.ndarray]:
+    """Expand per-phoneme pitch to frame rate: (note log-F0, non-rest mask)."""
+    durations = np.asarray(durations, dtype=np.int64)
+    pitches = np.asarray(tokens.pitch_ids, dtype=np.int64)
+    note_logf0 = np.array(
+        [math.log(midi_to_hz(int(p))) if p > 0 else 0.0 for p in pitches]
+    )
+    mask = (pitches > 0).astype(np.float64)
+    return np.repeat(note_logf0, durations), np.repeat(mask, durations)

@@ -18,14 +18,13 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node
 from .checkpoint import Checkpoint
+from .corpus import Utterance
 from .features import AcousticFeatureSequence, BAP_DIM, MGC_DIM
-from .losses import LossWeights, bce_with_logits, masked_abs_error, \
-    syllable_indicator, linear_durations
-from .model import ModelConfig, ModelParameters, forward_train, \
-    frame_pitch_arrays, init_params
-from .score import PhonemeTokenSequence
+from .losses import LOSS_NAMES, LossWeights, loss_terms, pooled_loss
+from .model import ModelConfig, ModelParameters, forward_train, init_params
+from .score import frame_pitch_arrays
 
-LOG_COLUMNS = ("step", "lr", "total", "L_pd", "L_sd", "L_m", "L_b", "L_f", "L_u")
+LOG_COLUMNS = ("step", "lr", "total") + LOSS_NAMES
 
 
 class TrainingDiverged(RuntimeError):
@@ -80,13 +79,6 @@ def lr_schedule(step: int, hidden_dim: int, warmup_steps: int) -> float:
     if step < 1:
         raise ValueError("lr_schedule is defined for steps >= 1")
     return hidden_dim ** -0.5 * min(step ** -0.5, step * warmup_steps ** -1.5)
-
-
-@dataclass
-class Utterance:
-    utt_id: str
-    tokens: PhonemeTokenSequence
-    features: AcousticFeatureSequence
 
 
 def validate_corpus(corpus: Sequence[Utterance]) -> list[str]:
@@ -170,71 +162,23 @@ def assemble_batch(items: list[Utterance]) -> Batch:
                  logf0=logf0, vuv=vuv, n_phonemes=n_phonemes, n_frames=n_frames)
 
 
-def _pool(parts: list[tuple[Node, int]]) -> Node:
-    """Exact pooled mean over per-utterance (sum, count) contributions."""
-    total_count = sum(count for _, count in parts)
-    if total_count == 0:
-        return ad.constant(np.asarray(0.0))
-    pooled = None
-    for node, count in parts:
-        if count == 0:
-            continue
-        pooled = node if pooled is None else ad.add(pooled, node)
-    return ad.scale(pooled, 1.0 / total_count)
-
-
 def batch_loss(params: ModelParameters, batch: Batch, config: ModelConfig,
                weights: LossWeights, train: bool = True,
                rng: np.random.Generator | None = None
                ) -> tuple[Node, dict[str, Node]]:
     """Loss components pooled over every valid element in the batch."""
-    parts: dict[str, list[tuple[Node, int]]] = {
-        k: [] for k in ("L_pd", "L_sd", "L_m", "L_b", "L_f", "L_u")
-    }
+    terms = []
     for i, utt in enumerate(batch.items):
         n, t = int(batch.n_phonemes[i]), int(batch.n_frames[i])
-        gt_durs = batch.gt_durations[i, :n].astype(np.float64)
         gt = AcousticFeatureSequence(
             mgc=batch.mgc[i, :t], bap=batch.bap[i, :t],
             logf0=batch.logf0[i, :t], vuv=batch.vuv[i, :t],
         )
         fwd = forward_train(utt.tokens, gt, params, config, train=train, rng=rng)
-        # duration terms
-        log_target = np.log(gt_durs + 1.0)
-        pd_sum = ad.reduce_sum(ad.absolute(
-            ad.sub(fwd.log_durations, ad.constant(log_target))))
-        parts["L_pd"].append((pd_sum, n))
-        indicator = syllable_indicator(utt.tokens.syllable_spans, n)
-        syl_pred = ad.reshape(
-            ad.matmul(ad.constant(indicator),
-                      ad.reshape(linear_durations(fwd.log_durations), (n, 1))),
-            (indicator.shape[0],),
-        )
-        sd_sum = ad.reduce_sum(ad.absolute(
-            ad.sub(syl_pred, ad.constant(indicator @ gt_durs))))
-        parts["L_sd"].append((sd_sum, indicator.shape[0]))
-        # spectral terms
-        parts["L_m"].append((ad.reduce_sum(ad.absolute(
-            ad.sub(fwd.decoder.mgc, ad.constant(gt.mgc)))), t * MGC_DIM))
-        parts["L_b"].append((ad.reduce_sum(ad.absolute(
-            ad.sub(fwd.decoder.bap, ad.constant(gt.bap)))), t * BAP_DIM))
-        # pitch and voicing terms
         _, nonrest = frame_pitch_arrays(utt.tokens, utt.tokens.gt_phoneme_durations)
-        f0_sum, f0_count = masked_abs_error(fwd.decoder.logf0, gt.logf0,
-                                            gt.vuv * nonrest)
-        parts["L_f"].append((f0_sum, f0_count))
-        parts["L_u"].append((ad.reduce_sum(
-            bce_with_logits(fwd.decoder.vuv_logit, gt.vuv)), t))
-
-    comps = {name: _pool(entries) for name, entries in parts.items()}
-    weight_by_name = {"L_pd": weights.w_pd, "L_sd": weights.w_sd,
-                      "L_m": weights.w_m, "L_b": weights.w_b,
-                      "L_f": weights.w_f, "L_u": weights.w_u}
-    total = None
-    for name, comp in comps.items():
-        term = ad.scale(comp, weight_by_name[name])
-        total = term if total is None else ad.add(total, term)
-    return total, comps
+        terms.append(loss_terms(fwd, batch.gt_durations[i, :n],
+                                utt.tokens.syllable_spans, gt, nonrest))
+    return pooled_loss(terms, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +225,7 @@ class LogRecord:
 
     def format(self) -> str:
         fields = [str(self.step), repr(self.lr), repr(self.total)]
-        fields += [repr(self.components[k]) for k in LOG_COLUMNS[3:]]
+        fields += [repr(self.components[k]) for k in LOSS_NAMES]
         return "\t".join(fields)
 
 
@@ -305,12 +249,10 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
         raise CorpusValidationError(problems)
 
     if resume_from is not None:
-        params = init_params(config.model, np.random.default_rng([config.seed, 1]))
-        for name, node in params.items():
-            node.value[...] = resume_from.params[name]
+        params = params_from_checkpoint(resume_from, config.model)
         adam = AdamState(params,
-                         m={k: v.copy() for k, v in resume_from.adam_m.items()},
-                         v={k: v.copy() for k, v in resume_from.adam_v.items()},
+                         m=_checked_moments(resume_from.adam_m, params, "adam_m"),
+                         v=_checked_moments(resume_from.adam_v, params, "adam_v"),
                          t=resume_from.step)
         start_step = resume_from.step + 1
     else:
@@ -338,7 +280,7 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
         adam.update(params, lr, config)
         record = LogRecord(
             step=step, lr=lr, total=total_value,
-            components={k: comps[k].item() for k in LOG_COLUMNS[3:]},
+            components={k: comps[k].item() for k in LOSS_NAMES},
         )
         records.append(record)
         if log_stream is not None:
@@ -355,8 +297,27 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
     return TrainResult(checkpoint=final, records=records)
 
 
+def _checked_moments(moments: dict[str, np.ndarray], params: ModelParameters,
+                     label: str) -> dict[str, np.ndarray]:
+    """Copies of a checkpoint's Adam moments, which must hold exactly one
+    tensor of the right shape per parameter."""
+    unknown = sorted(set(moments) - set(params.names()))
+    if unknown:
+        raise ValueError(f"checkpoint {label} has unknown tensors: {unknown}")
+    for name, node in params.items():
+        if name not in moments:
+            raise ValueError(f"checkpoint {label} lacks tensor {name}")
+        if moments[name].shape != node.value.shape:
+            raise ValueError(
+                f"checkpoint {label} tensor {name} has shape "
+                f"{moments[name].shape}, model expects {node.value.shape}"
+            )
+    return {k: v.copy() for k, v in moments.items()}
+
+
 def params_from_checkpoint(ckpt: Checkpoint, config: ModelConfig) -> ModelParameters:
-    """Rebuild model parameters (for inference) from checkpoint tensors."""
+    """Rebuild model parameters (for inference or resuming) from checkpoint
+    tensors; a missing or misshapen tensor raises ValueError naming it."""
     params = init_params(config, np.random.default_rng(0))
     missing = set(params.names()) - set(ckpt.params)
     if missing:

@@ -18,7 +18,7 @@ from singsynth.checkpoint import load_checkpoint, save_checkpoint
 from singsynth.cli import main
 from singsynth.corpus import OracleConfig, generate_corpus, load_corpus_items
 from singsynth.features import AcousticFeatureSequence
-from singsynth.losses import LossWeights, total_loss
+from singsynth.losses import LossWeights
 from singsynth.metrics import bapd, mcd, rmse_corr, vuv_error
 from singsynth.model import ModelConfig, forward_train, frame_pitch_arrays, \
     init_params, length_regulate, predicted_durations, synthesize, \
@@ -132,30 +132,22 @@ def _op_gradient_battery():
 
 
 def _full_model_gradient_check():
-    """FD over a sample of entries from every parameter tensor, tol 1e-3;
-    one block, hidden width 8, three phonemes."""
+    """FD over a sample of entries from every parameter tensor, tol 1e-3, of
+    the objective as trained: batch_loss on a two-utterance batch (one with
+    a rest) with non-default weights; one block, hidden width 8."""
     lexicon = demo_lexicon()
-    tokens = score_to_tokens(parse_score("tempo 120\nlan 69 0.25\n"), lexicon)
-    assert len(tokens) == 3
-    rng = np.random.default_rng(5)
-    tokens.gt_phoneme_durations = [3, 4, 2]
-    gt = AcousticFeatureSequence(
-        mgc=rng.normal(size=(9, 60)), bap=rng.normal(size=(9, 5)),
-        logf0=rng.normal(loc=6.0, size=9),
-        vuv=np.array([1, 1, 0, 1, 1, 1, 0, 1, 1], dtype=float),
-    )
-    params = init_params(GRAD_CHECK_MODEL, rng)
-    weights = LossWeights()
-    _, nonrest = frame_pitch_arrays(tokens, tokens.gt_phoneme_durations)
+    corpus = [make_utterance(lexicon, seed=3),
+              make_utterance(lexicon, seed=4, text="tempo 120\nlan 69 0.25\n")]
+    params = init_params(GRAD_CHECK_MODEL, np.random.default_rng(5))
+    weights = LossWeights(w_pd=0.7, w_sd=1.9, w_m=1.1, w_b=0.4, w_f=2.2, w_u=0.8)
+    batch = assemble_batch(corpus)
 
     def loss_value() -> float:
-        fwd = forward_train(tokens, gt, params, GRAD_CHECK_MODEL, train=False)
-        total, _ = total_loss(fwd, tokens, gt, nonrest, weights)
+        total, _ = batch_loss(params, batch, GRAD_CHECK_MODEL, weights, train=False)
         return total.item()
 
     params.zero_grad()
-    fwd = forward_train(tokens, gt, params, GRAD_CHECK_MODEL, train=False)
-    total, _ = total_loss(fwd, tokens, gt, nonrest, weights)
+    total, _ = batch_loss(params, batch, GRAD_CHECK_MODEL, weights, train=False)
     ad.backward(total)
 
     h = 1e-5

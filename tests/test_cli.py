@@ -1,9 +1,11 @@
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from singsynth.cli import RunConfig, main
-from singsynth.features import load_features
+from singsynth.features import AcousticFeatureSequence, load_features, save_features
 from singsynth.metrics import REPORT_KEYS
 
 
@@ -134,6 +136,20 @@ def test_train_resume_continues_step_counter(tmp_path, corpus_dir):
     assert [line.split("\t")[0] for line in log] == ["5", "6", "7", "8"]
 
 
+def test_train_resume_rejects_checkpoint_of_another_width(tmp_path, corpus_dir,
+                                                         capsys):
+    narrow = tmp_path / "narrow"
+    assert main(["train", "--manifest", str(corpus_dir / "manifest.tsv"),
+                 "--out", str(narrow), "--steps", "1",
+                 "--set", "hidden_dim", "16"]) == 0
+    wide = tmp_path / "wide"
+    assert main(["train", "--manifest", str(corpus_dir / "manifest.tsv"),
+                 "--out", str(wide), "--steps", "3",
+                 "--resume", str(narrow / "checkpoint.bin")]) == 1
+    assert "emb.phoneme" in capsys.readouterr().err
+    assert (wide / "loss_log.tsv").read_text() == ""
+
+
 def test_synth_frame_count_equals_predicted_duration_sum(tmp_path, corpus_dir,
                                                          run_dir):
     from singsynth.checkpoint import load_checkpoint
@@ -195,6 +211,29 @@ def test_eval_self_comparison_is_perfect(tmp_path, corpus_dir, capsys):
     assert lines["Dur RMSE"] == "NA"  # pairs mode has no duration predictions
     gv_rows = (out / "gv.tsv").read_text().strip().split("\n")
     assert len(gv_rows) == 60
+
+
+def test_eval_pooled_f0_over_one_commonly_voiced_frame(tmp_path):
+    t = 4
+    gt = AcousticFeatureSequence(mgc=np.zeros((t, 60)), bap=np.zeros((t, 5)),
+                                 logf0=np.full(t, math.log(220.0)), vuv=np.ones(t))
+    pred = AcousticFeatureSequence(mgc=np.zeros((t, 60)), bap=np.zeros((t, 5)),
+                                   logf0=np.full(t, math.log(230.0)),
+                                   vuv=np.array([1.0, 0.0, 0.0, 0.0]))
+    save_features(tmp_path / "pred.feat", pred)
+    save_features(tmp_path / "gt.feat", gt)
+    out = tmp_path / "eval"
+    assert main(["eval", "--out", str(out), "--pair", str(tmp_path / "pred.feat"),
+                 str(tmp_path / "gt.feat")]) == 0
+    report = dict(line.split("\t") for line in
+                  (out / "eval_report.txt").read_text().strip().split("\n")
+                  if not line.startswith("#"))
+    header, row = [line.split("\t") for line in
+                   (out / "per_utterance.tsv").read_text().strip().split("\n")]
+    per_utt = dict(zip(header, row))
+    assert float(report["F0 RMSE (Hz)"]) == pytest.approx(10.0, rel=1e-9)
+    assert report["F0 RMSE (Hz)"] == per_utt["F0 RMSE (Hz)"]
+    assert report["F0 CORR"] == per_utt["F0 CORR"] == "NA"
 
 
 def test_eval_manifest_mode_reports_all_keys(tmp_path, corpus_dir, run_dir):

@@ -4,88 +4,30 @@ import numpy as np
 import pytest
 
 from singsynth import autodiff as ad
+from singsynth.corpus import Utterance
 from singsynth.features import AcousticFeatureSequence
 from singsynth.losses import (
+    LOSS_NAMES,
     LossWeights,
     bce_with_logits,
-    decoder_loss,
-    duration_loss,
-    spectral_loss,
-    total_loss,
+    loss_terms,
+    pooled_loss,
+    syllable_indicator,
 )
-from singsynth.model import forward_train, frame_pitch_arrays, init_params
-from singsynth.score import demo_lexicon, parse_score, score_to_tokens
+from singsynth.model import DecoderOutput, TrainForward, forward_train, init_params
+from singsynth.score import demo_lexicon, frame_pitch_arrays, parse_score, \
+    score_to_tokens
+from singsynth.training import assemble_batch, batch_loss
+
+ONLY_DURATIONS = dict(w_m=0.0, w_b=0.0, w_f=0.0, w_u=0.0)
+ONLY_SPECTRA = dict(w_pd=0.0, w_sd=0.0, w_f=0.0, w_u=0.0)
 
 
 def log_domain(linear):
     return np.log(np.asarray(linear, dtype=np.float64) + 1.0)
 
 
-def test_loss_weights_validation():
-    with pytest.raises(ValueError):
-        LossWeights(w_pd=-1.0)
-    with pytest.raises(ValueError):
-        LossWeights(w_pd=0, w_sd=0, w_m=0, w_b=0, w_f=0, w_u=0)
-
-
-def test_duration_loss_syllable_term():
-    # linear predictions [3, 4] against gt phonemes [3, 5] in one syllable:
-    # syllable sums 7 vs 8 give L_sd = 1
-    pred = ad.constant(log_domain([3.0, 4.0]))
-    total, comps = duration_loss(pred, [3, 5], [(0, 2)], LossWeights())
-    assert comps["L_sd"].item() == pytest.approx(1.0, rel=1e-12)
-    expected_pd = abs(math.log(5.0) - math.log(6.0)) / 2
-    assert comps["L_pd"].item() == pytest.approx(expected_pd, rel=1e-12)
-    assert total.item() == pytest.approx(
-        comps["L_pd"].item() + comps["L_sd"].item(), rel=1e-12)
-
-
-def test_duration_loss_exact_prediction_is_zero():
-    pred = ad.constant(log_domain([3.0, 5.0, 7.0]))
-    total, comps = duration_loss(pred, [3, 5, 7], [(0, 2), (2, 3)], LossWeights())
-    assert comps["L_pd"].item() == pytest.approx(0.0, abs=1e-12)
-    assert comps["L_sd"].item() == pytest.approx(0.0, abs=1e-12)
-    assert total.item() == pytest.approx(0.0, abs=1e-12)
-
-
-def test_duration_loss_weight_algebra():
-    pred = ad.constant(log_domain([3.0, 4.0]))
-    total, comps = duration_loss(pred, [3, 5], [(0, 2)],
-                                 LossWeights(w_pd=1.0, w_sd=0.0))
-    assert total.item() == pytest.approx(comps["L_pd"].item(), rel=1e-12)
-
-
-def test_duration_loss_rejects_bad_span():
-    pred = ad.constant(log_domain([3.0, 4.0]))
-    with pytest.raises(ValueError):
-        duration_loss(pred, [3, 5], [(0, 3)], LossWeights())
-
-
-def test_spectral_loss_values(rng):
-    gt_mgc = rng.normal(size=(7, 60))
-    gt_bap = rng.normal(size=(7, 5))
-    total, comps = spectral_loss(ad.constant(gt_mgc), ad.constant(gt_bap),
-                                 gt_mgc, gt_bap, LossWeights())
-    assert total.item() == 0.0
-    offset, _ = spectral_loss(ad.constant(gt_mgc + 0.5), ad.constant(gt_bap),
-                              gt_mgc, gt_bap, LossWeights(w_b=0.0))
-    assert offset.item() == pytest.approx(0.5, rel=1e-12)
-    double, comps = spectral_loss(ad.constant(gt_mgc + 0.5), ad.constant(gt_bap),
-                                  gt_mgc, gt_bap, LossWeights(w_m=2.0, w_b=0.0))
-    assert double.item() == pytest.approx(1.0, rel=1e-12)
-
-
-def test_spectral_loss_rejects_shape_mismatch(rng):
-    gt_mgc = rng.normal(size=(7, 60))
-    gt_bap = rng.normal(size=(7, 5))
-    with pytest.raises(ValueError):
-        spectral_loss(ad.constant(gt_mgc[:-1]), ad.constant(gt_bap),
-                      gt_mgc, gt_bap, LossWeights())
-
-
 def _fake_decoder_output(rng, t, logit_value=None):
-    from singsynth.model import DecoderOutput
-
     logits = (np.full(t, logit_value) if logit_value is not None
               else rng.normal(size=t))
     logit_node = ad.constant(logits)
@@ -107,11 +49,110 @@ def _fake_gt(rng, t, vuv=None):
     )
 
 
+def _fake_forward(rng, t, log_durations=(1.0, 2.0), logit_value=None):
+    return TrainForward(log_durations=ad.constant(np.asarray(log_durations, float)),
+                        decoder=_fake_decoder_output(rng, t, logit_value))
+
+
+def utterance_loss(fwd, gt_durations, spans, gt, nonrest, weights):
+    """One utterance's component means and weighted total."""
+    return pooled_loss([loss_terms(fwd, gt_durations, spans, gt, nonrest)], weights)
+
+
+def test_loss_weights_validation():
+    with pytest.raises(ValueError):
+        LossWeights(w_pd=-1.0)
+    with pytest.raises(ValueError):
+        LossWeights(w_pd=0, w_sd=0, w_m=0, w_b=0, w_f=0, w_u=0)
+
+
+def test_duration_loss_syllable_term(rng):
+    # linear predictions [3, 4] against gt phonemes [3, 5] in one syllable:
+    # syllable sums 7 vs 8 give L_sd = 1
+    t = 8
+    fwd = _fake_forward(rng, t, log_domain([3.0, 4.0]))
+    gt = _fake_gt(rng, t)
+    terms = loss_terms(fwd, [3, 5], [(0, 2)], gt, np.ones(t))
+    assert terms["L_sd"][1] == 1 and terms["L_pd"][1] == 2
+    assert terms["L_sd"][0].item() == pytest.approx(1.0, rel=1e-12)
+    total, comps = pooled_loss([terms], LossWeights(**ONLY_DURATIONS))
+    assert comps["L_sd"].item() == pytest.approx(1.0, rel=1e-12)
+    expected_pd = abs(math.log(5.0) - math.log(6.0)) / 2
+    assert comps["L_pd"].item() == pytest.approx(expected_pd, rel=1e-12)
+    assert total.item() == pytest.approx(
+        comps["L_pd"].item() + comps["L_sd"].item(), rel=1e-12)
+
+
+def test_duration_loss_exact_prediction_is_zero(rng):
+    t = 15
+    fwd = _fake_forward(rng, t, log_domain([3.0, 5.0, 7.0]))
+    total, comps = utterance_loss(fwd, [3, 5, 7], [(0, 2), (2, 3)],
+                                  _fake_gt(rng, t), np.ones(t),
+                                  LossWeights(**ONLY_DURATIONS))
+    assert comps["L_pd"].item() == pytest.approx(0.0, abs=1e-12)
+    assert comps["L_sd"].item() == pytest.approx(0.0, abs=1e-12)
+    assert total.item() == pytest.approx(0.0, abs=1e-12)
+
+
+def test_duration_loss_weight_algebra(rng):
+    t = 8
+    fwd = _fake_forward(rng, t, log_domain([3.0, 4.0]))
+    weights = LossWeights(w_pd=1.0, w_sd=0.0, w_m=0.0, w_b=0.0, w_f=0.0, w_u=0.0)
+    total, comps = utterance_loss(fwd, [3, 5], [(0, 2)], _fake_gt(rng, t),
+                                  np.ones(t), weights)
+    assert comps["L_sd"].item() > 0.0
+    assert total.item() == pytest.approx(comps["L_pd"].item(), rel=1e-12)
+
+
+def test_duration_loss_rejects_bad_span(rng):
+    t = 8
+    fwd = _fake_forward(rng, t, log_domain([3.0, 4.0]))
+    with pytest.raises(ValueError, match="out of range"):
+        loss_terms(fwd, [3, 5], [(0, 3)], _fake_gt(rng, t), np.ones(t))
+    with pytest.raises(ValueError, match="out of range"):
+        syllable_indicator([(1, 1)], 2)
+
+
+def test_spectral_loss_values(rng):
+    t = 7
+    fwd = _fake_forward(rng, t)
+    gt = _fake_gt(rng, t)
+    fwd.decoder.mgc = ad.constant(gt.mgc)
+    fwd.decoder.bap = ad.constant(gt.bap)
+    total, comps = utterance_loss(fwd, [3, 4], [(0, 2)], gt, np.ones(t),
+                                  LossWeights(**ONLY_SPECTRA))
+    assert total.item() == 0.0
+    assert comps["L_m"].item() == 0.0 and comps["L_b"].item() == 0.0
+    fwd.decoder.mgc = ad.constant(gt.mgc + 0.5)
+    offset, comps = utterance_loss(fwd, [3, 4], [(0, 2)], gt, np.ones(t),
+                                   LossWeights(**ONLY_SPECTRA))
+    assert offset.item() == pytest.approx(0.5, rel=1e-12)
+    assert comps["L_m"].item() == pytest.approx(0.5, rel=1e-12)
+    double, _ = utterance_loss(fwd, [3, 4], [(0, 2)], gt, np.ones(t),
+                               LossWeights(**dict(ONLY_SPECTRA, w_m=2.0, w_b=0.0)))
+    assert double.item() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_spectral_loss_rejects_shape_mismatch(rng):
+    t = 7
+    gt = _fake_gt(rng, t)
+    short = _fake_forward(rng, t)
+    short.decoder.mgc = ad.constant(gt.mgc[:-1])
+    with pytest.raises(ValueError, match="do not match"):
+        loss_terms(short, [3, 4], [(0, 2)], gt, np.ones(t))
+    three = _fake_forward(rng, t, log_durations=(1.0, 2.0, 3.0))
+    with pytest.raises(ValueError, match="do not match"):
+        loss_terms(three, [3, 4], [(0, 2)], gt, np.ones(t))
+    long = _fake_forward(rng, t + 1)
+    with pytest.raises(ValueError, match="do not match"):
+        loss_terms(long, [3, 4], [(0, 2)], gt, np.ones(t))
+
+
 def test_vuv_loss_at_maximum_entropy(rng):
     t = 11
-    pred = _fake_decoder_output(rng, t, logit_value=0.0)  # probability 0.5
-    gt = _fake_gt(rng, t)
-    _, comps = decoder_loss(pred, gt, np.ones(t), LossWeights())
+    fwd = _fake_forward(rng, t, logit_value=0.0)  # probability 0.5
+    _, comps = utterance_loss(fwd, [5, 6], [(0, 2)], _fake_gt(rng, t),
+                              np.ones(t), LossWeights())
     assert comps["L_u"].item() == pytest.approx(math.log(2.0), rel=1e-12)
 
 
@@ -119,43 +160,65 @@ def test_f0_loss_ignores_unvoiced_frames(rng):
     t = 10
     vuv = np.array([1.0] * 5 + [0.0] * 5)
     gt = _fake_gt(rng, t, vuv=vuv)
-    pred = _fake_decoder_output(rng, t)
+    fwd = _fake_forward(rng, t)
     # match gt on voiced frames, garbage elsewhere
     logf0 = gt.logf0.copy()
     logf0[5:] = 1e6
-    pred.logf0 = ad.constant(logf0)
-    _, comps = decoder_loss(pred, gt, np.ones(t), LossWeights())
+    fwd.decoder.logf0 = ad.constant(logf0)
+    terms = loss_terms(fwd, [5, 5], [(0, 2)], gt, np.ones(t))
+    assert terms["L_f"][1] == 5
+    _, comps = pooled_loss([terms], LossWeights())
     assert comps["L_f"].item() == 0.0
 
 
 def test_f0_loss_defined_for_all_unvoiced(rng):
     t = 6
     gt = _fake_gt(rng, t, vuv=np.zeros(t))
-    pred = _fake_decoder_output(rng, t)
-    _, comps = decoder_loss(pred, gt, np.ones(t), LossWeights())
+    terms = loss_terms(_fake_forward(rng, t), [3, 3], [(0, 2)], gt, np.ones(t))
+    assert terms["L_f"][1] == 0
+    total, comps = pooled_loss([terms], LossWeights())
     assert comps["L_f"].item() == 0.0
+    assert math.isfinite(total.item())
 
 
 def test_decoder_loss_component_sum_oracle(rng):
-    t = 9
-    pred = _fake_decoder_output(rng, t)
-    gt = _fake_gt(rng, t)
-    nonrest = (rng.random(t) > 0.2).astype(float)
-    weights = LossWeights(w_m=0.7, w_b=1.3, w_f=2.0, w_u=0.5)
-    total, comps = decoder_loss(pred, gt, nonrest, weights)
-    # recompute every component independently with plain numpy
-    np_lm = np.mean(np.abs(pred.mgc.value - gt.mgc))
-    np_lb = np.mean(np.abs(pred.bap.value - gt.bap))
-    mask = gt.vuv * nonrest
-    np_lf = (np.abs(pred.logf0.value - gt.logf0) * mask).sum() / mask.sum()
-    z = pred.vuv_logit.value
-    np_lu = np.mean(np.maximum(z, 0) - z * gt.vuv + np.log1p(np.exp(-np.abs(z))))
-    assert comps["L_m"].item() == pytest.approx(np_lm, rel=1e-12)
-    assert comps["L_b"].item() == pytest.approx(np_lb, rel=1e-12)
-    assert comps["L_f"].item() == pytest.approx(np_lf, rel=1e-12)
-    assert comps["L_u"].item() == pytest.approx(np_lu, rel=1e-12)
-    expected = (weights.w_m * np_lm + weights.w_b * np_lb
-                + weights.w_f * np_lf + weights.w_u * np_lu)
+    # two utterances, the second all unvoiced: every component is a mean over
+    # the pooled valid elements, computed here with plain numpy
+    weights = LossWeights(w_pd=0.9, w_sd=1.7, w_m=0.7, w_b=1.3, w_f=2.0, w_u=0.5)
+    cases = []
+    for t, durations, spans, vuv in ((9, [2, 3, 4], [(0, 2), (2, 3)], None),
+                                     (5, [1, 4], [(0, 2)], np.zeros(5))):
+        fwd = _fake_forward(rng, t, rng.normal(size=len(durations)))
+        cases.append((fwd, durations, spans, _fake_gt(rng, t, vuv=vuv),
+                      (rng.random(t) > 0.2).astype(float)))
+    total, comps = pooled_loss([loss_terms(*case) for case in cases], weights)
+
+    sums = dict.fromkeys(LOSS_NAMES, 0.0)
+    counts = dict.fromkeys(LOSS_NAMES, 0)
+    for fwd, durations, spans, gt, nonrest in cases:
+        dec, gt_dur = fwd.decoder, np.asarray(durations, float)
+        log_pred = fwd.log_durations.value
+        sums["L_pd"] += np.abs(log_pred - np.log(gt_dur + 1.0)).sum()
+        counts["L_pd"] += len(durations)
+        for s, e in spans:
+            sums["L_sd"] += abs((np.exp(log_pred[s:e]) - 1.0).sum() - gt_dur[s:e].sum())
+            counts["L_sd"] += 1
+        sums["L_m"] += np.abs(dec.mgc.value - gt.mgc).sum()
+        counts["L_m"] += gt.mgc.size
+        sums["L_b"] += np.abs(dec.bap.value - gt.bap).sum()
+        counts["L_b"] += gt.bap.size
+        mask = gt.vuv * nonrest
+        sums["L_f"] += (np.abs(dec.logf0.value - gt.logf0) * mask).sum()
+        counts["L_f"] += int(mask.sum())
+        z = dec.vuv_logit.value
+        sums["L_u"] += (np.maximum(z, 0) - z * gt.vuv
+                        + np.log1p(np.exp(-np.abs(z)))).sum()
+        counts["L_u"] += gt.num_frames
+    expected = 0.0
+    for name in LOSS_NAMES:
+        oracle = sums[name] / counts[name]
+        assert comps[name].item() == pytest.approx(oracle, rel=1e-12)
+        expected += getattr(weights, "w_" + name[2:]) * oracle
     assert total.item() == pytest.approx(expected, rel=1e-12)
 
 
@@ -168,9 +231,8 @@ def test_bce_with_logits_stable_at_extremes():
 
 def _training_setup(tiny_config, seed=3):
     rng = np.random.default_rng(seed)
-    lexicon = demo_lexicon()
     tokens = score_to_tokens(
-        parse_score("tempo 120\nla 69 0.5\n- 0 0.25\nmi 64 0.5\n"), lexicon)
+        parse_score("tempo 120\nla 69 0.5\n- 0 0.25\nmi 64 0.5\n"), demo_lexicon())
     tokens.gt_phoneme_durations = [int(d) for d in rng.integers(2, 6, size=len(tokens))]
     t = tokens.total_frames
     gt = AcousticFeatureSequence(
@@ -178,29 +240,24 @@ def _training_setup(tiny_config, seed=3):
         logf0=rng.normal(size=t), vuv=(rng.random(t) > 0.4).astype(float),
     )
     params = init_params(tiny_config, rng)
-    fwd = forward_train(tokens, gt, params, tiny_config, train=False)
-    _, nonrest = frame_pitch_arrays(tokens, tokens.gt_phoneme_durations)
-    return tokens, gt, params, fwd, nonrest
+    batch = assemble_batch([Utterance("utt", tokens, gt)])
+    return tokens, gt, params, batch
 
 
 def test_total_loss_additivity(tiny_config):
-    tokens, gt, params, fwd, nonrest = _training_setup(tiny_config)
+    _, _, params, batch = _training_setup(tiny_config)
     weights = LossWeights(w_pd=0.9, w_sd=1.7, w_m=0.3, w_b=2.0, w_f=1.1, w_u=0.6)
-    total, comps = total_loss(fwd, tokens, gt, nonrest, weights)
-    expected = (weights.w_pd * comps["L_pd"].item()
-                + weights.w_sd * comps["L_sd"].item()
-                + weights.w_m * comps["L_m"].item()
-                + weights.w_b * comps["L_b"].item()
-                + weights.w_f * comps["L_f"].item()
-                + weights.w_u * comps["L_u"].item())
+    total, comps = batch_loss(params, batch, tiny_config, weights, train=False)
+    expected = sum(getattr(weights, "w_" + name[2:]) * comps[name].item()
+                   for name in LOSS_NAMES)
     assert total.item() == pytest.approx(expected, abs=1e-12, rel=1e-12)
 
 
 def test_total_loss_zero_when_all_components_zero(tiny_config):
-    tokens, gt, params, fwd, nonrest = _training_setup(tiny_config)
-    perfect = type(fwd)(
-        log_durations=ad.constant(
-            np.log(np.asarray(tokens.gt_phoneme_durations, float) + 1.0)),
+    tokens, gt, params, _ = _training_setup(tiny_config)
+    fwd = forward_train(tokens, gt, params, tiny_config, train=False)
+    perfect = TrainForward(
+        log_durations=ad.constant(log_domain(tokens.gt_phoneme_durations)),
         decoder=fwd.decoder,
     )
     # build a ground truth equal to the prediction so every term vanishes
@@ -209,15 +266,17 @@ def test_total_loss_zero_when_all_components_zero(tiny_config):
         logf0=fwd.decoder.logf0.value.copy(),
         vuv=np.zeros(gt.num_frames),
     )
-    total, comps = total_loss(perfect, tokens, matched, nonrest,
+    _, nonrest = frame_pitch_arrays(tokens, tokens.gt_phoneme_durations)
+    total, _ = utterance_loss(perfect, tokens.gt_phoneme_durations,
+                              tokens.syllable_spans, matched, nonrest,
                               LossWeights(w_u=0.0))
     assert total.item() == pytest.approx(0.0, abs=1e-9)
 
 
 def test_encoder_gradient_flows_from_duration_loss_alone(tiny_config):
-    tokens, gt, params, fwd, nonrest = _training_setup(tiny_config)
+    _, _, params, batch = _training_setup(tiny_config)
     weights = LossWeights(w_pd=1.0, w_sd=1.0, w_m=0.0, w_b=0.0, w_f=0.0, w_u=0.0)
-    total, _ = total_loss(fwd, tokens, gt, nonrest, weights)
+    total, _ = batch_loss(params, batch, tiny_config, weights, train=False)
     params.zero_grad()
     ad.backward(total)
     grad = params["emb.phoneme"].grad

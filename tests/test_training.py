@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -232,6 +233,35 @@ def test_resume_reproduces_uninterrupted_run():
     assert tail_resumed == tail_full
     for name, value in full.checkpoint.params.items():
         np.testing.assert_array_equal(value, resumed.checkpoint.params[name])
+
+
+def test_resume_rejects_checkpoint_of_another_width_before_step_one():
+    corpus = make_corpus(2)
+    narrow = train(desk_config(total_steps=1), corpus).checkpoint
+    wide = dataclasses.replace(TINY_MODEL, hidden_dim=16)
+    log = io.StringIO()
+    with pytest.raises(ValueError, match="checkpoint tensor emb.phoneme has shape"):
+        train(desk_config(total_steps=3, model=wide), corpus, resume_from=narrow,
+              log_stream=log)
+    assert log.getvalue() == ""
+
+
+@pytest.mark.parametrize("moments", ["adam_m", "adam_v"])
+def test_resume_rejects_adam_moments_that_do_not_match_parameters(moments):
+    corpus = make_corpus(2)
+    ckpt = train(desk_config(total_steps=1), corpus).checkpoint
+    log = io.StringIO()
+    del getattr(ckpt, moments)["dur.proj.b"]
+    with pytest.raises(ValueError, match=f"{moments} lacks tensor dur.proj.b"):
+        train(desk_config(total_steps=3), corpus, resume_from=ckpt, log_stream=log)
+    getattr(ckpt, moments)["dur.proj.b"] = np.zeros(2)
+    with pytest.raises(ValueError, match=f"{moments} tensor dur.proj.b has shape"):
+        train(desk_config(total_steps=3), corpus, resume_from=ckpt, log_stream=log)
+    getattr(ckpt, moments)["dur.proj.b"] = ckpt.params["dur.proj.b"].copy()
+    getattr(ckpt, moments)["extra"] = np.zeros(1)
+    with pytest.raises(ValueError, match="unknown tensors: \\['extra'\\]"):
+        train(desk_config(total_steps=3), corpus, resume_from=ckpt, log_stream=log)
+    assert log.getvalue() == ""
 
 
 def test_adam_state_updates_parameters():
