@@ -3,6 +3,8 @@ checkpoint file formats: named float64 tensors with explicit shapes."""
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from typing import BinaryIO
 
@@ -35,17 +37,25 @@ def write_named_tensor(fh: BinaryIO, name: str, array: np.ndarray) -> None:
     fh.write(data.tobytes())
 
 
+def read_exact(fh: BinaryIO, size: int, what: str) -> bytes:
+    """``size`` bytes; a size past the end of the file raises ContainerError
+    naming ``what`` before anything is allocated."""
+    start = fh.tell()
+    end = fh.seek(0, os.SEEK_END)
+    fh.seek(start)
+    if size > end - start:
+        raise ContainerError(f"truncated {what}")
+    return fh.read(size)
+
+
 def read_named_tensor(fh: BinaryIO) -> tuple[str, np.ndarray]:
     name_len = read_u32(fh)
-    name = fh.read(name_len).decode("utf-8")
+    name = read_exact(fh, name_len, "tensor name").decode("utf-8")
     rank = read_u32(fh)
     if rank > 8:
         raise ContainerError(f"implausible tensor rank {rank} for {name!r}")
     shape = tuple(read_u32(fh) for _ in range(rank))
-    count = int(np.prod(shape)) if shape else 1
-    raw = fh.read(count * 8)
-    if len(raw) != count * 8:
-        raise ContainerError(f"truncated tensor data for {name!r}")
+    raw = read_exact(fh, math.prod(shape) * 8, f"tensor data for {name!r}")
     return name, np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 

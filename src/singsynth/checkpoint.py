@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binio import ContainerError, read_magic, read_named_tensor, read_u32, \
-    write_magic, write_named_tensor, write_u32
+from .binio import ContainerError, read_exact, read_magic, read_named_tensor, \
+    read_u32, write_magic, write_named_tensor, write_u32
 
 CHECKPOINT_MAGIC = b"SVSCKPT1"
 
@@ -48,12 +48,21 @@ def load_checkpoint(path) -> Checkpoint:
         version = read_magic(fh, CHECKPOINT_MAGIC)
         if version != 1:
             raise ContainerError(f"unsupported checkpoint version {version}")
-        config_len = read_u32(fh)
-        config = json.loads(fh.read(config_len).decode("utf-8"))
+        config_blob = read_exact(fh, read_u32(fh), "config echo")
+        try:
+            config = json.loads(config_blob.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise ContainerError(f"checkpoint config echo is not JSON: {exc}") from None
+        if not isinstance(config, dict):
+            raise ContainerError("checkpoint config echo is not a JSON object")
         count = read_u32(fh)
         tensors = dict(read_named_tensor(fh) for _ in range(count))
     if "step" not in tensors:
         raise ContainerError("checkpoint has no step counter")
+    step = tensors["step"].ravel()
+    if step.size != 1 or not (np.isfinite(step[0]) and step[0] >= 0
+                              and step[0] % 1 == 0):
+        raise ContainerError(f"checkpoint step {step.tolist()} is not a step count")
     groups: dict[str, dict[str, np.ndarray]] = {"param": {}, "adam_m": {}, "adam_v": {}}
     for name, array in tensors.items():
         if name == "step":
@@ -63,7 +72,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise ContainerError(f"unexpected tensor {name!r} in checkpoint")
         groups[group][rest] = array
     return Checkpoint(
-        step=int(tensors["step"].item()),
+        step=int(step[0]),
         params=groups["param"],
         adam_m=groups["adam_m"],
         adam_v=groups["adam_v"],

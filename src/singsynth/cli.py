@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -18,11 +19,9 @@ from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .corpus import OracleConfig, generate_corpus, load_corpus_items, \
     load_manifest
 from .features import concatenate_features, load_features, save_features
-from .losses import LossWeights
 from .metrics import EvalReport, REPORT_KEYS, UtteranceEval, format_gv_table, \
     format_per_utterance_table, gv, metric_values
-from .model import ModelConfig, predicted_durations, synthesize, \
-    synthesize_with_durations
+from .model import predicted_durations, synthesize, synthesize_with_durations
 from .score import PhonemeLexicon, demo_lexicon, load_lexicon, parse_score, \
     score_to_tokens
 from .training import CorpusValidationError, TrainConfig, train, \
@@ -33,125 +32,69 @@ class CliError(RuntimeError):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Flat view of every tunable: model, optimizer, loss weights, oracle.
-
-    Defaults are desk scale; the full-size values live in the plain
-    ModelConfig / TrainConfig constructors.
-    """
-
-    hidden_dim: int = 32
-    encoder_blocks: int = 1
-    decoder_blocks: int = 1
-    attention_heads: int = 2
-    conv_kernel_size: int = 3
-    conv_filter_dim: int = 64
-    phoneme_vocab_size: int = 72
-    pitch_vocab_size: int = 128
-    max_note_frames: int = 256
-    dropout: float = 0.1
-    batch_size: int = 8
-    total_steps: int = 2000
-    warmup_steps: int = 200
-    seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.98
-    adam_epsilon: float = 1e-9
-    w_pd: float = 1.0
-    w_sd: float = 1.0
-    w_m: float = 1.0
-    w_b: float = 1.0
-    w_f: float = 1.0
-    w_u: float = 1.0
-    vibrato_rate_hz: float = 5.5
-    vibrato_depth_log: float = 0.03
-    transition_frames: int = 3
-    consonant_fraction: float = 0.25
-
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            hidden_dim=self.hidden_dim, encoder_blocks=self.encoder_blocks,
-            decoder_blocks=self.decoder_blocks,
-            attention_heads=self.attention_heads,
-            conv_kernel_size=self.conv_kernel_size,
-            conv_filter_dim=self.conv_filter_dim,
-            phoneme_vocab_size=self.phoneme_vocab_size,
-            pitch_vocab_size=self.pitch_vocab_size,
-            max_note_frames=self.max_note_frames, dropout=self.dropout,
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            batch_size=self.batch_size, total_steps=self.total_steps,
-            warmup_steps=self.warmup_steps, adam_beta1=self.adam_beta1,
-            adam_beta2=self.adam_beta2, adam_epsilon=self.adam_epsilon,
-            seed=self.seed, loss_weights=self.loss_weights(),
-            model=self.model_config(),
-        )
-
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(w_pd=self.w_pd, w_sd=self.w_sd, w_m=self.w_m,
-                           w_b=self.w_b, w_f=self.w_f, w_u=self.w_u)
-
-    def oracle_config(self) -> OracleConfig:
-        return OracleConfig(
-            seed=self.seed, vibrato_rate_hz=self.vibrato_rate_hz,
-            vibrato_depth_log=self.vibrato_depth_log,
-            transition_frames=self.transition_frames,
-            consonant_fraction=self.consonant_fraction,
-        )
-
-    def format(self) -> str:
-        lines = []
-        for f in sorted(fields(self), key=lambda f: f.name):
-            value = getattr(self, f.name)
-            lines.append(f"{f.name} {value!r}")
-        return "\n".join(lines) + "\n"
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.format(), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "RunConfig":
-        known = {f.name: f.type for f in fields(cls)}
-        values = {}
-        with open(path, encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split(None, 1)
-                if len(parts) != 2:
-                    raise CliError(f"{path}:{line_no}: expected 'key value'")
-                key, text = parts
-                if key not in known:
-                    raise CliError(f"{path}:{line_no}: unknown config key {key!r}")
-                parser = int if known[key] in ("int", int) else float
-                try:
-                    values[key] = parser(text)
-                except ValueError:
-                    raise CliError(
-                        f"{path}:{line_no}: bad value {text!r} for {key}"
-                    ) from None
-        return cls(**values)
+def _scalar_fields(section) -> dict[str, type]:
+    """The int and float fields of one config dataclass, which are its
+    config.txt keys; ``output_dim`` is fixed by the feature layout."""
+    hints = get_type_hints(type(section))
+    return {f.name: hints[f.name] for f in fields(section)
+            if hints[f.name] in (int, float) and f.name != "output_dim"}
 
 
-def _load_run_config(args, flag_overrides: dict) -> RunConfig:
-    config = RunConfig.load(args.config) if args.config else RunConfig()
-    known = {f.name: f.type for f in fields(RunConfig)}
-    for key, text in getattr(args, "overrides", None) or []:
-        if key not in known:
-            raise CliError(f"--set: unknown config key {key!r}")
-        parser = int if known[key] in ("int", int) else float
-        try:
-            setattr(config, key, parser(text))
-        except ValueError:
-            raise CliError(f"--set: bad value {text!r} for {key}") from None
-    for key, value in flag_overrides.items():
-        if value is not None:
-            setattr(config, key, value)
-    return config
+# The flat config.txt key space: the scalar fields of the desk configs. One
+# ``seed`` key feeds both the trainer and the oracle singer.
+_DESK = TrainConfig.desk()
+_SECTIONS = (_DESK, _DESK.model, _DESK.loss_weights, OracleConfig())
+CONFIG_TYPES = {name: kind for section in _SECTIONS
+                for name, kind in _scalar_fields(section).items()}
+CONFIG_DEFAULTS = {name: getattr(section, name) for section in _SECTIONS
+                   for name in _scalar_fields(section)}
+
+
+def _parse_value(key: str, text: str, where: str) -> int | float:
+    if key not in CONFIG_TYPES:
+        raise ValueError(f"{where}unknown config key {key!r}")
+    try:
+        return CONFIG_TYPES[key](text)
+    except ValueError:
+        raise ValueError(f"{where}bad value {text!r} for {key}") from None
+
+
+def read_config(path) -> dict[str, int | float]:
+    """The ``key value`` lines of a config file; ``#`` starts a comment."""
+    values = {}
+    with open(path, encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split(None, 1)
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{line_no}: expected 'key value'")
+            values[parts[0]] = _parse_value(*parts, f"{path}:{line_no}: ")
+    return values
+
+
+def format_config(values: dict) -> str:
+    return "".join(f"{key} {values[key]!r}\n" for key in sorted(values))
+
+
+def _load_run_config(args, flags: dict):
+    """Desk defaults < --config file < --set pairs < dedicated flags; returns
+    the flat values and the TrainConfig and OracleConfig built from them."""
+    values = dict(CONFIG_DEFAULTS)
+    if args.config:
+        values.update(read_config(args.config))
+    for key, text in args.overrides or []:
+        values[key] = _parse_value(key, text, "--set: ")
+    values.update((key, value) for key, value in flags.items() if value is not None)
+
+    def apply(section, **nested):
+        return replace(section, **nested,
+                       **{name: values[name] for name in _scalar_fields(section)})
+
+    config = apply(_DESK, loss_weights=apply(_DESK.loss_weights),
+                   model=apply(_DESK.model))
+    return values, config, apply(OracleConfig())
 
 
 def _load_lexicon(args) -> PhonemeLexicon:
@@ -177,12 +120,11 @@ def _model_from_checkpoint(ckpt: Checkpoint):
 # subcommands
 
 def cmd_gen_data(args) -> int:
-    run = _load_run_config(args, {"seed": args.seed})
+    values, _, oracle = _load_run_config(args, {"seed": args.seed})
     lexicon = _load_lexicon(args)
     out_dir = Path(args.out)
-    manifest = generate_corpus(args.songs, run.seed, run.oracle_config(),
-                               out_dir, lexicon)
-    run.save(out_dir / "config.txt")
+    manifest = generate_corpus(args.songs, oracle.seed, oracle, out_dir, lexicon)
+    (out_dir / "config.txt").write_text(format_config(values), encoding="utf-8")
     print(out_dir / "manifest.tsv")
     print(f"{len(manifest.entries)} songs "
           f"({len(manifest.subset('train'))} train, "
@@ -191,15 +133,15 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    run = _load_run_config(args, {
+    values, config, _ = _load_run_config(args, {
         "seed": args.seed, "total_steps": args.steps,
         "batch_size": args.batch_size,
     })
     lexicon = _load_lexicon(args)
-    if len(lexicon.phoneme_vocab) > run.phoneme_vocab_size:
+    if len(lexicon.phoneme_vocab) > config.model.phoneme_vocab_size:
         raise CliError(
             f"lexicon has {len(lexicon.phoneme_vocab)} phonemes but "
-            f"phoneme_vocab_size is {run.phoneme_vocab_size}"
+            f"phoneme_vocab_size is {config.model.phoneme_vocab_size}"
         )
     manifest = load_manifest(args.manifest)
     corpus = load_corpus_items(manifest, split="train")
@@ -209,11 +151,12 @@ def cmd_train(args) -> int:
     resume = load_checkpoint(args.resume) if args.resume else None
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
-    run.save(run_dir / "config.txt")
+    (run_dir / "config.txt").write_text(format_config(values), encoding="utf-8")
 
-    config = run.train_config()
     extra = {"phoneme_vocab": list(lexicon.phoneme_vocab)}
-    with open(run_dir / "loss_log.tsv", "w", encoding="utf-8") as log_fh:
+    # a resumed run continues the log of the run it resumes
+    log_mode = "a" if resume is not None else "w"
+    with open(run_dir / "loss_log.tsv", log_mode, encoding="utf-8") as log_fh:
         result = train(config, corpus, resume_from=resume, log_stream=log_fh,
                        extra_config=extra)
     ckpt_path = run_dir / "checkpoint.bin"

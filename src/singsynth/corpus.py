@@ -228,10 +228,15 @@ def save_token_sidecar(path, tokens: PhonemeTokenSequence) -> None:
 def load_token_sidecar(path) -> PhonemeTokenSequence:
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                rows.append([int(x) for x in line.split("\t")])
+            if not line:
+                continue
+            row = [int(x) for x in line.split("\t")]
+            if len(row) != 5:
+                raise ValueError(f"{path}:{line_no}: expected 5 tab-separated "
+                                 f"integers, got {len(row)}")
+            rows.append(row)
     if not rows:
         raise ValueError(f"empty token sidecar {path}")
     columns = list(zip(*rows))

@@ -32,7 +32,6 @@ class AcousticFeatureSequence:
     bap: np.ndarray          # T x 5
     logf0: np.ndarray        # T
     vuv: np.ndarray          # T, in [0, 1]
-    frame_shift_s: float = FRAME_SHIFT_S
 
     def __post_init__(self):
         self.mgc = np.ascontiguousarray(self.mgc, dtype=np.float64)

@@ -184,8 +184,7 @@ def fft_block(x: Node, params: ModelParameters, prefix: str, config: ModelConfig
 
 def encode(tokens: PhonemeTokenSequence, params: ModelParameters,
            config: ModelConfig, train: bool = False,
-           rng: np.random.Generator | None = None,
-           apply_positional_encoding: bool = True) -> Node:
+           rng: np.random.Generator | None = None) -> Node:
     """Embed phoneme/pitch/frame-count token triples and run the encoder
     stack; returns an N x hidden_dim sequence."""
     phoneme_ids = np.asarray(tokens.phoneme_ids, dtype=np.int64)
@@ -207,8 +206,7 @@ def encode(tokens: PhonemeTokenSequence, params: ModelParameters,
                ad.embedding(params["emb.pitch"], pitch_ids)),
         ad.embedding(params["emb.note_frames"], frame_buckets),
     )
-    if apply_positional_encoding:
-        x = ad.add(x, ad.constant(positional_encoding(len(tokens), config.hidden_dim)))
+    x = ad.add(x, ad.constant(positional_encoding(len(tokens), config.hidden_dim)))
     for i in range(config.encoder_blocks):
         x = fft_block(x, params, f"enc.{i}", config, train=train, rng=rng)
     return x

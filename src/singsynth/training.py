@@ -9,7 +9,7 @@ so resuming from a checkpoint reproduces an uninterrupted run bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from typing import IO, Sequence
 
@@ -254,6 +254,7 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
                          m=_checked_moments(resume_from.adam_m, params, "adam_m"),
                          v=_checked_moments(resume_from.adam_v, params, "adam_v"),
                          t=resume_from.step)
+        _check_trained_model(resume_from, config.model)
         start_step = resume_from.step + 1
     else:
         params = init_params(config.model, np.random.default_rng([config.seed, 1]))
@@ -313,6 +314,22 @@ def _checked_moments(moments: dict[str, np.ndarray], params: ModelParameters,
                 f"{moments[name].shape}, model expects {node.value.shape}"
             )
     return {k: v.copy() for k, v in moments.items()}
+
+
+def _check_trained_model(ckpt: Checkpoint, model: ModelConfig) -> None:
+    """A resumed run must use the model config the checkpoint was trained
+    with; loss weights and optimizer settings may change."""
+    echo = ckpt.config.get("train")
+    trained = echo.get("model") if isinstance(echo, dict) else None
+    if not isinstance(trained, dict):
+        raise ValueError("checkpoint has no model config echo to resume from")
+    for f in fields(model):
+        ours, theirs = getattr(model, f.name), trained.get(f.name)
+        if ours != theirs:
+            raise ValueError(
+                f"checkpoint was trained with {f.name} {theirs!r}, "
+                f"run has {f.name} {ours!r}"
+            )
 
 
 def params_from_checkpoint(ckpt: Checkpoint, config: ModelConfig) -> ModelParameters:

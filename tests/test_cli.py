@@ -1,10 +1,11 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from singsynth.cli import RunConfig, main
+from singsynth.cli import CONFIG_DEFAULTS, format_config, main, read_config
 from singsynth.features import AcousticFeatureSequence, load_features, save_features
 from singsynth.metrics import REPORT_KEYS
 
@@ -77,21 +78,56 @@ def test_train_flag_overrides_config_file(tmp_path, corpus_dir):
     assert main(["train", "--manifest", str(corpus_dir / "manifest.tsv"),
                  "--out", str(out), "--config", str(cfg_file),
                  "--seed", "9"]) == 0
-    echoed = RunConfig.load(out / "config.txt")
-    assert echoed.seed == 9           # flag wins
-    assert echoed.total_steps == 3    # config file survives where not overridden
+    echoed = read_config(out / "config.txt")
+    assert echoed["seed"] == 9           # flag wins
+    assert echoed["total_steps"] == 3    # config file survives where not overridden
 
 
 def test_config_echo_round_trips(run_dir):
-    loaded = RunConfig.load(run_dir / "config.txt")
-    assert loaded == RunConfig(seed=5, total_steps=8)
+    loaded = read_config(run_dir / "config.txt")
+    assert loaded == {**CONFIG_DEFAULTS, "seed": 5, "total_steps": 8}
+
+
+def test_config_keys_are_the_desk_config_fields():
+    # the scalar fields of TrainConfig.desk(), its ModelConfig and LossWeights
+    # and OracleConfig(), minus output_dim; one seed key for trainer and oracle
+    assert CONFIG_DEFAULTS == {
+        "hidden_dim": 32, "encoder_blocks": 1, "decoder_blocks": 1,
+        "attention_heads": 2, "conv_kernel_size": 3, "conv_filter_dim": 64,
+        "phoneme_vocab_size": 72, "pitch_vocab_size": 128,
+        "max_note_frames": 256, "dropout": 0.1, "batch_size": 8,
+        "total_steps": 2000, "warmup_steps": 200, "seed": 0,
+        "adam_beta1": 0.9, "adam_beta2": 0.98, "adam_epsilon": 1e-9,
+        "w_pd": 1.0, "w_sd": 1.0, "w_m": 1.0, "w_b": 1.0, "w_f": 1.0,
+        "w_u": 1.0, "vibrato_rate_hz": 5.5, "vibrato_depth_log": 0.03,
+        "transition_frames": 3, "consonant_fraction": 0.25,
+    }
+    assert all(type(CONFIG_DEFAULTS[k]) is float for k in ("dropout", "w_sd"))
+
+
+def test_config_txt_reloads_and_resaves_byte_for_byte(run_dir, corpus_dir):
+    for path in (run_dir / "config.txt", corpus_dir / "config.txt"):
+        text = path.read_text(encoding="utf-8")
+        assert format_config(read_config(path)) == text
+        assert len(text.splitlines()) == 27
 
 
 def test_config_rejects_unknown_key(tmp_path):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("warp_factor 9\n")
-    with pytest.raises(Exception, match="unknown config key"):
-        RunConfig.load(bad)
+    bad.write_text("# a comment\nseed 1\nwarp_factor 9\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}:3: unknown config key 'warp_factor'$"):
+        read_config(bad)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("hidden_dim 3.5\n", "bad value '3.5' for hidden_dim"),
+    ("dropout\n", "expected 'key value'"),
+])
+def test_config_file_errors_name_path_and_line(tmp_path, text, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("\n" + text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}:2: {re.escape(message)}$"):
+        read_config(bad)
 
 
 def test_set_flag_overrides_any_field(tmp_path, corpus_dir):
@@ -99,9 +135,9 @@ def test_set_flag_overrides_any_field(tmp_path, corpus_dir):
     assert main(["train", "--manifest", str(corpus_dir / "manifest.tsv"),
                  "--out", str(out), "--steps", "2",
                  "--set", "w_sd", "0.5", "--set", "warmup_steps", "10"]) == 0
-    echoed = RunConfig.load(out / "config.txt")
-    assert echoed.w_sd == 0.5
-    assert echoed.warmup_steps == 10
+    echoed = read_config(out / "config.txt")
+    assert echoed["w_sd"] == 0.5
+    assert echoed["warmup_steps"] == 10
 
 
 def test_set_flag_rejects_unknown_key(tmp_path, corpus_dir, capsys):
@@ -109,6 +145,21 @@ def test_set_flag_rejects_unknown_key(tmp_path, corpus_dir, capsys):
                  "--out", str(tmp_path / "r"), "--set", "nonsense", "1"])
     assert code == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_set_flag_rejects_bad_value(tmp_path, corpus_dir, capsys):
+    code = main(["train", "--manifest", str(corpus_dir / "manifest.tsv"),
+                 "--out", str(tmp_path / "r"), "--set", "batch_size", "two"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --set: bad value 'two' for batch_size\n"
+
+
+def test_gen_data_rejects_invalid_model_config(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert main(["gen-data", "--songs", "2", "--out", str(out),
+                 "--set", "hidden_dim", "7"]) == 1
+    assert "hidden_dim 7 not divisible by attention_heads 2" in capsys.readouterr().err
+    assert not (out / "config.txt").exists()
 
 
 def test_synth_rejects_mismatched_lexicon(tmp_path, corpus_dir, run_dir, capsys):
@@ -136,6 +187,20 @@ def test_train_resume_continues_step_counter(tmp_path, corpus_dir):
     assert [line.split("\t")[0] for line in log] == ["5", "6", "7", "8"]
 
 
+def test_train_resume_into_own_run_keeps_earlier_log_lines(tmp_path, corpus_dir):
+    run = tmp_path / "run"
+    base = ["train", "--manifest", str(corpus_dir / "manifest.tsv"),
+            "--out", str(run), "--seed", "5"]
+    assert main(base + ["--steps", "3"]) == 0
+    assert main(base + ["--steps", "5", "--resume", str(run / "checkpoint.bin"),
+                        "--set", "hidden_dim", "16"]) == 1
+    log = (run / "loss_log.tsv").read_text().strip().split("\n")
+    assert [line.split("\t")[0] for line in log] == ["1", "2", "3"]
+    assert main(base + ["--steps", "5", "--resume", str(run / "checkpoint.bin")]) == 0
+    log = (run / "loss_log.tsv").read_text().strip().split("\n")
+    assert [line.split("\t")[0] for line in log] == ["1", "2", "3", "4", "5"]
+
+
 def test_train_resume_rejects_checkpoint_of_another_width(tmp_path, corpus_dir,
                                                          capsys):
     narrow = tmp_path / "narrow"
@@ -148,6 +213,18 @@ def test_train_resume_rejects_checkpoint_of_another_width(tmp_path, corpus_dir,
                  "--resume", str(narrow / "checkpoint.bin")]) == 1
     assert "emb.phoneme" in capsys.readouterr().err
     assert (wide / "loss_log.tsv").read_text() == ""
+
+
+def test_train_resume_rejects_checkpoint_of_another_head_count(tmp_path, run_dir,
+                                                              corpus_dir, capsys):
+    out = tmp_path / "more_heads"
+    assert main(["train", "--manifest", str(corpus_dir / "manifest.tsv"),
+                 "--out", str(out), "--steps", "10", "--seed", "5",
+                 "--set", "attention_heads", "4",
+                 "--resume", str(run_dir / "checkpoint.bin")]) == 1
+    assert "trained with attention_heads 2, run has attention_heads 4" \
+        in capsys.readouterr().err
+    assert (out / "loss_log.tsv").read_text() == ""
 
 
 def test_synth_frame_count_equals_predicted_duration_sum(tmp_path, corpus_dir,
@@ -274,3 +351,12 @@ def test_eval_without_inputs_is_runtime_error(tmp_path, capsys):
 def test_eval_manifest_without_checkpoint_fails(tmp_path, corpus_dir, capsys):
     assert main(["eval", "--out", str(tmp_path / "e"),
                  "--manifest", str(corpus_dir / "manifest.tsv")]) == 1
+
+
+def test_synth_with_truncated_checkpoint_is_runtime_error(tmp_path, corpus_dir,
+                                                          run_dir, capsys):
+    broken = tmp_path / "broken.bin"
+    broken.write_bytes((run_dir / "checkpoint.bin").read_bytes()[:5000])
+    assert main(["synth", "--score", str(corpus_dir / "scores" / "song_0000.score"),
+                 "--checkpoint", str(broken), "--out", str(tmp_path / "x.feat")]) == 1
+    assert "truncated" in capsys.readouterr().err

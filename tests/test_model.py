@@ -70,23 +70,18 @@ def test_encode_rejects_out_of_range_ids(lexicon, tiny_config):
         encode(tokens, params, tiny_config)
 
 
-def test_encode_permutation_equivariant_without_positions(lexicon):
-    # pointwise convs (kernel 1) keep a single block permutation-equivariant
+def test_fft_block_permutation_equivariant(rng):
+    # pointwise convs (kernel 1) keep a single block permutation-equivariant;
+    # the encoder's positional encoding is what breaks this symmetry
     config = ModelConfig(hidden_dim=8, encoder_blocks=1, decoder_blocks=1,
                          attention_heads=2, conv_kernel_size=1,
                          conv_filter_dim=16, max_note_frames=64)
     params = init_params(config, np.random.default_rng(3))
-    tokens = make_tokens(lexicon)
-    swapped = make_tokens(lexicon)
-    i, j = 0, 2
-    for lst in (swapped.phoneme_ids, swapped.pitch_ids, swapped.note_frame_counts):
-        lst[i], lst[j] = lst[j], lst[i]
-    out = encode(tokens, params, config, apply_positional_encoding=False).value
-    out_swapped = encode(swapped, params, config,
-                         apply_positional_encoding=False).value
-    perm = out.copy()
-    perm[[i, j]] = perm[[j, i]]
-    np.testing.assert_allclose(out_swapped, perm, rtol=0, atol=1e-12)
+    x = rng.normal(size=(5, config.hidden_dim))
+    perm = np.array([2, 1, 0, 4, 3])
+    out = fft_block(ad.constant(x), params, "enc.0", config).value
+    out_permuted = fft_block(ad.constant(x[perm]), params, "enc.0", config).value
+    np.testing.assert_allclose(out_permuted, out[perm], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("length", [1, 7, 33])

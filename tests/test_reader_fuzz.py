@@ -1,0 +1,224 @@
+"""Fuzzing of the on-disk readers: whatever the bytes, a reader raises only
+its documented errors (ValueError and its subclasses, such as
+ContainerError, or FileNotFoundError), never IndexError, OverflowError or
+MemoryError, and never allocates what the file cannot hold."""
+
+import io
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from singsynth.binio import ContainerError, read_named_tensor
+from singsynth.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from singsynth.cli import CONFIG_DEFAULTS, read_config
+from singsynth.corpus import load_manifest, load_token_sidecar
+from singsynth.features import AcousticFeatureSequence, load_features, \
+    save_features
+from singsynth.score import load_lexicon, parse_score
+
+DOCUMENTED = (ValueError, FileNotFoundError)
+
+
+def u32(value):
+    return struct.pack("<I", value)
+
+
+def tensor_bytes(name, shape, payload=b""):
+    encoded = name.encode("utf-8")
+    return (u32(len(encoded)) + encoded + u32(len(shape))
+            + b"".join(u32(d) for d in shape) + payload)
+
+
+def small_checkpoint_bytes(tmp_path, step=3.0):
+    path = tmp_path / "base.ckpt"
+    save_checkpoint(path, Checkpoint(
+        step=1, params={"w": np.arange(6.0).reshape(2, 3)},
+        adam_m={"w": np.zeros((2, 3))}, adam_v={"w": np.ones((2, 3))},
+        config={"train": {"seed": 0}},
+    ))
+    data = path.read_bytes()
+    return data.replace(struct.pack("<d", 1.0), struct.pack("<d", step), 1)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def only_documented_errors(read, *args):
+    try:
+        read(*args)
+    except DOCUMENTED:
+        pass
+
+
+# --- token sidecar ---------------------------------------------------------
+
+def test_token_sidecar_rejects_wrong_column_count_naming_line(tmp_path):
+    path = tmp_path / "x.tokens"
+    path.write_text("5\t69\t10\t4\t0\n5\t69\t10\t4\n")
+    with pytest.raises(ValueError, match=":2: expected 5 tab-separated"):
+        load_token_sidecar(path)
+
+
+sidecar_lines = st.lists(
+    st.lists(st.one_of(st.integers(-3, 300).map(str),
+                       st.text(alphabet="0123456789-x \t", max_size=4)),
+             max_size=7).map("\t".join),
+    max_size=6,
+).map("\n".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=sidecar_lines)
+@example(text="1\t2\t3\t4")
+@example(text="1\t2\t3\t4\t0\n1\t2\t3\t4")
+def test_token_sidecar_raises_only_documented_errors(fuzz_dir, text):
+    path = fuzz_dir / "fuzz.tokens"
+    path.write_text(text, encoding="utf-8")
+    only_documented_errors(load_token_sidecar, path)
+
+
+# --- named tensors and checkpoints ----------------------------------------
+
+def test_named_tensor_larger_than_file_names_tensor():
+    fh = io.BytesIO(tensor_bytes("huge", (2 ** 31, 2 ** 31), b"\0" * 16))
+    with pytest.raises(ContainerError, match="tensor data for 'huge'"):
+        read_named_tensor(fh)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name_len=st.one_of(st.integers(0, 8), st.integers(0, 2 ** 32 - 1)),
+       shape=st.lists(st.one_of(st.integers(0, 4), st.integers(0, 2 ** 32 - 1)),
+                      max_size=9),
+       tail=st.binary(max_size=64))
+def test_named_tensor_raises_only_documented_errors(name_len, shape, tail):
+    fh = io.BytesIO(u32(name_len) + b"name"[:name_len] + u32(len(shape))
+                    + b"".join(u32(d) for d in shape) + tail)
+    only_documented_errors(read_named_tensor, fh)
+
+
+@pytest.mark.parametrize("step", [math.inf, -math.inf, math.nan, -1.0, 2.5])
+def test_checkpoint_rejects_step_that_is_not_a_count(tmp_path, step):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(small_checkpoint_bytes(tmp_path, step))
+    with pytest.raises(ContainerError, match="checkpoint step"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("blob", [b"[" * 100_000, b"[1]", b"\xff", b"{"])
+def test_checkpoint_rejects_config_echo_that_is_not_a_json_object(tmp_path, blob):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(b"SVSCKPT1" + u32(1) + u32(len(blob)) + blob + u32(0))
+    with pytest.raises(ContainerError, match="config echo is not"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_fixture_round_trips(tmp_path):
+    path = tmp_path / "ok.ckpt"
+    path.write_bytes(small_checkpoint_bytes(tmp_path))
+    assert load_checkpoint(path).step == 3
+
+
+def mutated(data, base):
+    """``base`` cut at a drawn length, extended by drawn bytes, with up to six
+    bytes overwritten."""
+    cut = data.draw(st.integers(0, len(base)))
+    edits = data.draw(st.lists(st.tuples(st.integers(0, len(base) - 1),
+                                         st.integers(0, 255)), max_size=6))
+    blob = bytearray(base[:cut] + data.draw(st.binary(max_size=32)))
+    for pos, value in edits:
+        if pos < len(blob):
+            blob[pos] = value
+    return bytes(blob)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_checkpoint_raises_only_documented_errors(fuzz_dir, data):
+    path = fuzz_dir / "fuzz.ckpt"
+    path.write_bytes(mutated(data, small_checkpoint_bytes(fuzz_dir)))
+    only_documented_errors(load_checkpoint, path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_feature_file_raises_only_documented_errors(fuzz_dir, data):
+    base = fuzz_dir / "base.feat"
+    save_features(base, AcousticFeatureSequence(
+        mgc=np.zeros((2, 60)), bap=np.zeros((2, 5)), logf0=np.zeros(2),
+        vuv=np.ones(2)))
+    path = fuzz_dir / "fuzz.feat"
+    path.write_bytes(mutated(data, base.read_bytes()))
+    only_documented_errors(load_features, path)
+
+
+# --- config file -----------------------------------------------------------
+
+config_lines = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(sorted(CONFIG_DEFAULTS) + ["bogus"]),
+                  st.one_of(st.integers(-5, 5).map(str),
+                            st.floats(allow_nan=True).map(repr),
+                            st.text(max_size=6))).map(" ".join),
+        st.text(max_size=12),
+    ),
+    max_size=6,
+).map("\n".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=config_lines)
+def test_config_reader_raises_only_documented_errors(fuzz_dir, text):
+    path = fuzz_dir / "fuzz.cfg"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    only_documented_errors(read_config, path)
+
+
+# --- text readers ----------------------------------------------------------
+
+score_lines = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["tempo", "la", "mi", "-", "zz", "#"]),
+                  st.sampled_from(["", "0", "69", "1e309", "nan", "-2", "x"]),
+                  st.sampled_from(["", "0.5", "0", "-1", "inf", "nan", "1e-300"]),
+                  st.sampled_from(["", "~", "~ ~"])).map(" ".join),
+        st.text(max_size=12),
+    ),
+    max_size=6,
+).map("\n".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=score_lines)
+@example(text="tempo 120\nla 69 1e-300")
+def test_score_parser_raises_only_documented_errors(text):
+    only_documented_errors(parse_score, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=st.lists(st.one_of(
+    st.tuples(st.sampled_from(["la", "", "da da"]),
+              st.sampled_from(["l a", "", "a", "l\ta"])).map("\t".join),
+    st.text(max_size=10)), max_size=5).map("\n".join))
+def test_lexicon_reader_raises_only_documented_errors(fuzz_dir, text):
+    path = fuzz_dir / "fuzz.lexicon"
+    path.write_text(text, encoding="utf-8")
+    only_documented_errors(load_lexicon, path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=st.lists(st.one_of(
+    st.tuples(st.sampled_from(["base.ckpt", "missing", "", "."]),
+              st.sampled_from(["base.ckpt", "missing", ""]),
+              st.sampled_from(["train", "holdout", "x"])).map("\t".join),
+    st.text(max_size=10)), max_size=4).map("\n".join))
+def test_manifest_reader_raises_only_documented_errors(fuzz_dir, text):
+    (fuzz_dir / "base.ckpt").write_bytes(b"")
+    path = fuzz_dir / "fuzz.manifest"
+    path.write_text(text, encoding="utf-8")
+    only_documented_errors(load_manifest, path)

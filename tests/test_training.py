@@ -264,6 +264,38 @@ def test_resume_rejects_adam_moments_that_do_not_match_parameters(moments):
     assert log.getvalue() == ""
 
 
+@pytest.mark.parametrize("field, value", [("attention_heads", 4),
+                                          ("dropout", 0.5)])
+def test_resume_rejects_checkpoint_of_another_model_config(field, value):
+    corpus = make_corpus(2)
+    ckpt = train(desk_config(total_steps=1), corpus).checkpoint
+    other = dataclasses.replace(TINY_MODEL, **{field: value})
+    log = io.StringIO()
+    trained = getattr(TINY_MODEL, field)
+    with pytest.raises(ValueError, match=f"trained with {field} {trained}, "
+                                         f"run has {field} {value}"):
+        train(desk_config(total_steps=3, model=other), corpus, resume_from=ckpt,
+              log_stream=log)
+    assert log.getvalue() == ""
+
+
+def test_resume_may_change_loss_weights_and_optimizer():
+    corpus = make_corpus(2)
+    ckpt = train(desk_config(total_steps=1), corpus).checkpoint
+    changed = desk_config(total_steps=2, warmup_steps=9, adam_beta1=0.8,
+                          loss_weights=LossWeights(w_sd=0.5))
+    assert len(train(changed, corpus, resume_from=ckpt).records) == 1
+
+
+@pytest.mark.parametrize("echo", [{}, {"train": {}}, {"train": []}])
+def test_resume_rejects_checkpoint_without_model_config_echo(echo):
+    corpus = make_corpus(2)
+    ckpt = train(desk_config(total_steps=1), corpus).checkpoint
+    ckpt.config = echo
+    with pytest.raises(ValueError, match="no model config echo"):
+        train(desk_config(total_steps=3), corpus, resume_from=ckpt)
+
+
 def test_adam_state_updates_parameters():
     params = init_params(TINY_MODEL, np.random.default_rng(0))
     adam = AdamState(params)
