@@ -3,7 +3,8 @@
 Tensor values live in contiguous row-major numpy float64 buffers. Every
 operation returns a :class:`Node` that records its parents together with a
 pullback closure; calling :func:`backward` on a scalar loss accumulates
-gradients on every reachable node that requires them.
+gradients on every reachable node that requires them. Inside
+:func:`no_grad` no op records a graph.
 
 Broadcasting is deliberately restricted to bias addition over the last
 axis; everything else demands exact shape agreement so that shape bugs
@@ -12,18 +13,40 @@ surface as errors instead of silent broadcasts.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 _CHECK_FINITE = False
+_GRAD_ENABLED = True
+# query rows per block of graph-free attention: H x rows x S scores of about
+# this many float64 elements (2 MB, sized to a core's L2 cache) per block
+_ATTENTION_BLOCK_ELEMENTS = 1 << 18
 
 
 def set_debug_checks(enabled: bool) -> None:
     """Toggle NaN/Inf checking on every op output (slow; for debugging)."""
     global _CHECK_FINITE
     _CHECK_FINITE = bool(enabled)
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Build every op output inside as a node that does not require grad.
+
+    Such a node keeps no parents, so its pullback closures and the buffers
+    they hold are freed as soon as the op returns. Parameters stay
+    parameters; only the graph between them and the outputs is not kept.
+    """
+    global _GRAD_ENABLED
+    saved = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = saved
 
 
 class ShapeError(ValueError):
@@ -38,7 +61,8 @@ class Node:
     """A tensor plus its position in the differentiation graph.
 
     ``parents`` is a tuple of ``(parent_node, pullback)`` pairs where
-    ``pullback(out_grad)`` returns that parent's gradient contribution.
+    ``pullback(out_grad)`` returns that parent's gradient contribution. A
+    node that does not require grad keeps no parents.
     """
 
     __slots__ = ("value", "grad", "parents", "requires_grad")
@@ -47,10 +71,11 @@ class Node:
         self.value = _tensor(value)
         if _CHECK_FINITE and not np.all(np.isfinite(self.value)):
             raise FloatingPointError("non-finite value produced in forward pass")
-        self.parents = tuple(parents)
-        self.requires_grad = bool(requires_grad) or any(
-            p.requires_grad for p, _ in self.parents
-        )
+        parents = tuple(parents)
+        self.requires_grad = bool(requires_grad) or (_GRAD_ENABLED and any(
+            p.requires_grad for p, _ in parents
+        ))
+        self.parents = parents if self.requires_grad else ()
         self.grad: np.ndarray | None = None
 
     @property
@@ -442,9 +467,12 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
     ``q`` is T x D, ``k`` is S x D and ``v`` is S x D_v. The last axis of each
     holds ``heads`` contiguous heads of width d_h = D / heads (D_v / heads for
     ``v``); the output is T x D_v with the heads side by side in that order.
-    All heads run as one batched matmul into an H x T x S score buffer that
-    is normalised in place, and only those probabilities are kept for the
-    pullback.
+    All heads run as one batched matmul into an H x rows x S score buffer
+    that is normalised in place and multiplied into the output rows. When
+    the output records a graph, the block is all T rows and those
+    probabilities are the only thing the pullback keeps; when it does not,
+    blocks of query rows reuse one scratch buffer of about
+    ``_ATTENTION_BLOCK_ELEMENTS``, so H x T x S never exists.
     """
     q, k, v = as_node(q), as_node(k), as_node(v)
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
@@ -471,8 +499,18 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
         return x.transpose(1, 0, 2).reshape(rows, h * w)
 
     qh, kh, vh = split(q.value), split(k.value), split(v.value)
-    probs = _softmax_(np.matmul(split(q.value * c), kh.transpose(0, 2, 1)))
-    out = merge(np.matmul(probs, vh))
+    qch, kth = split(q.value * c), kh.transpose(0, 2, 1)
+    records = _GRAD_ENABLED and (q.requires_grad or k.requires_grad
+                                 or v.requires_grad)
+    rows = max(1, t if records else _ATTENTION_BLOCK_ELEMENTS // (heads * s))
+    probs = np.empty((heads, min(rows, t), s))
+    out = np.empty((t, v.shape[1]))
+    outh = split(out)
+    for lo in range(0, t, rows):
+        hi = min(lo + rows, t)
+        block = probs[:, : hi - lo]
+        _softmax_(np.matmul(qch[:, lo:hi], kth, out=block))
+        np.matmul(block, vh, out=outh[:, lo:hi])
     # d loss / d(q k^T), computed by the first of the q and k pullbacks of a
     # backward pass and dropped by the last one that needs it
     shared: dict = {}

@@ -151,14 +151,19 @@ def cmd_train(args) -> int:
     resume = load_checkpoint(args.resume) if args.resume else None
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.txt").write_text(format_config(values), encoding="utf-8")
+
+    def write_config():
+        # only once train has accepted the resume, so a rejected resume into
+        # the run's own directory keeps that run's config.txt
+        (run_dir / "config.txt").write_text(format_config(values),
+                                            encoding="utf-8")
 
     extra = {"phoneme_vocab": list(lexicon.phoneme_vocab)}
     # a resumed run continues the log of the run it resumes
     log_mode = "a" if resume is not None else "w"
     with open(run_dir / "loss_log.tsv", log_mode, encoding="utf-8") as log_fh:
         result = train(config, corpus, resume_from=resume, log_stream=log_fh,
-                       extra_config=extra)
+                       extra_config=extra, on_start=write_config)
     ckpt_path = run_dir / "checkpoint.bin"
     save_checkpoint(ckpt_path, result.checkpoint)
     print(ckpt_path)

@@ -332,17 +332,20 @@ def synthesize_with_durations(tokens: PhonemeTokenSequence,
                               params: ModelParameters, config: ModelConfig,
                               durations) -> AcousticFeatureSequence:
     """Inference with externally supplied frame counts (e.g. ground truth,
-    for frame-aligned evaluation)."""
-    hidden = encode(tokens, params, config, train=False)
-    return _synthesize_from_hidden(tokens, hidden, params, config, durations)
+    for frame-aligned evaluation). Runs graph-free, like every inference
+    entry point here."""
+    with ad.no_grad():
+        hidden = encode(tokens, params, config, train=False)
+        return _synthesize_from_hidden(tokens, hidden, params, config, durations)
 
 
 def predicted_durations(tokens: PhonemeTokenSequence, params: ModelParameters,
                         config: ModelConfig) -> np.ndarray:
     """Free-running integer duration predictions."""
-    hidden = encode(tokens, params, config, train=False)
-    return decode_durations(predict_durations(hidden, params, config,
-                                              train=False).value)
+    with ad.no_grad():
+        hidden = encode(tokens, params, config, train=False)
+        return decode_durations(predict_durations(hidden, params, config,
+                                                  train=False).value)
 
 
 def synthesize(tokens: PhonemeTokenSequence, params: ModelParameters,
@@ -350,8 +353,10 @@ def synthesize(tokens: PhonemeTokenSequence, params: ModelParameters,
     """Inference path: predicted durations drive the length regulator. The
     encoder runs once; its output feeds both the duration head and the
     decoder."""
-    hidden = encode(tokens, params, config, train=False)
-    durations = decode_durations(predict_durations(hidden, params, config,
-                                                   train=False).value)
-    feats = _synthesize_from_hidden(tokens, hidden, params, config, durations)
+    with ad.no_grad():
+        hidden = encode(tokens, params, config, train=False)
+        durations = decode_durations(predict_durations(hidden, params, config,
+                                                       train=False).value)
+        feats = _synthesize_from_hidden(tokens, hidden, params, config,
+                                        durations)
     return feats, durations

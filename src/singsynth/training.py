@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -238,11 +238,15 @@ class TrainResult:
 def train(config: TrainConfig, corpus: Sequence[Utterance],
           resume_from: Checkpoint | None = None,
           log_stream: IO[str] | None = None,
-          extra_config: dict | None = None) -> TrainResult:
+          extra_config: dict | None = None,
+          on_start: Callable[[], None] | None = None) -> TrainResult:
     """Run Adam updates until config.total_steps, logging one record per step.
 
     Aborts with :class:`TrainingDiverged` on a non-finite loss and with
-    :class:`CorpusValidationError` before step one if the corpus is broken.
+    :class:`CorpusValidationError` before step one if the corpus is broken;
+    a ``resume_from`` checkpoint that does not match ``config.model`` raises
+    ``ValueError``, also before step one. ``on_start()`` runs once both are
+    accepted.
     """
     problems = validate_corpus(corpus)
     if problems:
@@ -261,6 +265,8 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
         adam = AdamState(params)
         start_step = 1
 
+    if on_start is not None:
+        on_start()
     config_echo = {"train": config.to_dict()}
     if extra_config:
         config_echo.update(extra_config)

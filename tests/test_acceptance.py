@@ -293,6 +293,7 @@ def _syllable_rmse(items, params, model_config) -> float:
     return float(np.sqrt(np.mean(np.square(errors))))
 
 
+@pytest.mark.slow
 def test_criterion_5_syllable_loss_improves_rhythm(tmp_path):
     start = time.monotonic()
     lexicon = demo_lexicon()
@@ -318,6 +319,7 @@ def test_criterion_5_syllable_loss_improves_rhythm(tmp_path):
 
 # -- criterion 6 -------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_6_overfit_convergence(tmp_path):
     start = time.monotonic()
     lexicon = demo_lexicon()

@@ -314,3 +314,88 @@ def test_embedding_rejects_out_of_range():
 def test_repeat_rows_rejects_zero_count():
     with pytest.raises(ValueError):
         ad.repeat_rows(ad.constant(np.zeros((2, 2))), [1, 0])
+
+
+# --- graph-free mode ------------------------------------------------------
+
+def test_no_grad_nodes_keep_no_graph(rng):
+    w = ad.parameter(rng.normal(size=(3, 3)))
+    x = ad.parameter(rng.normal(size=(4, 3)))
+    with ad.no_grad():
+        h = ad.relu(ad.matmul(x, w))
+        out = ad.scaled_dot_attention(h, h, h)
+        loss = ad.reduce_sum(out)
+    for node in (h, out, loss):
+        assert node.requires_grad is False
+        assert node.parents == ()
+    assert w.requires_grad and x.requires_grad
+    ad.backward(loss)
+    assert w.grad is None and x.grad is None
+    # recording resumes after the block
+    assert ad.matmul(x, w).requires_grad
+
+
+def test_no_grad_restores_flag_after_nesting_and_exceptions():
+    p = ad.parameter(np.ones(2))
+
+    def records():
+        return ad.scale(p, 2.0).requires_grad
+
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not records()
+        assert not records()
+    assert records()
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("boom")
+    assert records()
+
+
+def test_debug_finite_check_inside_no_grad():
+    ad.set_debug_checks(True)
+    try:
+        with ad.no_grad(), np.errstate(over="ignore"), \
+                pytest.raises(FloatingPointError):
+            ad.exp(ad.parameter([1000.0]))
+    finally:
+        ad.set_debug_checks(False)
+
+
+def unblocked_attention(q, k, v, heads):
+    """``_softmax_(q c @ k^T) @ v`` over all heads at once, in one block."""
+    c = 1.0 / np.sqrt(q.shape[1] // heads)
+
+    def split(x):
+        return x.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
+
+    probs = ad._softmax_(np.matmul(split(q * c), split(k).transpose(0, 2, 1)))
+    out = np.matmul(probs, split(v))
+    return out.transpose(1, 0, 2).reshape(q.shape[0], v.shape[1])
+
+
+@pytest.mark.parametrize("heads,t,s,width,v_width", [
+    (1, 40, 40, 4, 4),
+    (2, 37, 23, 8, 6),     # T != S
+    (3, 29, 31, 9, 3),
+])
+@pytest.mark.parametrize("block_elements", [None, 1, 300])
+def test_blocked_attention_matches_recorded(monkeypatch, heads, t, s, width,
+                                            v_width, block_elements):
+    # None keeps the default, one block at these sizes; 1 gives one query
+    # row per block; 300 gives blocks whose row count does not divide T
+    if block_elements is not None:
+        monkeypatch.setattr(ad, "_ATTENTION_BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(heads * 100 + t)
+    q, k, v = (rng.normal(size=shape) for shape in
+               ((t, width), (s, width), (s, v_width)))
+    recorded = ad.scaled_dot_attention(ad.parameter(q), ad.parameter(k),
+                                       ad.parameter(v), heads)
+    assert recorded.requires_grad
+    # the recorded path is one block: bit for bit the unblocked product
+    assert recorded.value.tobytes() == unblocked_attention(q, k, v, heads).tobytes()
+    with ad.no_grad():
+        free = ad.scaled_dot_attention(ad.parameter(q), ad.parameter(k),
+                                       ad.parameter(v), heads)
+    assert not free.requires_grad
+    np.testing.assert_allclose(free.value, recorded.value, rtol=0, atol=1e-12)

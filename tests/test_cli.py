@@ -201,6 +201,21 @@ def test_train_resume_into_own_run_keeps_earlier_log_lines(tmp_path, corpus_dir)
     assert [line.split("\t")[0] for line in log] == ["1", "2", "3", "4", "5"]
 
 
+def test_train_resume_rejected_keeps_run_config(tmp_path, corpus_dir):
+    run = tmp_path / "r"
+    base = ["train", "--manifest", str(corpus_dir / "manifest.tsv"),
+            "--out", str(run), "--seed", "5"]
+    assert main(base + ["--steps", "3"]) == 0
+    before = (run / "config.txt").read_bytes()
+    assert main(base + ["--steps", "5", "--resume", str(run / "checkpoint.bin"),
+                        "--set", "hidden_dim", "16"]) == 1
+    assert (run / "config.txt").read_bytes() == before
+    # an accepted resume writes its own configuration
+    assert main(base + ["--steps", "5", "--resume", str(run / "checkpoint.bin"),
+                        "--set", "w_sd", "0.5"]) == 0
+    assert read_config(run / "config.txt")["w_sd"] == 0.5
+
+
 def test_train_resume_rejects_checkpoint_of_another_width(tmp_path, corpus_dir,
                                                          capsys):
     narrow = tmp_path / "narrow"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -235,6 +236,48 @@ def test_forward_train_matches_inference_when_durations_agree(lexicon, tiny_conf
     np.testing.assert_array_equal(fwd.decoder.mgc.value, feats.mgc)
     np.testing.assert_array_equal(fwd.decoder.logf0.value, feats.logf0)
     np.testing.assert_array_equal(fwd.decoder.vuv_prob.value, feats.vuv)
+
+
+def desk_song(lexicon, notes):
+    return make_tokens(lexicon, "tempo 120\n" + "la 69 1\n" * notes)
+
+
+def test_synthesize_matches_recorded_forward_on_a_long_song(lexicon):
+    # long enough that graph-free decoder attention runs in several blocks
+    config = ModelConfig.desk()
+    rng = np.random.default_rng(3)
+    params = init_params(config, rng)
+    params["dur.proj.b"].value[:] = math.log(6.0)
+    tokens = desk_song(lexicon, 10)
+    feats, durations = synthesize(tokens, params, config)
+    t = feats.num_frames
+    assert t > 2 * ad._ATTENTION_BLOCK_ELEMENTS // (config.attention_heads * t)
+    tokens.gt_phoneme_durations = durations.tolist()
+    fwd = forward_train(tokens, _gt_features_for(tokens, rng), params, config,
+                        train=False)
+    assert fwd.decoder.mgc.requires_grad
+    np.testing.assert_array_equal(decode_durations(fwd.log_durations.value),
+                                  durations)
+    for name, node in (("mgc", fwd.decoder.mgc), ("bap", fwd.decoder.bap),
+                       ("logf0", fwd.decoder.logf0), ("vuv", fwd.decoder.vuv_prob)):
+        np.testing.assert_allclose(getattr(feats, name), node.value,
+                                   rtol=0, atol=1e-12)
+
+
+def test_inference_never_holds_a_frames_squared_buffer(lexicon):
+    # at 1,900 frames one H x T x T float64 score buffer alone is 58 MB
+    config = ModelConfig.desk()
+    params = init_params(config, np.random.default_rng(0))
+    tokens = desk_song(lexicon, 19)
+    durations = np.full(len(tokens), 50)
+    assert durations.sum() == 1900
+    tracemalloc.start()
+    try:
+        synthesize_with_durations(tokens, params, config, durations)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_forward_train_rejects_frame_mismatch(lexicon, tiny_config):
