@@ -21,7 +21,7 @@ from .corpus import OracleConfig, generate_corpus, load_corpus_items, \
 from .features import concatenate_features, load_features, save_features
 from .metrics import EvalReport, REPORT_KEYS, UtteranceEval, format_gv_table, \
     format_per_utterance_table, gv, metric_values
-from .model import predicted_durations, synthesize, synthesize_with_durations
+from .model import synthesize
 from .score import PhonemeLexicon, demo_lexicon, load_lexicon, parse_score, \
     score_to_tokens
 from .training import CorpusValidationError, TrainConfig, train, \
@@ -209,10 +209,8 @@ def cmd_eval(args) -> int:
                      "(frame-aligned synthesis)")
         notes.append("duration metrics use free-running duration predictions")
         for utt in items:
-            pred = synthesize_with_durations(
-                utt.tokens, params, train_cfg.model,
-                utt.tokens.gt_phoneme_durations)
-            dur_pred = predicted_durations(utt.tokens, params, train_cfg.model)
+            pred, dur_pred = synthesize(utt.tokens, params, train_cfg.model,
+                                        utt.tokens.gt_phoneme_durations)
             rows.append((utt.utt_id, pred, utt.features, dur_pred,
                          np.asarray(utt.tokens.gt_phoneme_durations)))
     elif args.pair:

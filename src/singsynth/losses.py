@@ -1,7 +1,9 @@
 """Training objectives: phoneme and syllable duration losses, L1 spectral
 losses, masked log-F0 loss, and binary cross-entropy voicing loss, each
-written once as a per-utterance (sum, count) term and pooled over a batch
-into one jointly trained scalar."""
+written once as a per-utterance (sum, count) term. A batch's objective is
+the sum of per-utterance shares, each dividing its sums by counts that
+ground truth alone fixes, so every utterance can be differentiated on its
+own."""
 
 from __future__ import annotations
 
@@ -43,17 +45,14 @@ def _abs_error_sum(pred: Node, target: np.ndarray) -> Node:
     return ad.reduce_sum(ad.absolute(ad.sub(pred, ad.constant(target))))
 
 
-def masked_abs_error(pred: Node, target: np.ndarray,
-                     mask: np.ndarray) -> tuple[Node, int]:
-    """(sum of |pred - target| over mask==1, count); count 0 gives a 0 sum."""
+def masked_abs_error(pred: Node, target: np.ndarray, mask: np.ndarray) -> Node:
+    """Sum of |pred - target| over mask==1; an empty mask gives a 0 sum."""
     mask = np.asarray(mask, dtype=np.float64)
-    count = int(mask.sum())
-    if count == 0:
-        return _zero(), 0
-    total = ad.reduce_sum(
+    if not mask.any():
+        return _zero()
+    return ad.reduce_sum(
         ad.mul(ad.absolute(ad.sub(pred, ad.constant(target))), ad.constant(mask))
     )
-    return total, count
 
 
 def bce_with_logits(logits: Node, targets: np.ndarray) -> Node:
@@ -78,10 +77,27 @@ def syllable_indicator(syllable_spans, n: int) -> np.ndarray:
     return matrix
 
 
+def loss_counts(gt_durations, syllable_spans, gt: AcousticFeatureSequence,
+                frame_nonrest_mask: np.ndarray) -> dict[str, int]:
+    """How many elements each component of one utterance averages over.
+    Ground truth alone fixes them, so they are known before any forward
+    pass."""
+    t = gt.num_frames
+    return {
+        "L_pd": len(gt_durations),
+        "L_sd": len(syllable_spans),
+        "L_m": t * MGC_DIM,
+        "L_b": t * BAP_DIM,
+        "L_f": int((gt.vuv * np.asarray(frame_nonrest_mask, dtype=np.float64)).sum()),
+        "L_u": t,
+    }
+
+
 def loss_terms(fwd: TrainForward, gt_durations, syllable_spans,
                gt: AcousticFeatureSequence, frame_nonrest_mask: np.ndarray
                ) -> dict[str, tuple[Node, int]]:
-    """One utterance's (sum, count) contribution to every loss component.
+    """One utterance's (sum, count) contribution to every loss component,
+    with the counts of :func:`loss_counts`.
 
     - L_pd: phoneme-duration L1 in the log(frames + 1) domain;
     - L_sd: syllable-duration L1 between ground-truth syllable frames and
@@ -109,36 +125,38 @@ def loss_terms(fwd: TrainForward, gt_durations, syllable_spans,
         ad.matmul(ad.constant(indicator), ad.reshape(linear, (n, 1))),
         (indicator.shape[0],),
     )
-    return {
-        "L_pd": (pd, n),
-        "L_sd": (_abs_error_sum(syl_pred, indicator @ gt_durs), indicator.shape[0]),
-        "L_m": (_abs_error_sum(dec.mgc, gt.mgc), t * MGC_DIM),
-        "L_b": (_abs_error_sum(dec.bap, gt.bap), t * BAP_DIM),
+    sums = {
+        "L_pd": pd,
+        "L_sd": _abs_error_sum(syl_pred, indicator @ gt_durs),
+        "L_m": _abs_error_sum(dec.mgc, gt.mgc),
+        "L_b": _abs_error_sum(dec.bap, gt.bap),
         "L_f": masked_abs_error(dec.logf0, gt.logf0, gt.vuv * frame_nonrest_mask),
-        "L_u": (ad.reduce_sum(bce_with_logits(dec.vuv_logit, gt.vuv)), t),
+        "L_u": ad.reduce_sum(bce_with_logits(dec.vuv_logit, gt.vuv)),
     }
+    counts = loss_counts(gt_durs, syllable_spans, gt, frame_nonrest_mask)
+    return {name: (sums[name], counts[name]) for name in LOSS_NAMES}
 
 
-def _pool(parts: list[tuple[Node, int]]) -> Node:
-    """Exact pooled mean over per-utterance (sum, count) contributions."""
-    total_count = sum(count for _, count in parts)
-    if total_count == 0:
-        return _zero()
-    pooled = None
-    for node, count in parts:
-        if count == 0:
-            continue
-        pooled = node if pooled is None else ad.add(pooled, node)
-    return ad.scale(pooled, 1.0 / total_count)
+def utterance_share(terms: dict[str, tuple[Node, int]],
+                    batch_counts: dict[str, int], weights: LossWeights
+                    ) -> tuple[Node, dict[str, Node]]:
+    """One utterance's share of its batch's objective.
 
-
-def pooled_loss(terms: list[dict[str, tuple[Node, int]]], weights: LossWeights
-                ) -> tuple[Node, dict[str, Node]]:
-    """Each component's mean over every valid element of every utterance,
-    and their weighted sum."""
-    comps = {name: _pool([t[name] for t in terms]) for name in LOSS_NAMES}
+    Component c's share is sum_c / N_c, where N_c is the batch's count for c
+    (the sum of every utterance's :func:`loss_counts`); the share of the
+    total is the weighted sum of those, L_xy weighted by w_xy. A component
+    the utterance has no elements for contributes 0. Summing the shares of
+    every utterance gives each component's mean over every valid element of
+    the batch, and their weighted sum.
+    """
+    comps: dict[str, Node] = {}
     total = None
-    for name, comp in comps.items():
-        term = ad.scale(comp, getattr(weights, "w_" + name[2:]))
+    for name in LOSS_NAMES:
+        node, count = terms[name]
+        if count == 0:
+            comps[name] = _zero()
+            continue
+        comps[name] = ad.scale(node, 1.0 / batch_counts[name])
+        term = ad.scale(comps[name], getattr(weights, "w_" + name[2:]))
         total = term if total is None else ad.add(total, term)
-    return total, comps
+    return (_zero() if total is None else total), comps

@@ -349,14 +349,18 @@ def predicted_durations(tokens: PhonemeTokenSequence, params: ModelParameters,
 
 
 def synthesize(tokens: PhonemeTokenSequence, params: ModelParameters,
-               config: ModelConfig) -> tuple[AcousticFeatureSequence, np.ndarray]:
-    """Inference path: predicted durations drive the length regulator. The
-    encoder runs once; its output feeds both the duration head and the
-    decoder."""
+               config: ModelConfig, durations=None
+               ) -> tuple[AcousticFeatureSequence, np.ndarray]:
+    """Inference path: the features and the predicted integer durations,
+    from one encoder pass that feeds both the duration head and the
+    decoder. The predicted durations drive the length regulator unless
+    ``durations`` is given (e.g. ground truth, for frame-aligned
+    evaluation); then the features are aligned to those."""
     with ad.no_grad():
         hidden = encode(tokens, params, config, train=False)
-        durations = decode_durations(predict_durations(hidden, params, config,
+        predicted = decode_durations(predict_durations(hidden, params, config,
                                                        train=False).value)
-        feats = _synthesize_from_hidden(tokens, hidden, params, config,
-                                        durations)
-    return feats, durations
+        feats = _synthesize_from_hidden(
+            tokens, hidden, params, config,
+            predicted if durations is None else durations)
+    return feats, predicted

@@ -2,13 +2,21 @@
 mini-batches padded per batch with loss masking, per-step loss logging, and
 resumable checkpoints.
 
-The batch schedule and every dropout draw are pure functions of (seed, step),
-so resuming from a checkpoint reproduces an uninterrupted run bit for bit.
+The batch schedule and every dropout draw are pure functions of (seed, step,
+batch position), so resuming from a checkpoint reproduces an uninterrupted
+run bit for bit. Each step is data-parallel: every utterance's share of the
+objective is differentiated on its own, by one process per CPU the process
+may run on, and the parent adds the gradients in batch order, so the bits do
+not depend on how many processes there are.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from typing import IO, Callable, Sequence
@@ -20,7 +28,8 @@ from .autodiff import Node
 from .checkpoint import Checkpoint
 from .corpus import Utterance
 from .features import AcousticFeatureSequence, BAP_DIM, MGC_DIM
-from .losses import LOSS_NAMES, LossWeights, loss_terms, pooled_loss
+from .losses import LOSS_NAMES, LossWeights, loss_counts, loss_terms, \
+    utterance_share
 from .model import ModelConfig, ModelParameters, forward_train, init_params
 from .score import frame_pitch_arrays
 
@@ -162,23 +171,192 @@ def assemble_batch(items: list[Utterance]) -> Batch:
                  logf0=logf0, vuv=vuv, n_phonemes=n_phonemes, n_frames=n_frames)
 
 
+def _ground_truth(batch: Batch, i: int):
+    """Utterance i's ground truth, read from the valid region of its padded
+    rows: (durations, syllable spans, features, frame non-rest mask)."""
+    tokens = batch.items[i].tokens
+    n, t = int(batch.n_phonemes[i]), int(batch.n_frames[i])
+    gt = AcousticFeatureSequence(
+        mgc=batch.mgc[i, :t], bap=batch.bap[i, :t],
+        logf0=batch.logf0[i, :t], vuv=batch.vuv[i, :t],
+    )
+    _, nonrest = frame_pitch_arrays(tokens, tokens.gt_phoneme_durations)
+    return batch.gt_durations[i, :n], tokens.syllable_spans, gt, nonrest
+
+
+def batch_counts(batch: Batch) -> dict[str, int]:
+    """Each loss component's element count N_c over the whole batch."""
+    counts = dict.fromkeys(LOSS_NAMES, 0)
+    for i in range(len(batch.items)):
+        for name, count in loss_counts(*_ground_truth(batch, i)).items():
+            counts[name] += count
+    return counts
+
+
+def utterance_loss(params: ModelParameters, batch: Batch, i: int,
+                   counts: dict[str, int], config: ModelConfig,
+                   weights: LossWeights, train: bool = True,
+                   rng: np.random.Generator | None = None
+                   ) -> tuple[Node, dict[str, Node]]:
+    """Utterance i's share L_i = sum_c w_c * sum_{c,i} / N_c of the batch
+    objective (``counts`` from :func:`batch_counts`), in a graph of its own;
+    ``rng`` drives its dropout."""
+    gt_durations, spans, gt, nonrest = _ground_truth(batch, i)
+    fwd = forward_train(batch.items[i].tokens, gt, params, config,
+                        train=train, rng=rng)
+    return utterance_share(loss_terms(fwd, gt_durations, spans, gt, nonrest),
+                           counts, weights)
+
+
+def dropout_rngs(seed: int, step: int, n: int) -> list[np.random.Generator]:
+    """The dropout generator of each batch position at a training step."""
+    return [np.random.default_rng([seed, 2, step, i]) for i in range(n)]
+
+
 def batch_loss(params: ModelParameters, batch: Batch, config: ModelConfig,
                weights: LossWeights, train: bool = True,
-               rng: np.random.Generator | None = None
+               rngs: Sequence[np.random.Generator] | None = None
                ) -> tuple[Node, dict[str, Node]]:
-    """Loss components pooled over every valid element in the batch."""
-    terms = []
-    for i, utt in enumerate(batch.items):
-        n, t = int(batch.n_phonemes[i]), int(batch.n_frames[i])
-        gt = AcousticFeatureSequence(
-            mgc=batch.mgc[i, :t], bap=batch.bap[i, :t],
-            logf0=batch.logf0[i, :t], vuv=batch.vuv[i, :t],
-        )
-        fwd = forward_train(utt.tokens, gt, params, config, train=train, rng=rng)
-        _, nonrest = frame_pitch_arrays(utt.tokens, utt.tokens.gt_phoneme_durations)
-        terms.append(loss_terms(fwd, batch.gt_durations[i, :n],
-                                utt.tokens.syllable_spans, gt, nonrest))
-    return pooled_loss(terms, weights)
+    """The training objective: the sum over utterances, in batch order, of
+    :func:`utterance_loss`, which makes each component the mean over every
+    valid element in the batch. ``rngs[i]`` drives utterance i's dropout."""
+    counts = batch_counts(batch)
+    total, comps = None, None
+    for i in range(len(batch.items)):
+        loss, parts = utterance_loss(params, batch, i, counts, config, weights,
+                                     train, None if rngs is None else rngs[i])
+        if total is None:
+            total, comps = loss, parts
+        else:
+            total = ad.add(total, loss)
+            comps = {k: ad.add(comps[k], parts[k]) for k in LOSS_NAMES}
+    return total, comps
+
+
+# ---------------------------------------------------------------------------
+# per-utterance gradients and the processes that compute them
+
+class GradientExchange:
+    """The parameters, then one flat gradient row per batch position, as
+    float64 views of one anonymous shared mapping. Made before the workers
+    fork, so they read the parent's parameters and write their gradients
+    without pickling either."""
+
+    def __init__(self, params: ModelParameters, rows: int):
+        self.layout = []
+        offset = 0
+        for name, node in params.items():
+            self.layout.append((name, slice(offset, offset + node.value.size),
+                                node.value.shape))
+            offset += node.value.size
+        self._mapping = mmap.mmap(-1, 8 * offset * (rows + 1))
+        flat = np.frombuffer(self._mapping, dtype=np.float64)
+        self.values = flat[:offset]
+        self.grads = flat[offset:].reshape(rows, offset)
+
+    def publish(self, params: ModelParameters) -> None:
+        for name, where, _ in self.layout:
+            self.values[where] = params[name].value.reshape(-1)
+
+    def load(self, params: ModelParameters) -> None:
+        for name, where, shape in self.layout:
+            params[name].value[...] = self.values[where].reshape(shape)
+
+    def store(self, i: int, params: ModelParameters) -> None:
+        """Row i := the parameters' gradients (0 where there is none)."""
+        row = self.grads[i]
+        for name, where, _ in self.layout:
+            grad = params[name].grad
+            row[where] = 0.0 if grad is None else grad.reshape(-1)
+
+    def reduce(self, params: ModelParameters) -> None:
+        """Set every parameter's gradient to the sum of the rows, added in
+        row order: the bits ``ad.backward`` accumulates when one process
+        differentiates each utterance's loss in turn."""
+        total = self.grads[0].copy()
+        for row in self.grads[1:]:
+            total += row
+        for name, where, shape in self.layout:
+            params[name].grad = total[where].reshape(shape)
+
+
+def utterance_gradients(params: ModelParameters, batch: Batch,
+                        positions: Sequence[int], counts: dict[str, int],
+                        config: ModelConfig, weights: LossWeights,
+                        exchange: GradientExchange, train: bool = True,
+                        rngs: Sequence[np.random.Generator] | None = None
+                        ) -> list[tuple[int, float, dict[str, float]]]:
+    """Differentiate :func:`utterance_loss` of each batch position on its
+    own and store its gradient in ``exchange`` row i. Returns (i, L_i, its
+    component values) per position; a non-finite L_i is not differentiated,
+    as that step is abandoned."""
+    out = []
+    for i in positions:
+        params.zero_grad()
+        loss, comps = utterance_loss(params, batch, i, counts, config, weights,
+                                     train, None if rngs is None else rngs[i])
+        value = loss.item()
+        if math.isfinite(value):
+            # frees the graph as it goes: a forward output that something
+            # else keeps (a caller, a profiler) keeps no graph behind it
+            ad.backward(loss, retain_graph=False)
+        exchange.store(i, params)
+        out.append((i, value, {k: comps[k].item() for k in LOSS_NAMES}))
+    return out
+
+
+def worker_count(batch_size: int) -> int:
+    """Processes that share each training step: one per CPU in this
+    process's affinity (``taskset`` limits it), at most one per batch item.
+    Training results do not depend on it."""
+    return min(len(os.sched_getaffinity(0)), batch_size)
+
+
+def balanced_shards(frames: Sequence[int], n: int) -> list[list[int]]:
+    """Batch positions split into ``n`` shards of about equal frame count:
+    longest first, each to the shard with the fewest frames so far. The
+    lightest shard comes first; the parent process, which also assembles
+    the batch and updates the parameters, runs it."""
+    loads = [0] * n
+    shards: list[list[int]] = [[] for _ in range(n)]
+    for i in sorted(range(len(frames)), key=lambda i: (-int(frames[i]), i)):
+        k = min(range(n), key=lambda k: (loads[k], k))
+        shards[k].append(i)
+        loads[k] += int(frames[i])
+    return [sorted(shards[k]) for k in sorted(range(n), key=lambda k: (loads[k], k))]
+
+
+@dataclass
+class _Replica:
+    """What one process needs to differentiate its shard of a step. Workers
+    inherit the parent's at fork: the corpus and the shared exchange."""
+    params: ModelParameters
+    exchange: GradientExchange
+    corpus: Sequence[Utterance]
+    config: TrainConfig
+
+    def shard(self, batch: Batch, step: int, positions: Sequence[int],
+              counts: dict[str, int]):
+        return utterance_gradients(
+            self.params, batch, positions, counts, self.config.model,
+            self.config.loss_weights, self.exchange, train=True,
+            rngs=dropout_rngs(self.config.seed, step, len(batch.items)))
+
+
+_WORKER_REPLICA: _Replica | None = None   # set in each worker process
+
+
+def _start_worker(replica: _Replica) -> None:
+    global _WORKER_REPLICA
+    _WORKER_REPLICA = replica
+
+
+def _worker_shard(step: int, picks: list[int], positions: list[int],
+                  counts: dict[str, int]):
+    replica = _WORKER_REPLICA
+    replica.exchange.load(replica.params)
+    batch = assemble_batch([replica.corpus[i] for i in picks])
+    return replica.shard(batch, step, positions, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +425,12 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
     a ``resume_from`` checkpoint that does not match ``config.model`` raises
     ``ValueError``, also before step one. ``on_start()`` runs once both are
     accepted.
+
+    Each step is shared by :func:`worker_count` processes: this one and a
+    pool of workers forked once both checks pass and shut down on return.
+    A worker's exception fails the step with its message; a killed worker
+    raises ``BrokenProcessPool``. Logs and checkpoints do not depend on the
+    number of processes.
     """
     problems = validate_corpus(corpus)
     if problems:
@@ -271,28 +455,28 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
     if extra_config:
         config_echo.update(extra_config)
 
+    workers = worker_count(config.batch_size)
+    replica = _Replica(params, GradientExchange(params, config.batch_size),
+                       corpus, config)
+    pool = None
     records: list[LogRecord] = []
-    for step in range(start_step, config.total_steps + 1):
-        picks = batch_item_indices(step, len(corpus), config.batch_size, config.seed)
-        batch = assemble_batch([corpus[i] for i in picks])
-        rng = np.random.default_rng([config.seed, 2, step])
-        params.zero_grad()
-        total, comps = batch_loss(params, batch, config.model,
-                                  config.loss_weights, train=True, rng=rng)
-        total_value = total.item()
-        if not math.isfinite(total_value):
-            raise TrainingDiverged(f"non-finite loss at step {step}")
-        ad.backward(total)
-        lr = lr_schedule(step, config.model.hidden_dim, config.warmup_steps)
-        adam.update(params, lr, config)
-        record = LogRecord(
-            step=step, lr=lr, total=total_value,
-            components={k: comps[k].item() for k in LOSS_NAMES},
-        )
-        records.append(record)
-        if log_stream is not None:
-            log_stream.write(record.format() + "\n")
-            log_stream.flush()
+    try:
+        if workers > 1:
+            # forked after the exchange exists, so workers share its mapping
+            # and inherit the corpus copy-on-write
+            pool = ProcessPoolExecutor(
+                workers - 1, mp_context=multiprocessing.get_context("fork"),
+                initializer=_start_worker, initargs=(replica,))
+        for step in range(start_step, config.total_steps + 1):
+            record = _train_step(step, replica, pool, workers)
+            adam.update(params, record.lr, config)
+            records.append(record)
+            if log_stream is not None:
+                log_stream.write(record.format() + "\n")
+                log_stream.flush()
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     final = Checkpoint(
         step=max(config.total_steps, start_step - 1),
@@ -302,6 +486,41 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
         config=config_echo,
     )
     return TrainResult(checkpoint=final, records=records)
+
+
+def _train_step(step: int, replica: _Replica, pool: ProcessPoolExecutor | None,
+                workers: int) -> LogRecord:
+    """One step's objective and gradient: the parent publishes the
+    parameters, hands every shard but the first to the pool, runs the first
+    itself, then adds the per-utterance results in batch order. Leaves the
+    summed gradient in the parameters' ``.grad``; raises TrainingDiverged,
+    before any update, on a non-finite loss."""
+    config = replica.config
+    picks = batch_item_indices(step, len(replica.corpus), config.batch_size,
+                               config.seed)
+    batch = assemble_batch([replica.corpus[i] for i in picks])
+    counts = batch_counts(batch)
+    shards = balanced_shards(batch.n_frames, workers)
+    futures = []
+    if pool is not None:
+        replica.exchange.publish(replica.params)
+        futures = [pool.submit(_worker_shard, step, picks, shard, counts)
+                   for shard in shards[1:]]
+    results = replica.shard(batch, step, shards[0], counts)
+    for future in futures:
+        results += future.result()
+    results.sort(key=lambda result: result[0])
+    total, comps = results[0][1], dict(results[0][2])
+    for _, value, parts in results[1:]:
+        total += value
+        for k in LOSS_NAMES:
+            comps[k] += parts[k]
+    if not math.isfinite(total):
+        raise TrainingDiverged(f"non-finite loss at step {step}")
+    replica.exchange.reduce(replica.params)
+    return LogRecord(step=step, lr=lr_schedule(step, config.model.hidden_dim,
+                                               config.warmup_steps),
+                     total=total, components=comps)
 
 
 def _checked_moments(moments: dict[str, np.ndarray], params: ModelParameters,

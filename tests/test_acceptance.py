@@ -25,8 +25,9 @@ from singsynth.model import ModelConfig, forward_train, frame_pitch_arrays, \
     synthesize_with_durations
 from singsynth.score import demo_lexicon, parse_score, score_to_tokens, \
     serialize_score
-from singsynth.training import TrainConfig, Utterance, assemble_batch, \
-    batch_loss, params_from_checkpoint, train
+from singsynth.training import GradientExchange, TrainConfig, Utterance, \
+    assemble_batch, batch_counts, batch_loss, params_from_checkpoint, train, \
+    utterance_gradients, utterance_loss
 
 GRAD_CHECK_MODEL = ModelConfig(hidden_dim=8, encoder_blocks=1, decoder_blocks=1,
                                attention_heads=2, conv_filter_dim=16,
@@ -134,7 +135,9 @@ def _op_gradient_battery():
 def _full_model_gradient_check():
     """FD over a sample of entries from every parameter tensor, tol 1e-3, of
     the objective as trained: batch_loss on a two-utterance batch (one with
-    a rest) with non-default weights; one block, hidden width 8."""
+    a rest) with non-default weights; one block, hidden width 8. The
+    gradient checked is the one train applies: each utterance's share
+    differentiated on its own, the gradients added in batch order."""
     lexicon = demo_lexicon()
     corpus = [make_utterance(lexicon, seed=3),
               make_utterance(lexicon, seed=4, text="tempo 120\nlan 69 0.25\n")]
@@ -146,15 +149,26 @@ def _full_model_gradient_check():
         total, _ = batch_loss(params, batch, GRAD_CHECK_MODEL, weights, train=False)
         return total.item()
 
+    counts = batch_counts(batch)
     params.zero_grad()
-    total, _ = batch_loss(params, batch, GRAD_CHECK_MODEL, weights, train=False)
-    ad.backward(total)
+    for i in range(len(corpus)):
+        share, _ = utterance_loss(params, batch, i, counts, GRAD_CHECK_MODEL,
+                                  weights, train=False)
+        ad.backward(share)
+    accumulated = {name: node.grad for name, node in params.items()}
+    exchange = GradientExchange(params, len(corpus))
+    utterance_gradients(params, batch, range(len(corpus)), counts,
+                        GRAD_CHECK_MODEL, weights, exchange, train=False)
+    exchange.reduce(params)
+    for name, node in params.items():
+        assert accumulated[name] is not None, f"no gradient on {name}"
+        # the bits ad.backward accumulates over the shares in batch order
+        assert np.array_equal(node.grad, accumulated[name]), name
 
     h = 1e-5
     worst = 0.0
     pick = np.random.default_rng(99)
     for name, node in params.items():
-        assert node.grad is not None, f"no gradient on {name}"
         flat = node.value.reshape(-1)
         gflat = node.grad.reshape(-1)
         for idx in pick.choice(flat.size, size=min(3, flat.size), replace=False):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from singsynth import cli, model
 from singsynth.cli import CONFIG_DEFAULTS, format_config, main, read_config
 from singsynth.features import AcousticFeatureSequence, load_features, save_features
 from singsynth.metrics import REPORT_KEYS
@@ -344,6 +345,32 @@ def test_eval_manifest_mode_reports_all_keys(tmp_path, corpus_dir, run_dir):
         assert lines[key] != "NA"
     per_utt = (out / "per_utterance.tsv").read_text().strip().split("\n")
     assert len(per_utt) == 1 + 6  # header plus one row per utterance
+
+
+def test_eval_manifest_mode_encodes_once_per_utterance(tmp_path, corpus_dir,
+                                                       run_dir, monkeypatch):
+    # one encoder pass per utterance, and the same report, table and GV
+    # bytes as running the aligned synthesis and the duration prediction
+    # as two passes
+    args = ["--manifest", str(corpus_dir / "manifest.tsv"),
+            "--checkpoint", str(run_dir / "checkpoint.bin"), "--split", "all"]
+    encodes = []
+    encode = model.encode
+    monkeypatch.setattr(model, "encode",
+                        lambda *a, **k: encodes.append(1) or encode(*a, **k))
+    assert main(["eval", "--out", str(tmp_path / "one"), *args]) == 0
+    assert len(encodes) == 6
+
+    def two_passes(tokens, params, config, durations):
+        return (model.synthesize_with_durations(tokens, params, config,
+                                                durations),
+                model.predicted_durations(tokens, params, config))
+
+    monkeypatch.setattr(cli, "synthesize", two_passes)
+    assert main(["eval", "--out", str(tmp_path / "two"), *args]) == 0
+    one, two = tree_bytes(tmp_path / "one"), tree_bytes(tmp_path / "two")
+    assert sorted(one) == ["eval_report.txt", "gv.tsv", "per_utterance.tsv"]
+    assert one == two
 
 
 def test_eval_mixed_pairs_continue_after_failure(tmp_path, corpus_dir, capsys):

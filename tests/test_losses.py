@@ -10,9 +10,10 @@ from singsynth.losses import (
     LOSS_NAMES,
     LossWeights,
     bce_with_logits,
+    loss_counts,
     loss_terms,
-    pooled_loss,
     syllable_indicator,
+    utterance_share,
 )
 from singsynth.model import DecoderOutput, TrainForward, forward_train, init_params
 from singsynth.score import demo_lexicon, frame_pitch_arrays, parse_score, \
@@ -54,9 +55,21 @@ def _fake_forward(rng, t, log_durations=(1.0, 2.0), logit_value=None):
                         decoder=_fake_decoder_output(rng, t, logit_value))
 
 
+def pooled(terms, weights):
+    """Every utterance's share of the batch objective, summed in batch order
+    as training.batch_loss sums them."""
+    counts = {name: sum(t[name][1] for t in terms) for name in LOSS_NAMES}
+    total, comps = utterance_share(terms[0], counts, weights)
+    for t in terms[1:]:
+        share, parts = utterance_share(t, counts, weights)
+        total = ad.add(total, share)
+        comps = {k: ad.add(comps[k], parts[k]) for k in LOSS_NAMES}
+    return total, comps
+
+
 def utterance_loss(fwd, gt_durations, spans, gt, nonrest, weights):
     """One utterance's component means and weighted total."""
-    return pooled_loss([loss_terms(fwd, gt_durations, spans, gt, nonrest)], weights)
+    return pooled([loss_terms(fwd, gt_durations, spans, gt, nonrest)], weights)
 
 
 def test_loss_weights_validation():
@@ -75,7 +88,7 @@ def test_duration_loss_syllable_term(rng):
     terms = loss_terms(fwd, [3, 5], [(0, 2)], gt, np.ones(t))
     assert terms["L_sd"][1] == 1 and terms["L_pd"][1] == 2
     assert terms["L_sd"][0].item() == pytest.approx(1.0, rel=1e-12)
-    total, comps = pooled_loss([terms], LossWeights(**ONLY_DURATIONS))
+    total, comps = pooled([terms], LossWeights(**ONLY_DURATIONS))
     assert comps["L_sd"].item() == pytest.approx(1.0, rel=1e-12)
     expected_pd = abs(math.log(5.0) - math.log(6.0)) / 2
     assert comps["L_pd"].item() == pytest.approx(expected_pd, rel=1e-12)
@@ -167,7 +180,7 @@ def test_f0_loss_ignores_unvoiced_frames(rng):
     fwd.decoder.logf0 = ad.constant(logf0)
     terms = loss_terms(fwd, [5, 5], [(0, 2)], gt, np.ones(t))
     assert terms["L_f"][1] == 5
-    _, comps = pooled_loss([terms], LossWeights())
+    _, comps = pooled([terms], LossWeights())
     assert comps["L_f"].item() == 0.0
 
 
@@ -176,7 +189,7 @@ def test_f0_loss_defined_for_all_unvoiced(rng):
     gt = _fake_gt(rng, t, vuv=np.zeros(t))
     terms = loss_terms(_fake_forward(rng, t), [3, 3], [(0, 2)], gt, np.ones(t))
     assert terms["L_f"][1] == 0
-    total, comps = pooled_loss([terms], LossWeights())
+    total, comps = pooled([terms], LossWeights())
     assert comps["L_f"].item() == 0.0
     assert math.isfinite(total.item())
 
@@ -191,7 +204,7 @@ def test_decoder_loss_component_sum_oracle(rng):
         fwd = _fake_forward(rng, t, rng.normal(size=len(durations)))
         cases.append((fwd, durations, spans, _fake_gt(rng, t, vuv=vuv),
                       (rng.random(t) > 0.2).astype(float)))
-    total, comps = pooled_loss([loss_terms(*case) for case in cases], weights)
+    total, comps = pooled([loss_terms(*case) for case in cases], weights)
 
     sums = dict.fromkeys(LOSS_NAMES, 0.0)
     counts = dict.fromkeys(LOSS_NAMES, 0)
@@ -220,6 +233,18 @@ def test_decoder_loss_component_sum_oracle(rng):
         assert comps[name].item() == pytest.approx(oracle, rel=1e-12)
         expected += getattr(weights, "w_" + name[2:]) * oracle
     assert total.item() == pytest.approx(expected, rel=1e-12)
+
+
+def test_loss_counts_come_from_ground_truth_alone(rng):
+    t = 9
+    gt = _fake_gt(rng, t, vuv=np.array([1, 1, 0, 1, 0, 0, 1, 1, 1.0]))
+    nonrest = np.array([1, 1, 1, 0, 1, 1, 1, 1, 0.0])
+    counts = loss_counts([2, 3, 4], [(0, 2), (2, 3)], gt, nonrest)
+    assert counts == {"L_pd": 3, "L_sd": 2, "L_m": 540, "L_b": 45, "L_f": 4,
+                      "L_u": 9}
+    terms = loss_terms(_fake_forward(rng, t, rng.normal(size=3)), [2, 3, 4],
+                       [(0, 2), (2, 3)], gt, nonrest)
+    assert {name: count for name, (_, count) in terms.items()} == counts
 
 
 def test_bce_with_logits_stable_at_extremes():

@@ -333,6 +333,20 @@ def test_synthesize_equals_predicted_then_aligned_synthesis(lexicon, tiny_config
         assert getattr(feats, name).tobytes() == getattr(expected, name).tobytes()
 
 
+def test_synthesize_with_given_durations_aligns_to_them(lexicon, tiny_config):
+    params = init_params(tiny_config, np.random.default_rng(5))
+    params["dur.proj.b"].value[:] = math.log(5.0)
+    tokens = make_tokens(lexicon)
+    given = np.arange(1, len(tokens) + 1)
+    feats, durations = synthesize(tokens, params, tiny_config, durations=given)
+    expected = synthesize_with_durations(tokens, params, tiny_config, given)
+    expected_durations = predicted_durations(tokens, params, tiny_config)
+    assert feats.num_frames == int(given.sum())
+    assert durations.tobytes() == expected_durations.tobytes()
+    for name in ("mgc", "bap", "logf0", "vuv"):
+        assert getattr(feats, name).tobytes() == getattr(expected, name).tobytes()
+
+
 def test_train_mode_requires_rng(lexicon, tiny_config):
     params = init_params(tiny_config, np.random.default_rng(0))
     tokens = make_tokens(lexicon)

@@ -1,6 +1,10 @@
 import dataclasses
 import io
 import math
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from singsynth.features import AcousticFeatureSequence
 from singsynth.losses import LossWeights
 from singsynth.model import ModelConfig
 from singsynth.score import demo_lexicon, parse_score, score_to_tokens
+from singsynth import training
 from singsynth.training import (
     AdamState,
     CorpusValidationError,
@@ -18,7 +23,9 @@ from singsynth.training import (
     Utterance,
     assemble_batch,
     batch_item_indices,
+    balanced_shards,
     batch_loss,
+    dropout_rngs,
     init_params,
     lr_schedule,
     train,
@@ -303,3 +310,135 @@ def test_adam_state_updates_parameters():
     params["out.w"].grad = np.ones_like(before)
     adam.update(params, lr=0.1, config=desk_config())
     assert not np.array_equal(before, params["out.w"].value)
+
+
+# --- data-parallel steps --------------------------------------------------------
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the test if the block runs longer than this."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def run_with_workers(monkeypatch, workers, *args, **kwargs):
+    monkeypatch.setattr(training, "worker_count", lambda batch_size: workers)
+    log = io.StringIO()
+    with time_limit(120):
+        result = train(*args, log_stream=log, **kwargs)
+    return log.getvalue(), result
+
+
+def checkpoint_bytes(result, path):
+    save_checkpoint(path, result.checkpoint)
+    return path.read_bytes()
+
+
+def test_worker_count_follows_affinity_and_batch_size():
+    cpus = len(os.sched_getaffinity(0))
+    assert training.worker_count(1) == 1
+    assert training.worker_count(10 ** 6) == cpus
+
+
+def test_training_bits_do_not_depend_on_worker_count(monkeypatch, tmp_path):
+    # three workers on a batch of four also puts more processes than the
+    # machine's two cores to work; a misplaced gradient row changes the bits
+    corpus = make_corpus(5)
+    config = desk_config(batch_size=4, total_steps=6)
+    runs = {}
+    for workers in (1, 2, 3):
+        log, result = run_with_workers(monkeypatch, workers, config, corpus)
+        runs[workers] = (log, checkpoint_bytes(result, tmp_path / f"{workers}.ckpt"))
+    assert runs[1][0].count("\n") == 6
+    assert runs[2] == runs[1]
+    assert runs[3] == runs[1]
+
+
+def test_resume_under_two_workers_reproduces_uninterrupted_run(monkeypatch,
+                                                               tmp_path):
+    corpus = make_corpus(3)
+    full_log, full = run_with_workers(monkeypatch, 2,
+                                      desk_config(total_steps=8), corpus)
+    half_log, half = run_with_workers(monkeypatch, 2,
+                                      desk_config(total_steps=4), corpus)
+    rest_log, rest = run_with_workers(monkeypatch, 2, desk_config(total_steps=8),
+                                      corpus, resume_from=half.checkpoint)
+    assert half_log + rest_log == full_log
+    assert (checkpoint_bytes(rest, tmp_path / "rest.ckpt")
+            == checkpoint_bytes(full, tmp_path / "full.ckpt"))
+
+
+def test_logged_loss_is_batch_loss():
+    # the logged objective is batch_loss itself, with each position's
+    # dropout stream, on the batch and parameters of the step
+    corpus = make_corpus(3)
+    config = desk_config(total_steps=1)
+    record = train(config, corpus).records[0]
+    params = init_params(config.model, np.random.default_rng([config.seed, 1]))
+    picks = batch_item_indices(1, len(corpus), config.batch_size, config.seed)
+    total, comps = batch_loss(
+        params, assemble_batch([corpus[i] for i in picks]), config.model,
+        config.loss_weights, rngs=dropout_rngs(config.seed, 1, len(picks)))
+    assert record.total == total.item()
+    assert record.components == {k: comps[k].item() for k in comps}
+
+
+def test_worker_exception_fails_train_with_its_message(monkeypatch):
+    parent = os.getpid()
+    forward = training.forward_train
+
+    def fail_in_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            raise RuntimeError("forward failed inside a worker")
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward_train", fail_in_worker)
+    with pytest.raises(RuntimeError, match="forward failed inside a worker"):
+        run_with_workers(monkeypatch, 2, desk_config(total_steps=3), make_corpus(2))
+
+
+def test_killed_worker_fails_train_without_hanging(monkeypatch):
+    parent = os.getpid()
+    forward = training.forward_train
+
+    def die_in_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward_train", die_in_worker)
+    with pytest.raises(BrokenProcessPool):
+        run_with_workers(monkeypatch, 2, desk_config(total_steps=3), make_corpus(2))
+
+
+def test_non_finite_loss_aborts_before_any_update_with_workers(monkeypatch):
+    corpus = make_corpus(2)
+    ckpt = train(desk_config(total_steps=2), corpus).checkpoint
+    ckpt.params["out.w"][0, 0] = np.nan
+    updates = []
+    update = AdamState.update
+    monkeypatch.setattr(AdamState, "update",
+                        lambda self, *a, **k: updates.append(1) or update(self, *a, **k))
+    with pytest.raises(TrainingDiverged, match="step 3"):
+        run_with_workers(monkeypatch, 2, desk_config(total_steps=4), corpus,
+                         resume_from=ckpt)
+    assert updates == []
+
+
+def test_balanced_shards_split_frames_longest_first():
+    frames = [10, 50, 20, 40, 30]
+    shards = balanced_shards(frames, 2)
+    # 50 -> A, 40 -> B, 30 -> B, 20 -> A, 10 -> A: A 80 frames, B 70
+    assert shards == [[3, 4], [0, 1, 2]]
+    assert balanced_shards(frames, 1) == [[0, 1, 2, 3, 4]]
+    spread = balanced_shards(frames, 5)
+    assert sorted(i for shard in spread for i in shard) == list(range(5))
+    assert spread[0] == [0]   # the lightest shard comes first
