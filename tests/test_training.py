@@ -14,7 +14,7 @@ from singsynth.features import AcousticFeatureSequence
 from singsynth.losses import LossWeights
 from singsynth.model import ModelConfig
 from singsynth.score import demo_lexicon, parse_score, score_to_tokens
-from singsynth import training
+from singsynth import autodiff as ad, training
 from singsynth.training import (
     AdamState,
     CorpusValidationError,
@@ -349,8 +349,8 @@ def test_worker_count_follows_affinity_and_batch_size():
 
 
 def test_training_bits_do_not_depend_on_worker_count(monkeypatch, tmp_path):
-    # three workers on a batch of four also puts more processes than the
-    # machine's two cores to work; a misplaced gradient row changes the bits
+    # three processes on a batch of four split it unevenly, and may outnumber
+    # the cores; a misplaced gradient row or dropout stream changes the bits
     corpus = make_corpus(5)
     config = desk_config(batch_size=4, total_steps=6)
     runs = {}
@@ -389,6 +389,30 @@ def test_logged_loss_is_batch_loss():
         config.loss_weights, rngs=dropout_rngs(config.seed, 1, len(picks)))
     assert record.total == total.item()
     assert record.components == {k: comps[k].item() for k in comps}
+
+
+def test_applied_gradient_is_backward_accumulated_in_batch_order():
+    # the gradient train applies has the bits of one process running
+    # ad.backward on each utterance's share in turn, without zeroing
+    corpus = make_corpus(5)
+    batch = assemble_batch(corpus)
+    params = init_params(TINY_MODEL, np.random.default_rng(4))
+    counts = training.batch_counts(batch)
+    weights = LossWeights(w_pd=0.6, w_sd=1.3, w_m=0.9, w_b=1.7, w_f=1.1, w_u=0.4)
+    params.zero_grad()
+    rngs = dropout_rngs(7, 3, len(corpus))
+    for i in range(len(corpus)):
+        share, _ = training.utterance_loss(params, batch, i, counts, TINY_MODEL,
+                                           weights, rng=rngs[i])
+        ad.backward(share)
+    accumulated = {name: node.grad for name, node in params.items()}
+    exchange = training.GradientExchange(params, len(corpus))
+    training.utterance_gradients(params, batch, [3, 0, 4, 1, 2], counts,
+                                 TINY_MODEL, weights, exchange,
+                                 rngs=dropout_rngs(7, 3, len(corpus)))
+    exchange.reduce(params)
+    for name, node in params.items():
+        assert node.grad.tobytes() == accumulated[name].tobytes(), name
 
 
 def test_worker_exception_fails_train_with_its_message(monkeypatch):
