@@ -101,13 +101,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+",
                         default=[11, 12, 13, 14, 15])
     parser.add_argument("--seconds", type=int, default=30)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS,
-                        default=list(WORKLOADS))
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="source checkout to measure (default: this one)")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="output file (default: BENCH_<label>.json in "
-                             "this checkout's root)")
     args = parser.parse_args(argv)
 
     checkout = args.checkout.resolve()
@@ -118,9 +113,9 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "seeds": args.seeds,
         "workloads": {w: bench_workload(checkout, w, args.seeds, args.seconds)
-                      for w in args.workloads},
+                      for w in WORKLOADS},
     }
-    out = args.out or ROOT / f"BENCH_{args.label}.json"
+    out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     print(out)
     return 0

@@ -562,16 +562,11 @@ def _toposort(root: Node) -> list[Node]:
     return order
 
 
-def backward(loss: Node, retain_graph: bool = True) -> None:
+def backward(loss: Node) -> None:
     """Accumulate d(loss)/d(node) into .grad for every reachable node.
 
     Repeated calls without zeroing grads add their contributions, and a node
     used several times in the graph receives the sum of all path gradients.
-    With ``retain_graph=False`` each node drops its parents once its
-    gradient has flowed to them, so the pullbacks and the buffers they hold
-    are freed during the pass, and a node that outlives the call keeps its
-    value and gradient but no graph; the graph cannot be differentiated
-    again.
     """
     if loss.value.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -581,13 +576,10 @@ def backward(loss: Node, retain_graph: bool = True) -> None:
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.value)}
     for node in reversed(order):
         g = flowing.pop(id(node), None)
-        parents = node.parents
-        if not retain_graph:
-            node.parents = ()
         if g is None:
             continue
         node.grad = g if node.grad is None else node.grad + g
-        for parent, pull in parents:
+        for parent, pull in node.parents:
             if not parent.requires_grad:
                 continue
             contrib = pull(g)

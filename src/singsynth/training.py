@@ -283,32 +283,38 @@ class GradientExchange:
 def utterance_gradients(params: ModelParameters, batch: Batch,
                         positions: Sequence[int], counts: dict[str, int],
                         config: ModelConfig, weights: LossWeights,
-                        exchange: GradientExchange, train: bool = True,
+                        exchange: GradientExchange | None, train: bool = True,
                         rngs: Sequence[np.random.Generator] | None = None
                         ) -> list[tuple[int, float, dict[str, float]]]:
-    """Differentiate :func:`utterance_loss` of each batch position on its
-    own and store its gradient in ``exchange`` row i. Returns (i, L_i, its
-    component values) per position; a non-finite L_i is not differentiated,
-    as that step is abandoned."""
+    """Run ``ad.backward`` on :func:`utterance_loss` of each batch position
+    in turn. Without an exchange the gradients add up in the parameters'
+    ``.grad`` in that order; with one, each is taken from zero and stored
+    in ``exchange`` row i. Returns (i, L_i, its component values) per
+    position; a non-finite L_i is not differentiated, as that step is
+    abandoned."""
     out = []
     for i in positions:
-        params.zero_grad()
+        if exchange is not None:
+            params.zero_grad()
         loss, comps = utterance_loss(params, batch, i, counts, config, weights,
                                      train, None if rngs is None else rngs[i])
         value = loss.item()
         if math.isfinite(value):
-            # frees the graph as it goes: a forward output that something
-            # else keeps (a caller, a profiler) keeps no graph behind it
-            ad.backward(loss, retain_graph=False)
-        exchange.store(i, params)
+            ad.backward(loss)
+        if exchange is not None:
+            exchange.store(i, params)
         out.append((i, value, {k: comps[k].item() for k in LOSS_NAMES}))
     return out
 
 
 def worker_count(batch_size: int) -> int:
     """Processes that share each training step: one per CPU in this
-    process's affinity (``taskset`` limits it), at most one per batch item.
-    Training results do not depend on it."""
+    process's affinity (``taskset`` limits it), at most one per batch item,
+    and one where the platform cannot report affinity or fork. Training
+    results do not depend on it."""
+    if (not hasattr(os, "sched_getaffinity")
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
     return min(len(os.sched_getaffinity(0)), batch_size)
 
 
@@ -329,9 +335,10 @@ def balanced_shards(frames: Sequence[int], n: int) -> list[list[int]]:
 @dataclass
 class _Replica:
     """What one process needs to differentiate its shard of a step. Workers
-    inherit the parent's at fork: the corpus and the shared exchange."""
+    inherit the parent's at fork: the corpus and the shared exchange, which
+    exists only when there are workers."""
     params: ModelParameters
-    exchange: GradientExchange
+    exchange: GradientExchange | None
     corpus: Sequence[Utterance]
     config: TrainConfig
 
@@ -456,8 +463,9 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
         config_echo.update(extra_config)
 
     workers = worker_count(config.batch_size)
-    replica = _Replica(params, GradientExchange(params, config.batch_size),
-                       corpus, config)
+    exchange = (GradientExchange(params, config.batch_size) if workers > 1
+                else None)
+    replica = _Replica(params, exchange, corpus, config)
     pool = None
     records: list[LogRecord] = []
     try:
@@ -490,11 +498,13 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
 
 def _train_step(step: int, replica: _Replica, pool: ProcessPoolExecutor | None,
                 workers: int) -> LogRecord:
-    """One step's objective and gradient: the parent publishes the
-    parameters, hands every shard but the first to the pool, runs the first
-    itself, then adds the per-utterance results in batch order. Leaves the
-    summed gradient in the parameters' ``.grad``; raises TrainingDiverged,
-    before any update, on a non-finite loss."""
+    """One step's objective and gradient. With one process, each
+    utterance's share is differentiated in turn. With a pool, the parent
+    publishes the parameters, hands every shard but the first to the pool,
+    runs the first itself, then adds the per-utterance gradients in batch
+    order, which gives the same bits. Leaves the summed gradient in the
+    parameters' ``.grad``; raises TrainingDiverged, before any update, on a
+    non-finite loss."""
     config = replica.config
     picks = batch_item_indices(step, len(replica.corpus), config.batch_size,
                                config.seed)
@@ -502,7 +512,9 @@ def _train_step(step: int, replica: _Replica, pool: ProcessPoolExecutor | None,
     counts = batch_counts(batch)
     shards = balanced_shards(batch.n_frames, workers)
     futures = []
-    if pool is not None:
+    if pool is None:
+        replica.params.zero_grad()
+    else:
         replica.exchange.publish(replica.params)
         futures = [pool.submit(_worker_shard, step, picks, shard, counts)
                    for shard in shards[1:]]
@@ -517,7 +529,8 @@ def _train_step(step: int, replica: _Replica, pool: ProcessPoolExecutor | None,
             comps[k] += parts[k]
     if not math.isfinite(total):
         raise TrainingDiverged(f"non-finite loss at step {step}")
-    replica.exchange.reduce(replica.params)
+    if pool is not None:
+        replica.exchange.reduce(replica.params)
     return LogRecord(step=step, lr=lr_schedule(step, config.model.hidden_dim,
                                                config.warmup_steps),
                      total=total, components=comps)

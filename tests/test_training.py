@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import math
+import multiprocessing
 import os
 import signal
 from concurrent.futures.process import BrokenProcessPool
@@ -346,6 +347,23 @@ def test_worker_count_follows_affinity_and_batch_size():
     cpus = len(os.sched_getaffinity(0))
     assert training.worker_count(1) == 1
     assert training.worker_count(10 ** 6) == cpus
+
+
+def test_one_process_without_affinity_or_fork(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(multiprocessing, "get_all_start_methods",
+                      lambda: ["spawn"])
+        assert training.worker_count(10 ** 6) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert training.worker_count(10 ** 6) == 1
+
+    def no_exchange(*args):
+        raise AssertionError("one process needs no gradient exchange")
+
+    monkeypatch.setattr(training, "GradientExchange", no_exchange)
+    log = io.StringIO()
+    train(desk_config(total_steps=2), make_corpus(2), log_stream=log)
+    assert log.getvalue().count("\n") == 2
 
 
 def test_training_bits_do_not_depend_on_worker_count(monkeypatch, tmp_path):
