@@ -19,7 +19,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -238,11 +238,13 @@ def batch_loss(params: ModelParameters, batch: Batch, config: ModelConfig,
 
 class GradientExchange:
     """The parameters, then one flat gradient row per batch position, as
-    float64 views of one anonymous shared mapping. Made before the workers
-    fork, so they read the parent's parameters and write their gradients
-    without pickling either."""
+    float64 views of one anonymous shared mapping, and a shared counter of
+    the step's claimed positions. Made before the workers fork, so they read
+    the parent's parameters and write their gradients without pickling
+    either."""
 
     def __init__(self, params: ModelParameters, rows: int):
+        self._claimed = multiprocessing.get_context("fork").Value("q", 0)
         self.layout = []
         offset = 0
         for name, node in params.items():
@@ -255,12 +257,25 @@ class GradientExchange:
         self.grads = flat[offset:].reshape(rows, offset)
 
     def publish(self, params: ModelParameters) -> None:
+        """Share a step's parameters; none of its positions is claimed yet."""
+        self._claimed.value = 0
         for name, where, _ in self.layout:
             self.values[where] = params[name].value.reshape(-1)
 
     def load(self, params: ModelParameters) -> None:
         for name, where, shape in self.layout:
             params[name].value[...] = self.values[where].reshape(shape)
+
+    def claims(self, order: Sequence[int]) -> Iterator[int]:
+        """The positions of ``order`` this process takes, one at a time and
+        in that order, until every process together has taken them all."""
+        while True:
+            with self._claimed.get_lock():
+                k = self._claimed.value
+                self._claimed.value = k + 1
+            if k >= len(order):
+                return
+            yield order[k]
 
     def store(self, i: int, params: ModelParameters) -> None:
         """Row i := the parameters' gradients (0 where there is none)."""
@@ -281,7 +296,7 @@ class GradientExchange:
 
 
 def utterance_gradients(params: ModelParameters, batch: Batch,
-                        positions: Sequence[int], counts: dict[str, int],
+                        positions: Iterable[int], counts: dict[str, int],
                         config: ModelConfig, weights: LossWeights,
                         exchange: GradientExchange | None, train: bool = True,
                         rngs: Sequence[np.random.Generator] | None = None
@@ -318,23 +333,16 @@ def worker_count(batch_size: int) -> int:
     return min(len(os.sched_getaffinity(0)), batch_size)
 
 
-def balanced_shards(frames: Sequence[int], n: int) -> list[list[int]]:
-    """Batch positions split into ``n`` shards of about equal frame count:
-    longest first, each to the shard with the fewest frames so far. The
-    lightest shard comes first; the parent process, which also assembles
-    the batch and updates the parameters, runs it."""
-    loads = [0] * n
-    shards: list[list[int]] = [[] for _ in range(n)]
-    for i in sorted(range(len(frames)), key=lambda i: (-int(frames[i]), i)):
-        k = min(range(n), key=lambda k: (loads[k], k))
-        shards[k].append(i)
-        loads[k] += int(frames[i])
-    return [sorted(shards[k]) for k in sorted(range(n), key=lambda k: (loads[k], k))]
+def longest_first(frames: Sequence[int]) -> list[int]:
+    """Batch positions by decreasing frame count, ties in batch order: the
+    order in which the processes of a step claim them, so that the short
+    utterances left at the end even out the processes' finishing times."""
+    return sorted(range(len(frames)), key=lambda i: (-int(frames[i]), i))
 
 
 @dataclass
 class _Replica:
-    """What one process needs to differentiate its shard of a step. Workers
+    """What one process needs to differentiate its part of a step. Workers
     inherit the parent's at fork: the corpus and the shared exchange, which
     exists only when there are workers."""
     params: ModelParameters
@@ -342,7 +350,7 @@ class _Replica:
     corpus: Sequence[Utterance]
     config: TrainConfig
 
-    def shard(self, batch: Batch, step: int, positions: Sequence[int],
+    def shard(self, batch: Batch, step: int, positions: Iterable[int],
               counts: dict[str, int]):
         return utterance_gradients(
             self.params, batch, positions, counts, self.config.model,
@@ -358,12 +366,12 @@ def _start_worker(replica: _Replica) -> None:
     _WORKER_REPLICA = replica
 
 
-def _worker_shard(step: int, picks: list[int], positions: list[int],
+def _worker_shard(step: int, picks: list[int], order: list[int],
                   counts: dict[str, int]):
     replica = _WORKER_REPLICA
     replica.exchange.load(replica.params)
     batch = assemble_batch([replica.corpus[i] for i in picks])
-    return replica.shard(batch, step, positions, counts)
+    return replica.shard(batch, step, replica.exchange.claims(order), counts)
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +508,10 @@ def _train_step(step: int, replica: _Replica, pool: ProcessPoolExecutor | None,
                 workers: int) -> LogRecord:
     """One step's objective and gradient. With one process, each
     utterance's share is differentiated in turn. With a pool, the parent
-    publishes the parameters, hands every shard but the first to the pool,
-    runs the first itself, then adds the per-utterance gradients in batch
-    order, which gives the same bits. Leaves the summed gradient in the
+    publishes the parameters and every process, the parent too, claims
+    positions longest first until none is left, so a process that runs
+    slower takes fewer; the parent then adds the per-utterance gradients in
+    batch order, which gives the same bits. Leaves the summed gradient in the
     parameters' ``.grad``; raises TrainingDiverged, before any update, on a
     non-finite loss."""
     config = replica.config
@@ -510,15 +519,17 @@ def _train_step(step: int, replica: _Replica, pool: ProcessPoolExecutor | None,
                                config.seed)
     batch = assemble_batch([replica.corpus[i] for i in picks])
     counts = batch_counts(batch)
-    shards = balanced_shards(batch.n_frames, workers)
     futures = []
     if pool is None:
         replica.params.zero_grad()
+        positions: Iterable[int] = range(len(picks))
     else:
         replica.exchange.publish(replica.params)
-        futures = [pool.submit(_worker_shard, step, picks, shard, counts)
-                   for shard in shards[1:]]
-    results = replica.shard(batch, step, shards[0], counts)
+        order = longest_first(batch.n_frames)
+        futures = [pool.submit(_worker_shard, step, picks, order, counts)
+                   for _ in range(workers - 1)]
+        positions = replica.exchange.claims(order)
+    results = replica.shard(batch, step, positions, counts)
     for future in futures:
         results += future.result()
     results.sort(key=lambda result: result[0])

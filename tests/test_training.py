@@ -24,10 +24,10 @@ from singsynth.training import (
     Utterance,
     assemble_batch,
     batch_item_indices,
-    balanced_shards,
     batch_loss,
     dropout_rngs,
     init_params,
+    longest_first,
     lr_schedule,
     train,
     validate_corpus,
@@ -475,12 +475,16 @@ def test_non_finite_loss_aborts_before_any_update_with_workers(monkeypatch):
     assert updates == []
 
 
-def test_balanced_shards_split_frames_longest_first():
-    frames = [10, 50, 20, 40, 30]
-    shards = balanced_shards(frames, 2)
-    # 50 -> A, 40 -> B, 30 -> B, 20 -> A, 10 -> A: A 80 frames, B 70
-    assert shards == [[3, 4], [0, 1, 2]]
-    assert balanced_shards(frames, 1) == [[0, 1, 2, 3, 4]]
-    spread = balanced_shards(frames, 5)
-    assert sorted(i for shard in spread for i in shard) == list(range(5))
-    assert spread[0] == [0]   # the lightest shard comes first
+def test_processes_claim_each_position_once_longest_first():
+    frames = [10, 50, 20, 50, 30]
+    order = longest_first(frames)
+    assert order == [1, 3, 4, 2, 0]
+    params = init_params(TINY_MODEL, np.random.default_rng(0))
+    exchange = training.GradientExchange(params, len(frames))
+    for _ in range(2):   # publishing a step's parameters reopens its positions
+        exchange.publish(params)
+        fast, slow = exchange.claims(order), exchange.claims(order)
+        taken = [next(fast), next(slow), next(fast), next(fast)]
+        assert taken == [1, 3, 4, 2]
+        assert list(slow) == [0]
+        assert list(fast) == []
