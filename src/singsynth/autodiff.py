@@ -24,6 +24,8 @@ _GRAD_ENABLED = True
 # query rows per block of graph-free attention: H x rows x S scores of about
 # this many float64 elements (2 MB, sized to a core's L2 cache) per block
 _ATTENTION_BLOCK_ELEMENTS = 1 << 18
+# added to each row's variance in layer_norm
+_LAYER_NORM_EPS = 1e-12
 
 
 def set_debug_checks(enabled: bool) -> None:
@@ -88,9 +90,6 @@ class Node:
 
     def item(self) -> float:
         return self.value.item()
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         flag = ", requires_grad" if self.requires_grad else ""
@@ -309,7 +308,7 @@ def softmax(a) -> Node:
     return Node(out, parents=[(a, pull)])
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-12) -> Node:
+def layer_norm(x, gain, bias) -> Node:
     """Normalize each row over the last axis, then apply affine gain/bias."""
     x, gain, bias = as_node(x), as_node(gain), as_node(bias)
     d = x.shape[-1]
@@ -321,7 +320,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-12) -> Node:
     mu = x.value.mean(axis=-1, keepdims=True)
     centered = x.value - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
     xhat = centered * inv_std
     out = xhat * gain.value + bias.value
 
@@ -446,15 +445,6 @@ def reduce_sum(a) -> Node:
     return Node(
         np.asarray(a.value.sum()),
         parents=[(a, lambda g: np.full(a.shape, g.item()))],
-    )
-
-
-def reduce_mean(a) -> Node:
-    a = as_node(a)
-    n = a.value.size
-    return Node(
-        np.asarray(a.value.mean()),
-        parents=[(a, lambda g: np.full(a.shape, g.item() / n))],
     )
 
 

@@ -20,14 +20,15 @@ import numpy as np
 
 from .features import AcousticFeatureSequence, BAP_DIM, FRAME_SHIFT_S, MGC_DIM, \
     load_features, save_features
-from .score import MusicalScore, NoteEvent, PhonemeLexicon, PhonemeTokenSequence, \
-    beats_to_frames, event_phonemes, frame_pitch_arrays, round_half_up, \
-    score_to_tokens, serialize_score
+from .score import VOWELS, MusicalScore, NoteEvent, PhonemeLexicon, \
+    PhonemeTokenSequence, beats_to_frames, event_phonemes, frame_pitch_arrays, \
+    round_half_up, score_to_tokens, serialize_score
 
 VOICED_BAP_DB = -60.0
 UNVOICED_BAP_DB = 0.0
 
-DEFAULT_VOICED_CONSONANTS = ("b", "d", "g", "l", "m", "n", "r", "w", "y", "z")
+# consonants the oracle sings voiced; every other consonant is unvoiced
+VOICED_CONSONANTS = frozenset("bdglmnrwyz")
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,6 @@ class OracleConfig:
     vibrato_depth_log: float = 0.03
     transition_frames: int = 3
     consonant_fraction: float = 0.25
-    voiced_consonants: tuple[str, ...] = DEFAULT_VOICED_CONSONANTS
 
     def __post_init__(self):
         if not 0.0 < self.consonant_fraction < 1.0:
@@ -53,7 +53,7 @@ def mgc_templates(lexicon: PhonemeLexicon, config: OracleConfig) -> np.ndarray:
 
 
 def split_note_frames(phonemes: tuple[str, ...], frames: int,
-                      lexicon: PhonemeLexicon, config: OracleConfig) -> list[int]:
+                      config: OracleConfig) -> list[int]:
     """Partition one note's frames over its phonemes.
 
     Non-vowel phonemes collectively receive consonant_fraction of the note,
@@ -67,7 +67,7 @@ def split_note_frames(phonemes: tuple[str, ...], frames: int,
         )
     if n == 1:
         return [frames]
-    consonant_pos = [i for i, ph in enumerate(phonemes) if ph not in lexicon.vowels]
+    consonant_pos = [i for i, ph in enumerate(phonemes) if ph not in VOWELS]
     vowel_pos = [i for i in range(n) if i not in consonant_pos]
     if not consonant_pos or not vowel_pos:
         # uniform split when the note has only one phoneme class
@@ -90,14 +90,14 @@ def oracle_sing(score: MusicalScore, lexicon: PhonemeLexicon,
                 ) -> tuple[PhonemeTokenSequence, AcousticFeatureSequence]:
     """Ground truth for a score: tokens with phoneme durations plus features."""
     tokens = score_to_tokens(score, lexicon, FRAME_SHIFT_S)
-    voiced_set = set(lexicon.vowels) | set(config.voiced_consonants)
+    voiced_set = VOWELS | VOICED_CONSONANTS
 
     durations: list[int] = []
     phoneme_names: list[str] = []
     for ev in score.events:
         frames = beats_to_frames(ev.beat_length, score.tempo_bpm, FRAME_SHIFT_S)
         phonemes = event_phonemes(ev, lexicon)
-        durations.extend(split_note_frames(phonemes, frames, lexicon, config))
+        durations.extend(split_note_frames(phonemes, frames, config))
         phoneme_names.extend(phonemes)
     tokens.gt_phoneme_durations = durations
     tokens.validate()
@@ -127,11 +127,10 @@ def oracle_sing(score: MusicalScore, lexicon: PhonemeLexicon,
         for k in range(1, len(tokens)):
             prev = templates[token_ids[k - 1]]
             cur = templates[token_ids[k]]
-            span = min(config.transition_frames, int(dur_arr[k]))
-            for j in range(span):
+            # frame j takes (j + 1) / transition_frames of cur, which is all
+            # of it from j = transition_frames - 1 on
+            for j in range(min(config.transition_frames - 1, int(dur_arr[k]))):
                 alpha = (j + 1) / config.transition_frames
-                if alpha >= 1.0:
-                    break
                 mgc[starts[k] + j] = (1.0 - alpha) * prev + alpha * cur
 
     bap = np.where(np.broadcast_to(frame_voiced[:, None], (total, BAP_DIM)),
@@ -194,8 +193,8 @@ class CorpusManifest:
     base_dir: Path
     entries: list[ManifestEntry]
 
-    def subset(self, split: str | None) -> list[ManifestEntry]:
-        if split in (None, "all"):
+    def subset(self, split: str) -> list[ManifestEntry]:
+        if split == "all":
             return list(self.entries)
         return [e for e in self.entries if e.split == split]
 
@@ -317,7 +316,7 @@ def generate_corpus(n_songs: int, seed: int, config: OracleConfig, out_dir,
 
 
 def load_corpus_items(manifest: CorpusManifest,
-                      split: str | None = None) -> list[Utterance]:
+                      split: str = "all") -> list[Utterance]:
     """The utterances of a manifest split."""
     items = []
     for entry in manifest.subset(split):

@@ -15,6 +15,8 @@ from .binio import ContainerError, read_magic, read_named_tensor, read_u32, \
 FRAME_SHIFT_S = 0.015
 MGC_DIM = 60
 BAP_DIM = 5
+# a frame is voiced where its vuv value is at least this
+VUV_THRESHOLD = 0.5
 
 FEATURE_MAGIC = b"SVSFEAT1"
 
@@ -54,8 +56,8 @@ class AcousticFeatureSequence:
     def num_frames(self) -> int:
         return self.mgc.shape[0]
 
-    def voiced_mask(self, threshold: float = 0.5) -> np.ndarray:
-        return self.vuv >= threshold
+    def voiced_mask(self) -> np.ndarray:
+        return self.vuv >= VUV_THRESHOLD
 
 
 def concatenate_features(seqs) -> AcousticFeatureSequence:

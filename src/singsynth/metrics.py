@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import AcousticFeatureSequence
+from .features import VUV_THRESHOLD, AcousticFeatureSequence
 
 MCD_SCALE = 10.0 * math.sqrt(2.0) / math.log(10.0)
-VUV_THRESHOLD = 0.5
 
 # report keys, in presentation order
 REPORT_KEYS = (
@@ -62,14 +61,10 @@ def f0_metrics(pred: AcousticFeatureSequence, gt: AcousticFeatureSequence
         raise ValueError(
             f"f0_metrics: frame counts differ: {pred.num_frames} vs {gt.num_frames}"
         )
-    both = pred.voiced_mask(VUV_THRESHOLD) & gt.voiced_mask(VUV_THRESHOLD)
+    both = pred.voiced_mask() & gt.voiced_mask()
     if not both.any():
         return None, None
-    pred_hz = np.exp(pred.logf0[both])
-    gt_hz = np.exp(gt.logf0[both])
-    if pred_hz.size == 1:
-        return math.sqrt(float((pred_hz[0] - gt_hz[0]) ** 2)), None
-    return rmse_corr(pred_hz, gt_hz)
+    return rmse_corr(np.exp(pred.logf0[both]), np.exp(gt.logf0[both]))
 
 
 def mcd(pred_mgc: np.ndarray, gt_mgc: np.ndarray) -> float:
@@ -161,7 +156,8 @@ class EvalReport:
         for key, value in self.values.items():
             if value is None:
                 continue
-            if key in corr_keys and not -1.0 <= value <= 1.0 + 1e-12:
+            # rounding can push an exact correlation one ulp past +-1
+            if key in corr_keys and not abs(value) <= 1.0 + 1e-12:
                 raise ValueError(f"{key} out of [-1, 1]: {value}")
             if key == "V/UV Error (%)" and not 0.0 <= value <= 100.0:
                 raise ValueError(f"{key} out of [0, 100]: {value}")

@@ -56,24 +56,8 @@ class ModelConfig:
                    attention_heads=2, conv_filter_dim=64, max_note_frames=256)
 
 
-class ModelParameters:
-    """Named trainable tensors; iteration order is fixed by construction."""
-
-    def __init__(self, tensors: dict[str, Node]):
-        self.tensors = tensors
-
-    def __getitem__(self, name: str) -> Node:
-        return self.tensors[name]
-
-    def names(self) -> list[str]:
-        return list(self.tensors.keys())
-
-    def items(self):
-        return self.tensors.items()
-
-    def zero_grad(self) -> None:
-        for node in self.tensors.values():
-            node.zero_grad()
+# named trainable tensors; iteration order is fixed by construction
+ModelParameters = dict[str, Node]
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -124,16 +108,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParameter
     tensors["out.w"] = ad.parameter(_xavier(rng, d, config.output_dim,
                                             (d, config.output_dim)))
     tensors["out.b"] = ad.parameter(np.zeros(config.output_dim))
-    return ModelParameters(tensors)
-
-
-def zeroed_params(config: ModelConfig) -> ModelParameters:
-    """All-zero parameters (layer-norm gains included); for degenerate-case
-    tests where the network must collapse to its residual paths."""
-    params = init_params(config, np.random.default_rng(0))
-    for node in params.tensors.values():
-        node.value[...] = 0.0
-    return params
+    return tensors
 
 
 def positional_encoding(length: int, dim: int) -> np.ndarray:

@@ -20,12 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .features import FRAME_SHIFT_S
+
 REST_SYLLABLE = "-"
 PAD_PHONEME = "pad"
 SILENCE_PHONEME = "sil"
 MAX_PHONEME_VOCAB = 72
 
-DEFAULT_VOWELS = frozenset("aeiou")
+# phonemes that carry a melisma and take a note's non-consonant frames
+VOWELS = frozenset("aeiou")
 
 
 class ScoreParseError(ValueError):
@@ -84,7 +87,6 @@ class PhonemeLexicon:
 
     syllables: dict[str, tuple[str, ...]]
     phoneme_vocab: tuple[str, ...]
-    vowels: frozenset[str] = DEFAULT_VOWELS
 
     def __post_init__(self):
         if len(self.phoneme_vocab) > MAX_PHONEME_VOCAB:
@@ -125,17 +127,16 @@ class PhonemeLexicon:
         or the last phoneme when the syllable has no vowel."""
         phonemes = self.phonemes_for(syllable)
         for ph in reversed(phonemes):
-            if ph in self.vowels:
+            if ph in VOWELS:
                 return ph
         return phonemes[-1]
 
     @classmethod
-    def from_entries(cls, entries: dict[str, tuple[str, ...]],
-                     vowels: frozenset[str] = DEFAULT_VOWELS) -> "PhonemeLexicon":
+    def from_entries(cls, entries: dict[str, tuple[str, ...]]) -> "PhonemeLexicon":
         names = sorted({ph for phs in entries.values() for ph in phs}
                        - {PAD_PHONEME, SILENCE_PHONEME})
         vocab = (PAD_PHONEME, SILENCE_PHONEME) + tuple(names)
-        return cls(syllables=dict(entries), phoneme_vocab=vocab, vowels=vowels)
+        return cls(syllables=dict(entries), phoneme_vocab=vocab)
 
 
 def load_lexicon(path) -> PhonemeLexicon:
@@ -322,7 +323,7 @@ def event_phonemes(event: NoteEvent, lexicon: PhonemeLexicon) -> tuple[str, ...]
 
 
 def score_to_tokens(score: MusicalScore, lexicon: PhonemeLexicon,
-                    frame_shift_s: float = 0.015) -> PhonemeTokenSequence:
+                    frame_shift_s: float = FRAME_SHIFT_S) -> PhonemeTokenSequence:
     """Expand a score to phoneme level.
 
     Each note's pitch ID and frame count are duplicated onto every phoneme it

@@ -310,7 +310,8 @@ def utterance_gradients(params: ModelParameters, batch: Batch,
     out = []
     for i in positions:
         if exchange is not None:
-            params.zero_grad()
+            for node in params.values():
+                node.grad = None
         loss, comps = utterance_loss(params, batch, i, counts, config, weights,
                                      train, None if rngs is None else rngs[i])
         value = loss.item()
@@ -454,8 +455,8 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
     if resume_from is not None:
         params = params_from_checkpoint(resume_from, config.model)
         adam = AdamState(params,
-                         m=_checked_moments(resume_from.adam_m, params, "adam_m"),
-                         v=_checked_moments(resume_from.adam_v, params, "adam_v"),
+                         m=_checked_tensors(resume_from.adam_m, params, "adam_m"),
+                         v=_checked_tensors(resume_from.adam_v, params, "adam_v"),
                          t=resume_from.step)
         _check_trained_model(resume_from, config.model)
         start_step = resume_from.step + 1
@@ -521,7 +522,8 @@ def _train_step(step: int, replica: _Replica, pool: ProcessPoolExecutor | None,
     counts = batch_counts(batch)
     futures = []
     if pool is None:
-        replica.params.zero_grad()
+        for node in replica.params.values():
+            node.grad = None
         positions: Iterable[int] = range(len(picks))
     else:
         replica.exchange.publish(replica.params)
@@ -547,22 +549,23 @@ def _train_step(step: int, replica: _Replica, pool: ProcessPoolExecutor | None,
                      total=total, components=comps)
 
 
-def _checked_moments(moments: dict[str, np.ndarray], params: ModelParameters,
+def _checked_tensors(tensors: dict[str, np.ndarray], params: ModelParameters,
                      label: str) -> dict[str, np.ndarray]:
-    """Copies of a checkpoint's Adam moments, which must hold exactly one
-    tensor of the right shape per parameter."""
-    unknown = sorted(set(moments) - set(params.names()))
+    """Copies of one checkpoint group's tensors (``param``, ``adam_m`` or
+    ``adam_v``), which must hold exactly one tensor of the right shape per
+    parameter; raises ValueError naming the first that does not."""
+    unknown = sorted(set(tensors) - set(params))
     if unknown:
         raise ValueError(f"checkpoint {label} has unknown tensors: {unknown}")
     for name, node in params.items():
-        if name not in moments:
+        if name not in tensors:
             raise ValueError(f"checkpoint {label} lacks tensor {name}")
-        if moments[name].shape != node.value.shape:
+        if tensors[name].shape != node.value.shape:
             raise ValueError(
                 f"checkpoint {label} tensor {name} has shape "
-                f"{moments[name].shape}, model expects {node.value.shape}"
+                f"{tensors[name].shape}, model expects {node.value.shape}"
             )
-    return {k: v.copy() for k, v in moments.items()}
+    return {k: v.copy() for k, v in tensors.items()}
 
 
 def _check_trained_model(ckpt: Checkpoint, model: ModelConfig) -> None:
@@ -583,16 +586,9 @@ def _check_trained_model(ckpt: Checkpoint, model: ModelConfig) -> None:
 
 def params_from_checkpoint(ckpt: Checkpoint, config: ModelConfig) -> ModelParameters:
     """Rebuild model parameters (for inference or resuming) from checkpoint
-    tensors; a missing or misshapen tensor raises ValueError naming it."""
+    tensors; a missing, misshapen or unknown tensor raises ValueError
+    naming it."""
     params = init_params(config, np.random.default_rng(0))
-    missing = set(params.names()) - set(ckpt.params)
-    if missing:
-        raise ValueError(f"checkpoint lacks tensors: {sorted(missing)}")
-    for name, node in params.items():
-        if node.value.shape != ckpt.params[name].shape:
-            raise ValueError(
-                f"checkpoint tensor {name} has shape {ckpt.params[name].shape}, "
-                f"model expects {node.value.shape}"
-            )
-        node.value[...] = ckpt.params[name]
+    for name, value in _checked_tensors(ckpt.params, params, "param").items():
+        params[name].value[...] = value
     return params

@@ -117,7 +117,6 @@ def _op_gradient_battery():
         "concat_split": (lambda p: dot(ad.concat_last(
             list(reversed(ad.split_last(p, [1, 3])))), probe), x),
         "reduce_sum": (lambda p: ad.reduce_sum(ad.mul(p, p)), x),
-        "reduce_mean": (lambda p: ad.scale(ad.reduce_mean(ad.mul(p, p)), 7.0), x),
         "absolute": (lambda p: dot(ad.absolute(p), probe), kinked),
         "log": (lambda p: dot(ad.log(p), ad.constant(pos)), pos),
         "exp": (lambda p: dot(ad.exp(p), probe), x),
@@ -150,7 +149,8 @@ def _full_model_gradient_check():
         return total.item()
 
     counts = batch_counts(batch)
-    params.zero_grad()
+    for node in params.values():
+        node.grad = None
     for i in range(len(corpus)):
         share, _ = utterance_loss(params, batch, i, counts, GRAD_CHECK_MODEL,
                                   weights, train=False)

@@ -80,7 +80,6 @@ def test_grad_add_sub_mul(seed):
     b = rng.uniform(-2, 2, size=(3, 4))
     check_grad(lambda p: ad.reduce_sum(ad.mul(ad.add(p, ad.constant(b)), p)), a)
     check_grad(lambda p: ad.reduce_sum(ad.mul(ad.sub(ad.constant(b), p), p)), a)
-    check_grad(lambda p: ad.reduce_mean(ad.mul(p, ad.constant(b))), a)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -306,6 +306,25 @@ def test_eval_self_comparison_is_perfect(tmp_path, corpus_dir, capsys):
     assert len(gv_rows) == 60
 
 
+def test_eval_accepts_anti_correlation_rounded_past_minus_one(tmp_path):
+    # two voiced frames whose F0 correlation rmse_corr rounds to
+    # -1.0000000000000002
+    def feats(hz):
+        return AcousticFeatureSequence(mgc=np.zeros((2, 60)), bap=np.zeros((2, 5)),
+                                       logf0=np.log(hz), vuv=np.ones(2))
+    save_features(tmp_path / "pred.feat",
+                  feats([71.53544134559496, 231.12915813352083]))
+    save_features(tmp_path / "gt.feat",
+                  feats([156.1330682029204, 101.54314185853504]))
+    out = tmp_path / "eval"
+    assert main(["eval", "--out", str(out), "--pair", str(tmp_path / "pred.feat"),
+                 str(tmp_path / "gt.feat")]) == 0
+    report = dict(line.split("\t") for line in
+                  (out / "eval_report.txt").read_text().strip().split("\n")
+                  if not line.startswith("#"))
+    assert float(report["F0 CORR"]) == pytest.approx(-1.0, abs=1e-12)
+
+
 def test_eval_pooled_f0_over_one_commonly_voiced_frame(tmp_path):
     t = 4
     gt = AcousticFeatureSequence(mgc=np.zeros((t, 60)), bap=np.zeros((t, 5)),

@@ -35,23 +35,23 @@ def test_oracle_config_validation():
         OracleConfig(transition_frames=-1)
 
 
-def test_split_note_frames_consonant_fraction(lexicon):
+def test_split_note_frames_consonant_fraction():
     # round(0.25 * 33) = 8 frames for the consonant, remainder for the vowel
-    assert split_note_frames(("l", "a"), 33, lexicon, OracleConfig()) == [8, 25]
+    assert split_note_frames(("l", "a"), 33, OracleConfig()) == [8, 25]
 
 
-def test_split_note_frames_sums_and_minimum(lexicon):
+def test_split_note_frames_sums_and_minimum():
     config = OracleConfig()
     for phonemes in (("l", "a"), ("s", "a", "n"), ("a",), ("m", "a", "n")):
         for frames in range(len(phonemes), 60):
-            parts = split_note_frames(phonemes, frames, lexicon, config)
+            parts = split_note_frames(phonemes, frames, config)
             assert sum(parts) == frames
             assert min(parts) >= 1
 
 
-def test_split_note_frames_rejects_too_short_note(lexicon):
+def test_split_note_frames_rejects_too_short_note():
     with pytest.raises(ValueError):
-        split_note_frames(("s", "a", "n"), 2, lexicon, OracleConfig())
+        split_note_frames(("s", "a", "n"), 2, OracleConfig())
 
 
 def test_oracle_duration_example(lexicon):
@@ -174,7 +174,7 @@ def test_manifest_round_trip(tmp_path, lexicon):
                     lexicon=lexicon)
     manifest = load_manifest(tmp_path / "manifest.tsv")
     assert len(manifest.entries) == 4
-    items = load_corpus_items(manifest, split=None)
+    items = load_corpus_items(manifest, split="all")
     assert len(items) == 4
     train_items = load_corpus_items(manifest, split="train")
     assert len(train_items) == 3

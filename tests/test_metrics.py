@@ -199,6 +199,16 @@ def test_eval_report_validates_ranges():
         EvalReport(values={"Sharpness": 1.0})
 
 
+@pytest.mark.parametrize("key", ["Dur CORR", "F0 CORR"])
+def test_eval_report_accepts_correlation_rounded_one_ulp_past_bound(key):
+    # rmse_corr of exactly (anti-)correlated data can land one ulp outside
+    for value in (-1.0000000000000002, 1.0000000000000002):
+        assert EvalReport(values={key: value}).values[key] == value
+    for value in (-1.5, 1.5):
+        with pytest.raises(ValueError, match="out of"):
+            EvalReport(values={key: value})
+
+
 def test_eval_report_format_lists_all_keys():
     report = EvalReport(values={k: None for k in REPORT_KEYS})
     text = report.format()

@@ -23,13 +23,21 @@ from singsynth.model import (
     predicted_durations,
     synthesize,
     synthesize_with_durations,
-    zeroed_params,
 )
 from singsynth.score import parse_score, score_to_tokens
 
 
 def make_tokens(lexicon, text="tempo 120\nla 69 0.5\nmi 64 0.25\n- 0 0.25\nson 67 0.5\n"):
     return score_to_tokens(parse_score(text), lexicon)
+
+
+def zeroed_params(config):
+    """All-zero parameters (layer-norm gains included), under which the
+    network collapses to its residual paths."""
+    params = init_params(config, np.random.default_rng(0))
+    for node in params.values():
+        node.value[...] = 0.0
+    return params
 
 
 def zero_projections(params, prefix):

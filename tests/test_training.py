@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from singsynth.checkpoint import load_checkpoint, save_checkpoint
+from singsynth.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from singsynth.features import AcousticFeatureSequence
 from singsynth.losses import LossWeights
 from singsynth.model import ModelConfig
@@ -29,6 +29,7 @@ from singsynth.training import (
     init_params,
     longest_first,
     lr_schedule,
+    params_from_checkpoint,
     train,
     validate_corpus,
 )
@@ -248,7 +249,8 @@ def test_resume_rejects_checkpoint_of_another_width_before_step_one():
     narrow = train(desk_config(total_steps=1), corpus).checkpoint
     wide = dataclasses.replace(TINY_MODEL, hidden_dim=16)
     log = io.StringIO()
-    with pytest.raises(ValueError, match="checkpoint tensor emb.phoneme has shape"):
+    with pytest.raises(ValueError,
+                       match="checkpoint param tensor emb.phoneme has shape"):
         train(desk_config(total_steps=3, model=wide), corpus, resume_from=narrow,
               log_stream=log)
     assert log.getvalue() == ""
@@ -293,6 +295,19 @@ def test_resume_may_change_loss_weights_and_optimizer():
     changed = desk_config(total_steps=2, warmup_steps=9, adam_beta1=0.8,
                           loss_weights=LossWeights(w_sd=0.5))
     assert len(train(changed, corpus, resume_from=ckpt).records) == 1
+
+
+def test_params_from_checkpoint_rejects_an_unknown_param_tensor():
+    params = init_params(TINY_MODEL, np.random.default_rng(3))
+    tensors = {name: node.value.copy() for name, node in params.items()}
+    ckpt = Checkpoint(step=1, params=tensors, adam_m={}, adam_v={})
+    loaded = params_from_checkpoint(ckpt, TINY_MODEL)
+    for name, node in params.items():
+        np.testing.assert_array_equal(loaded[name].value, node.value)
+    tensors["extra"] = np.zeros(1)
+    with pytest.raises(ValueError,
+                       match="checkpoint param has unknown tensors: \\['extra'\\]"):
+        params_from_checkpoint(ckpt, TINY_MODEL)
 
 
 @pytest.mark.parametrize("echo", [{}, {"train": {}}, {"train": []}])
@@ -417,7 +432,8 @@ def test_applied_gradient_is_backward_accumulated_in_batch_order():
     params = init_params(TINY_MODEL, np.random.default_rng(4))
     counts = training.batch_counts(batch)
     weights = LossWeights(w_pd=0.6, w_sd=1.3, w_m=0.9, w_b=1.7, w_f=1.1, w_u=0.4)
-    params.zero_grad()
+    for node in params.values():
+        node.grad = None
     rngs = dropout_rngs(7, 3, len(corpus))
     for i in range(len(corpus)):
         share, _ = training.utterance_loss(params, batch, i, counts, TINY_MODEL,
