@@ -158,12 +158,12 @@ def cmd_train(args) -> int:
         (run_dir / "config.txt").write_text(format_config(values),
                                             encoding="utf-8")
 
-    extra = {"phoneme_vocab": list(lexicon.phoneme_vocab)}
     # a resumed run continues the log of the run it resumes
     log_mode = "a" if resume is not None else "w"
     with open(run_dir / "loss_log.tsv", log_mode, encoding="utf-8") as log_fh:
         result = train(config, corpus, resume_from=resume, log_stream=log_fh,
-                       extra_config=extra, on_start=write_config)
+                       on_start=write_config)
+    result.checkpoint.config["phoneme_vocab"] = list(lexicon.phoneme_vocab)
     ckpt_path = run_dir / "checkpoint.bin"
     save_checkpoint(ckpt_path, result.checkpoint)
     print(ckpt_path)

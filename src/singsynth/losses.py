@@ -1,9 +1,9 @@
 """Training objectives: phoneme and syllable duration losses, L1 spectral
 losses, masked log-F0 loss, and binary cross-entropy voicing loss, each
-written once as a per-utterance (sum, count) term. A batch's objective is
-the sum of per-utterance shares, each dividing its sums by counts that
-ground truth alone fixes, so every utterance can be differentiated on its
-own."""
+written once as a per-utterance sum. A batch's objective is the sum of
+per-utterance shares, each dividing its sums by the batch's element counts,
+which ground truth alone fixes, so every utterance can be differentiated on
+its own."""
 
 from __future__ import annotations
 
@@ -95,16 +95,16 @@ def loss_counts(gt_durations, syllable_spans, gt: AcousticFeatureSequence,
 
 def loss_terms(fwd: TrainForward, gt_durations, syllable_spans,
                gt: AcousticFeatureSequence, frame_nonrest_mask: np.ndarray
-               ) -> dict[str, tuple[Node, int]]:
-    """One utterance's (sum, count) contribution to every loss component,
-    with the counts of :func:`loss_counts`.
+               ) -> dict[str, Node]:
+    """One utterance's sum for every loss component, over the elements
+    :func:`loss_counts` counts.
 
     - L_pd: phoneme-duration L1 in the log(frames + 1) domain;
     - L_sd: syllable-duration L1 between ground-truth syllable frames and
       the summed linear-domain predictions;
     - L_m, L_b: spectral L1 over every frame and coefficient;
     - L_f: log-F0 L1 over frames voiced in the ground truth and not rests
-      (an all-unvoiced utterance contributes count 0, not NaN);
+      (an all-unvoiced utterance sums to a constant 0, not NaN);
     - L_u: voicing cross entropy over every frame.
     """
     gt_durs = np.asarray(gt_durations, dtype=np.float64)
@@ -125,7 +125,7 @@ def loss_terms(fwd: TrainForward, gt_durations, syllable_spans,
         ad.matmul(ad.constant(indicator), ad.reshape(linear, (n, 1))),
         (indicator.shape[0],),
     )
-    sums = {
+    return {
         "L_pd": pd,
         "L_sd": _abs_error_sum(syl_pred, indicator @ gt_durs),
         "L_m": _abs_error_sum(dec.mgc, gt.mgc),
@@ -133,30 +133,26 @@ def loss_terms(fwd: TrainForward, gt_durations, syllable_spans,
         "L_f": masked_abs_error(dec.logf0, gt.logf0, gt.vuv * frame_nonrest_mask),
         "L_u": ad.reduce_sum(bce_with_logits(dec.vuv_logit, gt.vuv)),
     }
-    counts = loss_counts(gt_durs, syllable_spans, gt, frame_nonrest_mask)
-    return {name: (sums[name], counts[name]) for name in LOSS_NAMES}
 
 
-def utterance_share(terms: dict[str, tuple[Node, int]],
-                    batch_counts: dict[str, int], weights: LossWeights
-                    ) -> tuple[Node, dict[str, Node]]:
+def utterance_share(sums: dict[str, Node], batch_counts: dict[str, int],
+                    weights: LossWeights) -> tuple[Node, dict[str, Node]]:
     """One utterance's share of its batch's objective.
 
     Component c's share is sum_c / N_c, where N_c is the batch's count for c
     (the sum of every utterance's :func:`loss_counts`); the share of the
     total is the weighted sum of those, L_xy weighted by w_xy. A component
-    the utterance has no elements for contributes 0. Summing the shares of
+    the batch has no elements for contributes 0. Summing the shares of
     every utterance gives each component's mean over every valid element of
     the batch, and their weighted sum.
     """
     comps: dict[str, Node] = {}
     total = None
     for name in LOSS_NAMES:
-        node, count = terms[name]
-        if count == 0:
+        if batch_counts[name] == 0:
             comps[name] = _zero()
             continue
-        comps[name] = ad.scale(node, 1.0 / batch_counts[name])
+        comps[name] = ad.scale(sums[name], 1.0 / batch_counts[name])
         term = ad.scale(comps[name], getattr(weights, "w_" + name[2:]))
         total = term if total is None else ad.add(total, term)
     return (_zero() if total is None else total), comps

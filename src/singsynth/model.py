@@ -121,12 +121,10 @@ def positional_encoding(length: int, dim: int) -> np.ndarray:
     return pe
 
 
-def _maybe_dropout(x: Node, config: ModelConfig, train: bool,
+def _maybe_dropout(x: Node, config: ModelConfig,
                    rng: np.random.Generator | None) -> Node:
-    if not train or config.dropout == 0.0:
+    if rng is None or config.dropout == 0.0:
         return x
-    if rng is None:
-        raise ValueError("training-mode forward pass needs an rng for dropout")
     return ad.dropout(x, ad.dropout_mask(x.shape, config.dropout, rng))
 
 
@@ -141,25 +139,24 @@ def self_attention(x: Node, params: ModelParameters, prefix: str,
 
 
 def fft_block(x: Node, params: ModelParameters, prefix: str, config: ModelConfig,
-              train: bool = False, rng: np.random.Generator | None = None) -> Node:
+              rng: np.random.Generator | None = None) -> Node:
     """Self-attention then a two-layer ReLU convolution stack, each sub-layer
     normalized on its input and added back through a residual connection, so
     zeroed projections leave the input untouched."""
     attn_in = ad.layer_norm(x, params[f"{prefix}.ln_attn.gain"],
                             params[f"{prefix}.ln_attn.bias"])
     attn = self_attention(attn_in, params, prefix, config)
-    h = ad.add(x, _maybe_dropout(attn, config, train, rng))
+    h = ad.add(x, _maybe_dropout(attn, config, rng))
     conv_in = ad.layer_norm(h, params[f"{prefix}.ln_conv.gain"],
                             params[f"{prefix}.ln_conv.bias"])
     c = ad.conv1d(conv_in, params[f"{prefix}.conv1.w"], params[f"{prefix}.conv1.b"])
     c = ad.relu(c)
     c = ad.conv1d(c, params[f"{prefix}.conv2.w"], params[f"{prefix}.conv2.b"])
-    return ad.add(h, _maybe_dropout(c, config, train, rng))
+    return ad.add(h, _maybe_dropout(c, config, rng))
 
 
 def encode(tokens: PhonemeTokenSequence, params: ModelParameters,
-           config: ModelConfig, train: bool = False,
-           rng: np.random.Generator | None = None) -> Node:
+           config: ModelConfig, rng: np.random.Generator | None = None) -> Node:
     """Embed phoneme/pitch/frame-count token triples and run the encoder
     stack; returns an N x hidden_dim sequence."""
     phoneme_ids = np.asarray(tokens.phoneme_ids, dtype=np.int64)
@@ -183,20 +180,19 @@ def encode(tokens: PhonemeTokenSequence, params: ModelParameters,
     )
     x = ad.add(x, ad.constant(positional_encoding(len(tokens), config.hidden_dim)))
     for i in range(config.encoder_blocks):
-        x = fft_block(x, params, f"enc.{i}", config, train=train, rng=rng)
+        x = fft_block(x, params, f"enc.{i}", config, rng)
     return x
 
 
 def predict_durations(hidden: Node, params: ModelParameters, config: ModelConfig,
-                      train: bool = False,
                       rng: np.random.Generator | None = None) -> Node:
     """Per-phoneme duration regression in the log(frames + 1) domain."""
     h = ad.relu(ad.conv1d(hidden, params["dur.conv1.w"], params["dur.conv1.b"]))
     h = ad.layer_norm(h, params["dur.ln1.gain"], params["dur.ln1.bias"])
-    h = _maybe_dropout(h, config, train, rng)
+    h = _maybe_dropout(h, config, rng)
     h = ad.relu(ad.conv1d(h, params["dur.conv2.w"], params["dur.conv2.b"]))
     h = ad.layer_norm(h, params["dur.ln2.gain"], params["dur.ln2.bias"])
-    h = _maybe_dropout(h, config, train, rng)
+    h = _maybe_dropout(h, config, rng)
     v = ad.add(ad.matmul(h, params["dur.proj.w"]), params["dur.proj.b"])
     return ad.reshape(v, (hidden.shape[0],))
 
@@ -238,7 +234,7 @@ class DecoderOutput:
 
 def decode(expanded: Node, frame_note_logf0: np.ndarray,
            frame_nonrest_mask: np.ndarray, params: ModelParameters,
-           config: ModelConfig, train: bool = False,
+           config: ModelConfig,
            rng: np.random.Generator | None = None) -> DecoderOutput:
     """Run the decoder stack over frame-rate vectors and split the projection
     into mgc / bap / log-F0 residual / voicing logit."""
@@ -252,7 +248,7 @@ def decode(expanded: Node, frame_note_logf0: np.ndarray,
         )
     x = ad.add(expanded, ad.constant(positional_encoding(t, config.hidden_dim)))
     for i in range(config.decoder_blocks):
-        x = fft_block(x, params, f"dec.{i}", config, train=train, rng=rng)
+        x = fft_block(x, params, f"dec.{i}", config, rng)
     y = ad.add(ad.matmul(x, params["out.w"]), params["out.b"])
     mgc, bap, residual, logit = ad.split_last(y, [MGC_DIM, BAP_DIM, 1, 1])
     residual = ad.reshape(residual, (t,))
@@ -271,10 +267,10 @@ class TrainForward:
 
 def forward_train(tokens: PhonemeTokenSequence, gt_features: AcousticFeatureSequence,
                   params: ModelParameters, config: ModelConfig,
-                  train: bool = True,
                   rng: np.random.Generator | None = None) -> TrainForward:
-    """Training-path forward pass: the length regulator runs on ground-truth
-    durations so decoder frames line up with the reference features."""
+    """Training-path forward pass, with dropout drawn from ``rng`` if one is
+    given: the length regulator runs on ground-truth durations so decoder
+    frames line up with the reference features."""
     if tokens.gt_phoneme_durations is None:
         raise ValueError("forward_train needs ground-truth phoneme durations")
     total = tokens.total_frames
@@ -283,11 +279,11 @@ def forward_train(tokens: PhonemeTokenSequence, gt_features: AcousticFeatureSequ
             f"duration total {total} does not match feature frames "
             f"{gt_features.num_frames}"
         )
-    hidden = encode(tokens, params, config, train=train, rng=rng)
-    log_durs = predict_durations(hidden, params, config, train=train, rng=rng)
+    hidden = encode(tokens, params, config, rng)
+    log_durs = predict_durations(hidden, params, config, rng)
     expanded = length_regulate(hidden, tokens.gt_phoneme_durations)
     note_logf0, nonrest = frame_pitch_arrays(tokens, tokens.gt_phoneme_durations)
-    dec = decode(expanded, note_logf0, nonrest, params, config, train=train, rng=rng)
+    dec = decode(expanded, note_logf0, nonrest, params, config, rng)
     return TrainForward(log_durations=log_durs, decoder=dec)
 
 
@@ -296,7 +292,7 @@ def _synthesize_from_hidden(tokens: PhonemeTokenSequence, hidden: Node,
                             durations) -> AcousticFeatureSequence:
     expanded = length_regulate(hidden, durations)
     note_logf0, nonrest = frame_pitch_arrays(tokens, durations)
-    dec = decode(expanded, note_logf0, nonrest, params, config, train=False)
+    dec = decode(expanded, note_logf0, nonrest, params, config)
     return AcousticFeatureSequence(
         mgc=dec.mgc.value, bap=dec.bap.value,
         logf0=dec.logf0.value, vuv=dec.vuv_prob.value,
@@ -310,7 +306,7 @@ def synthesize_with_durations(tokens: PhonemeTokenSequence,
     for frame-aligned evaluation). Runs graph-free, like every inference
     entry point here."""
     with ad.no_grad():
-        hidden = encode(tokens, params, config, train=False)
+        hidden = encode(tokens, params, config)
         return _synthesize_from_hidden(tokens, hidden, params, config, durations)
 
 
@@ -318,9 +314,8 @@ def predicted_durations(tokens: PhonemeTokenSequence, params: ModelParameters,
                         config: ModelConfig) -> np.ndarray:
     """Free-running integer duration predictions."""
     with ad.no_grad():
-        hidden = encode(tokens, params, config, train=False)
-        return decode_durations(predict_durations(hidden, params, config,
-                                                  train=False).value)
+        hidden = encode(tokens, params, config)
+        return decode_durations(predict_durations(hidden, params, config).value)
 
 
 def synthesize(tokens: PhonemeTokenSequence, params: ModelParameters,
@@ -332,9 +327,8 @@ def synthesize(tokens: PhonemeTokenSequence, params: ModelParameters,
     ``durations`` is given (e.g. ground truth, for frame-aligned
     evaluation); then the features are aligned to those."""
     with ad.no_grad():
-        hidden = encode(tokens, params, config, train=False)
-        predicted = decode_durations(predict_durations(hidden, params, config,
-                                                       train=False).value)
+        hidden = encode(tokens, params, config)
+        predicted = decode_durations(predict_durations(hidden, params, config).value)
         feats = _synthesize_from_hidden(
             tokens, hidden, params, config,
             predicted if durations is None else durations)

@@ -72,9 +72,6 @@ class TrainConfig:
         values.update(overrides)
         return cls(**values)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
         data = dict(data)
@@ -195,15 +192,13 @@ def batch_counts(batch: Batch) -> dict[str, int]:
 
 def utterance_loss(params: ModelParameters, batch: Batch, i: int,
                    counts: dict[str, int], config: ModelConfig,
-                   weights: LossWeights, train: bool = True,
-                   rng: np.random.Generator | None = None
+                   weights: LossWeights, rng: np.random.Generator | None = None
                    ) -> tuple[Node, dict[str, Node]]:
     """Utterance i's share L_i = sum_c w_c * sum_{c,i} / N_c of the batch
     objective (``counts`` from :func:`batch_counts`), in a graph of its own;
-    ``rng`` drives its dropout."""
+    ``rng`` drives its dropout, and without one there is none."""
     gt_durations, spans, gt, nonrest = _ground_truth(batch, i)
-    fwd = forward_train(batch.items[i].tokens, gt, params, config,
-                        train=train, rng=rng)
+    fwd = forward_train(batch.items[i].tokens, gt, params, config, rng)
     return utterance_share(loss_terms(fwd, gt_durations, spans, gt, nonrest),
                            counts, weights)
 
@@ -219,12 +214,15 @@ def batch_loss(params: ModelParameters, batch: Batch, config: ModelConfig,
                ) -> tuple[Node, dict[str, Node]]:
     """The training objective: the sum over utterances, in batch order, of
     :func:`utterance_loss`, which makes each component the mean over every
-    valid element in the batch. ``rngs[i]`` drives utterance i's dropout."""
+    valid element in the batch. ``rngs[i]`` drives utterance i's dropout,
+    which ``train=False`` turns off and training mode cannot run without."""
+    if train and rngs is None and config.dropout > 0.0:
+        raise ValueError("training-mode batch_loss needs rngs for dropout")
     counts = batch_counts(batch)
     total, comps = None, None
     for i in range(len(batch.items)):
         loss, parts = utterance_loss(params, batch, i, counts, config, weights,
-                                     train, None if rngs is None else rngs[i])
+                                     rngs[i] if train and rngs is not None else None)
         if total is None:
             total, comps = loss, parts
         else:
@@ -298,13 +296,14 @@ class GradientExchange:
 def utterance_gradients(params: ModelParameters, batch: Batch,
                         positions: Iterable[int], counts: dict[str, int],
                         config: ModelConfig, weights: LossWeights,
-                        exchange: GradientExchange | None, train: bool = True,
+                        exchange: GradientExchange | None,
                         rngs: Sequence[np.random.Generator] | None = None
                         ) -> list[tuple[int, float, dict[str, float]]]:
     """Run ``ad.backward`` on :func:`utterance_loss` of each batch position
     in turn. Without an exchange the gradients add up in the parameters'
     ``.grad`` in that order; with one, each is taken from zero and stored
-    in ``exchange`` row i. Returns (i, L_i, its component values) per
+    in ``exchange`` row i. ``rngs[i]`` drives position i's dropout, and
+    without rngs there is none. Returns (i, L_i, its component values) per
     position; a non-finite L_i is not differentiated, as that step is
     abandoned."""
     out = []
@@ -313,7 +312,7 @@ def utterance_gradients(params: ModelParameters, batch: Batch,
             for node in params.values():
                 node.grad = None
         loss, comps = utterance_loss(params, batch, i, counts, config, weights,
-                                     train, None if rngs is None else rngs[i])
+                                     None if rngs is None else rngs[i])
         value = loss.item()
         if math.isfinite(value):
             ad.backward(loss)
@@ -355,8 +354,8 @@ class _Replica:
               counts: dict[str, int]):
         return utterance_gradients(
             self.params, batch, positions, counts, self.config.model,
-            self.config.loss_weights, self.exchange, train=True,
-            rngs=dropout_rngs(self.config.seed, step, len(batch.items)))
+            self.config.loss_weights, self.exchange,
+            dropout_rngs(self.config.seed, step, len(batch.items)))
 
 
 _WORKER_REPLICA: _Replica | None = None   # set in each worker process
@@ -432,7 +431,6 @@ class TrainResult:
 def train(config: TrainConfig, corpus: Sequence[Utterance],
           resume_from: Checkpoint | None = None,
           log_stream: IO[str] | None = None,
-          extra_config: dict | None = None,
           on_start: Callable[[], None] | None = None) -> TrainResult:
     """Run Adam updates until config.total_steps, logging one record per step.
 
@@ -467,9 +465,6 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
 
     if on_start is not None:
         on_start()
-    config_echo = {"train": config.to_dict()}
-    if extra_config:
-        config_echo.update(extra_config)
 
     workers = worker_count(config.batch_size)
     exchange = (GradientExchange(params, config.batch_size) if workers > 1
@@ -500,7 +495,7 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
         params={k: node.value.copy() for k, node in params.items()},
         adam_m={k: v.copy() for k, v in adam.m.items()},
         adam_v={k: v.copy() for k, v in adam.v.items()},
-        config=config_echo,
+        config={"train": asdict(config)},
     )
     return TrainResult(checkpoint=final, records=records)
 

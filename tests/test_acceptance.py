@@ -153,12 +153,12 @@ def _full_model_gradient_check():
         node.grad = None
     for i in range(len(corpus)):
         share, _ = utterance_loss(params, batch, i, counts, GRAD_CHECK_MODEL,
-                                  weights, train=False)
+                                  weights)
         ad.backward(share)
     accumulated = {name: node.grad for name, node in params.items()}
     exchange = GradientExchange(params, len(corpus))
     utterance_gradients(params, batch, range(len(corpus)), counts,
-                        GRAD_CHECK_MODEL, weights, exchange, train=False)
+                        GRAD_CHECK_MODEL, weights, exchange)
     exchange.reduce(params)
     for name, node in params.items():
         assert accumulated[name] is not None, f"no gradient on {name}"
@@ -248,7 +248,7 @@ def test_criterion_4_loss_composition_and_masking():
     sums = {k: 0.0 for k in comps}
     counts = {k: 0 for k in comps}
     for utt in corpus:
-        fwd = forward_train(utt.tokens, utt.features, params, config, train=False)
+        fwd = forward_train(utt.tokens, utt.features, params, config)
         gt_dur = np.asarray(utt.tokens.gt_phoneme_durations, float)
         sums["L_pd"] += np.abs(fwd.log_durations.value - np.log(gt_dur + 1)).sum()
         counts["L_pd"] += len(gt_dur)

@@ -55,13 +55,18 @@ def _fake_forward(rng, t, log_durations=(1.0, 2.0), logit_value=None):
                         decoder=_fake_decoder_output(rng, t, logit_value))
 
 
-def pooled(terms, weights):
+def pooled(cases, weights):
     """Every utterance's share of the batch objective, summed in batch order
-    as training.batch_loss sums them."""
-    counts = {name: sum(t[name][1] for t in terms) for name in LOSS_NAMES}
-    total, comps = utterance_share(terms[0], counts, weights)
-    for t in terms[1:]:
-        share, parts = utterance_share(t, counts, weights)
+    as training.batch_loss sums them; a case holds the arguments of
+    loss_terms, (forward, durations, spans, ground truth, non-rest mask)."""
+    counts = dict.fromkeys(LOSS_NAMES, 0)
+    for _, *truth in cases:
+        for name, count in loss_counts(*truth).items():
+            counts[name] += count
+    shares = [utterance_share(loss_terms(*case), counts, weights)
+              for case in cases]
+    total, comps = shares[0]
+    for share, parts in shares[1:]:
         total = ad.add(total, share)
         comps = {k: ad.add(comps[k], parts[k]) for k in LOSS_NAMES}
     return total, comps
@@ -69,7 +74,7 @@ def pooled(terms, weights):
 
 def utterance_loss(fwd, gt_durations, spans, gt, nonrest, weights):
     """One utterance's component means and weighted total."""
-    return pooled([loss_terms(fwd, gt_durations, spans, gt, nonrest)], weights)
+    return pooled([(fwd, gt_durations, spans, gt, nonrest)], weights)
 
 
 def test_loss_weights_validation():
@@ -85,10 +90,12 @@ def test_duration_loss_syllable_term(rng):
     t = 8
     fwd = _fake_forward(rng, t, log_domain([3.0, 4.0]))
     gt = _fake_gt(rng, t)
+    counts = loss_counts([3, 5], [(0, 2)], gt, np.ones(t))
+    assert counts["L_sd"] == 1 and counts["L_pd"] == 2
     terms = loss_terms(fwd, [3, 5], [(0, 2)], gt, np.ones(t))
-    assert terms["L_sd"][1] == 1 and terms["L_pd"][1] == 2
-    assert terms["L_sd"][0].item() == pytest.approx(1.0, rel=1e-12)
-    total, comps = pooled([terms], LossWeights(**ONLY_DURATIONS))
+    assert terms["L_sd"].item() == pytest.approx(1.0, rel=1e-12)
+    total, comps = utterance_loss(fwd, [3, 5], [(0, 2)], gt, np.ones(t),
+                                  LossWeights(**ONLY_DURATIONS))
     assert comps["L_sd"].item() == pytest.approx(1.0, rel=1e-12)
     expected_pd = abs(math.log(5.0) - math.log(6.0)) / 2
     assert comps["L_pd"].item() == pytest.approx(expected_pd, rel=1e-12)
@@ -178,18 +185,18 @@ def test_f0_loss_ignores_unvoiced_frames(rng):
     logf0 = gt.logf0.copy()
     logf0[5:] = 1e6
     fwd.decoder.logf0 = ad.constant(logf0)
-    terms = loss_terms(fwd, [5, 5], [(0, 2)], gt, np.ones(t))
-    assert terms["L_f"][1] == 5
-    _, comps = pooled([terms], LossWeights())
+    assert loss_counts([5, 5], [(0, 2)], gt, np.ones(t))["L_f"] == 5
+    _, comps = utterance_loss(fwd, [5, 5], [(0, 2)], gt, np.ones(t),
+                              LossWeights())
     assert comps["L_f"].item() == 0.0
 
 
 def test_f0_loss_defined_for_all_unvoiced(rng):
     t = 6
     gt = _fake_gt(rng, t, vuv=np.zeros(t))
-    terms = loss_terms(_fake_forward(rng, t), [3, 3], [(0, 2)], gt, np.ones(t))
-    assert terms["L_f"][1] == 0
-    total, comps = pooled([terms], LossWeights())
+    assert loss_counts([3, 3], [(0, 2)], gt, np.ones(t))["L_f"] == 0
+    total, comps = utterance_loss(_fake_forward(rng, t), [3, 3], [(0, 2)], gt,
+                                  np.ones(t), LossWeights())
     assert comps["L_f"].item() == 0.0
     assert math.isfinite(total.item())
 
@@ -204,7 +211,7 @@ def test_decoder_loss_component_sum_oracle(rng):
         fwd = _fake_forward(rng, t, rng.normal(size=len(durations)))
         cases.append((fwd, durations, spans, _fake_gt(rng, t, vuv=vuv),
                       (rng.random(t) > 0.2).astype(float)))
-    total, comps = pooled([loss_terms(*case) for case in cases], weights)
+    total, comps = pooled(cases, weights)
 
     sums = dict.fromkeys(LOSS_NAMES, 0.0)
     counts = dict.fromkeys(LOSS_NAMES, 0)
@@ -244,7 +251,27 @@ def test_loss_counts_come_from_ground_truth_alone(rng):
                       "L_u": 9}
     terms = loss_terms(_fake_forward(rng, t, rng.normal(size=3)), [2, 3, 4],
                        [(0, 2), (2, 3)], gt, nonrest)
-    assert {name: count for name, (_, count) in terms.items()} == counts
+    assert tuple(terms) == LOSS_NAMES
+
+
+def test_all_unvoiced_share_in_a_voiced_batch_keeps_its_total_bits(rng):
+    # the unvoiced utterance's L_f sum is a constant 0 that its share adds as
+    # w_f * 0.0, so its total has the bits of its other five terms
+    weights = LossWeights(w_pd=0.9, w_sd=1.7, w_m=0.7, w_b=1.3, w_f=2.0, w_u=0.5)
+    voiced = (_fake_forward(rng, 9, rng.normal(size=3)), [2, 3, 4],
+              [(0, 2), (2, 3)], _fake_gt(rng, 9, vuv=np.ones(9)), np.ones(9))
+    unvoiced = (_fake_forward(rng, 5), [1, 4], [(0, 2)],
+                _fake_gt(rng, 5, vuv=np.zeros(5)), np.ones(5))
+    counts = {name: loss_counts(*voiced[1:])[name] + loss_counts(*unvoiced[1:])[name]
+              for name in LOSS_NAMES}
+    assert counts["L_f"] > 0 and loss_counts(*unvoiced[1:])["L_f"] == 0
+    total, comps = utterance_share(loss_terms(*unvoiced), counts, weights)
+    assert comps["L_f"].item() == 0.0
+    expected = 0.0
+    for name in LOSS_NAMES:
+        if name != "L_f":
+            expected += getattr(weights, "w_" + name[2:]) * comps[name].item()
+    assert total.item() == expected
 
 
 def test_bce_with_logits_stable_at_extremes():
@@ -280,7 +307,7 @@ def test_total_loss_additivity(tiny_config):
 
 def test_total_loss_zero_when_all_components_zero(tiny_config):
     tokens, gt, params, _ = _training_setup(tiny_config)
-    fwd = forward_train(tokens, gt, params, tiny_config, train=False)
+    fwd = forward_train(tokens, gt, params, tiny_config)
     perfect = TrainForward(
         log_durations=ad.constant(log_domain(tokens.gt_phoneme_durations)),
         decoder=fwd.decoder,

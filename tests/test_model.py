@@ -240,7 +240,7 @@ def test_forward_train_matches_inference_when_durations_agree(lexicon, tiny_conf
     feats, durations = synthesize(tokens, params, tiny_config)
     tokens.gt_phoneme_durations = durations.tolist()
     gt = _gt_features_for(tokens, rng)
-    fwd = forward_train(tokens, gt, params, tiny_config, train=False)
+    fwd = forward_train(tokens, gt, params, tiny_config)
     np.testing.assert_array_equal(fwd.decoder.mgc.value, feats.mgc)
     np.testing.assert_array_equal(fwd.decoder.logf0.value, feats.logf0)
     np.testing.assert_array_equal(fwd.decoder.vuv_prob.value, feats.vuv)
@@ -261,8 +261,7 @@ def test_synthesize_matches_recorded_forward_on_a_long_song(lexicon):
     t = feats.num_frames
     assert t > 2 * ad._ATTENTION_BLOCK_ELEMENTS // (config.attention_heads * t)
     tokens.gt_phoneme_durations = durations.tolist()
-    fwd = forward_train(tokens, _gt_features_for(tokens, rng), params, config,
-                        train=False)
+    fwd = forward_train(tokens, _gt_features_for(tokens, rng), params, config)
     assert fwd.decoder.mgc.requires_grad
     np.testing.assert_array_equal(decode_durations(fwd.log_durations.value),
                                   durations)
@@ -296,7 +295,7 @@ def test_forward_train_rejects_frame_mismatch(lexicon, tiny_config):
     gt = _gt_features_for(tokens, rng)
     tokens.gt_phoneme_durations[0] = 4  # off by one frame
     with pytest.raises(ValueError):
-        forward_train(tokens, gt, params, tiny_config, train=False)
+        forward_train(tokens, gt, params, tiny_config)
 
 
 def test_gradient_reaches_every_parameter_tensor(lexicon, tiny_config):
@@ -305,7 +304,7 @@ def test_gradient_reaches_every_parameter_tensor(lexicon, tiny_config):
     tokens = make_tokens(lexicon)
     tokens.gt_phoneme_durations = [int(d) for d in rng.integers(2, 6, size=len(tokens))]
     gt = _gt_features_for(tokens, rng)
-    fwd = forward_train(tokens, gt, params, tiny_config, train=False)
+    fwd = forward_train(tokens, gt, params, tiny_config)
     probe = ad.reduce_sum(fwd.decoder.mgc)
     for part in (fwd.decoder.bap, fwd.decoder.logf0, fwd.decoder.vuv_prob,
                  fwd.log_durations):
@@ -355,8 +354,14 @@ def test_synthesize_with_given_durations_aligns_to_them(lexicon, tiny_config):
         assert getattr(feats, name).tobytes() == getattr(expected, name).tobytes()
 
 
-def test_train_mode_requires_rng(lexicon, tiny_config):
+def test_dropout_runs_exactly_when_an_rng_is_given(lexicon, tiny_config):
     params = init_params(tiny_config, np.random.default_rng(0))
     tokens = make_tokens(lexicon)
-    with pytest.raises(ValueError):
-        encode(tokens, params, tiny_config, train=True)
+    assert tiny_config.dropout > 0.0
+    plain = encode(tokens, params, tiny_config).value
+    with ad.no_grad():
+        inference = encode(tokens, params, tiny_config).value
+    assert plain.tobytes() == inference.tobytes()
+    dropped = encode(tokens, params, tiny_config, np.random.default_rng(1)).value
+    assert dropped.shape == plain.shape
+    assert not np.array_equal(dropped, plain)

@@ -162,6 +162,19 @@ def test_loss_ignores_padding_and_unvoiced_logf0():
     assert total_a.item() == total_b.item()  # bit-identical
 
 
+def test_training_mode_batch_loss_needs_rngs_when_the_model_drops_out():
+    batch = assemble_batch([make_utterance(0)])
+    params = init_params(TINY_MODEL, np.random.default_rng(0))
+    assert TINY_MODEL.dropout > 0.0
+    with pytest.raises(ValueError, match="needs rngs"):
+        batch_loss(params, batch, TINY_MODEL, LossWeights(), train=True)
+    # without dropout there is nothing to draw: training mode equals eval mode
+    plain = dataclasses.replace(TINY_MODEL, dropout=0.0)
+    total, _ = batch_loss(params, batch, plain, LossWeights(), train=True)
+    evaluated, _ = batch_loss(params, batch, TINY_MODEL, LossWeights(), train=False)
+    assert total.item() == evaluated.item()
+
+
 # --- the loop -----------------------------------------------------------------
 
 def test_validate_corpus_reports_each_bad_utterance():
