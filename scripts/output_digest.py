@@ -10,56 +10,47 @@ The sequence is: ``gen-data`` twice (the second corpus sings the same scores
 with deeper vibrato, so its features align frame for frame with the
 first's), ``train`` on one CPU, ``train`` on every CPU, a 3-step ``train``
 resumed for 3 more, ``synth`` of one score, and ``eval`` over the manifest
-and in ``--pair`` mode. Each command runs in a forked child of this
-process. The report gives each command's exit code and stdout, with OUT_DIR
-replaced by ``<OUT>``, then one ``sha256  relative/path`` line per file
-under OUT_DIR, sorted by path. OUT_DIR must be empty or not exist.
+and in ``--pair`` mode. The report gives each command's exit code and
+stdout, with OUT_DIR replaced by ``<OUT>``, then one ``sha256  path`` line
+per file under OUT_DIR, sorted by path relative to it. OUT_DIR must be
+empty or not exist.
 """
 
 import argparse
 import hashlib
 import os
+import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from singsynth.cli import main as cli
-
+SRC = Path(__file__).resolve().parent.parent / "src"
 SONGS = 6
 SEED = 3
 STEPS = 6
 
+# Each command runs in a fresh interpreter that puts this checkout's src
+# first on sys.path, restricts itself to the CPUs in argv[2] (a comma list,
+# or empty for no restriction) and runs the singsynth command line after it.
+CHILD = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+if sys.argv[2]:
+    os.sched_setaffinity(0, {int(cpu) for cpu in sys.argv[2].split(",")})
+from singsynth.cli import main
+sys.exit(main(sys.argv[3:]))
+"""
 
-def run(argv, out: Path, cpus=None) -> list[str]:
-    """Run ``singsynth argv`` in a forked child, restricted to ``cpus`` if
-    given; returns the report lines: the command, its exit code and its
-    stdout."""
-    read_fd, write_fd = os.pipe()
-    sys.stdout.flush()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            os.dup2(write_fd, 1)
-            if cpus is not None:
-                os.sched_setaffinity(0, cpus)
-            code = cli(argv)
-        except SystemExit as exc:   # argparse rejected argv
-            code = exc.code
-        finally:
-            sys.stdout.flush()
-            os._exit(code)
-    os.close(write_fd)
-    with os.fdopen(read_fd, encoding="utf-8") as pipe:
-        stdout = pipe.read()
-    _, status = os.waitpid(pid, 0)
+
+def run(argv, out: Path, cpus=()) -> list[str]:
+    """Run ``singsynth argv`` on ``cpus`` (all if empty); returns the report
+    lines: the command, its exit code and its stdout."""
+    cpu_list = ",".join(str(cpu) for cpu in sorted(cpus))
+    proc = subprocess.run([sys.executable, "-c", CHILD, str(SRC), cpu_list,
+                           *argv], stdout=subprocess.PIPE, text=True)
     placeholder = lambda text: text.replace(str(out), "<OUT>")
-    where = "" if cpus is None else f" (cpus {len(cpus)})"
+    where = f" (cpus {len(cpus)})" if cpus else ""
     return ([f"$ singsynth {placeholder(' '.join(argv))}{where}",
-             f"exit {os.waitstatus_to_exitcode(status)}"]
-            + placeholder(stdout).splitlines())
+             f"exit {proc.returncode}"] + placeholder(proc.stdout).splitlines())
 
 
 def digest(root: Path) -> list[str]:
@@ -86,27 +77,25 @@ def main():
         return ["train", "--manifest", manifest, "--steps", str(steps),
                 "--seed", str(SEED), "--out", str(out / run_dir), *extra]
 
-    commands = [
-        (["gen-data", "--out", str(corpus), "--songs", str(SONGS),
-          "--seed", str(SEED)], None),
-        (["gen-data", "--out", str(out / "corpus_vibrato"), "--songs", "1",
-          "--seed", str(SEED), "--set", "vibrato_depth_log", "0.06"], None),
-        (train("train_one_cpu", STEPS), {min(os.sched_getaffinity(0))}),
-        (train("train_all_cpus", STEPS), None),
-        (train("resumed", STEPS // 2), None),
-        (train("resumed", STEPS, "--resume",
-               str(out / "resumed" / "checkpoint.bin")), None),
-        (["synth", "--score", str(corpus / "scores" / f"{song}.score"),
-          "--checkpoint", ckpt, "--out", str(out / f"{song}_synth.feat")], None),
-        (["eval", "--manifest", manifest, "--checkpoint", ckpt,
-          "--split", "all", "--out", str(out / "eval_manifest")], None),
-        (["eval", "--out", str(out / "eval_pair"),
-          "--pair", str(out / "corpus_vibrato" / "features" / f"{song}.feat"),
-          str(corpus / "features" / f"{song}.feat")], None),
-    ]
-    lines = []
-    for argv, cpus in commands:
-        lines += run(argv, out, cpus)
+    lines = run(["gen-data", "--out", str(corpus), "--songs", str(SONGS),
+                 "--seed", str(SEED)], out)
+    lines += run(["gen-data", "--out", str(out / "corpus_vibrato"),
+                  "--songs", "1", "--seed", str(SEED),
+                  "--set", "vibrato_depth_log", "0.06"], out)
+    lines += run(train("train_one_cpu", STEPS), out,
+                 {min(os.sched_getaffinity(0))})
+    lines += run(train("train_all_cpus", STEPS), out)
+    lines += run(train("resumed", STEPS // 2), out)
+    lines += run(train("resumed", STEPS, "--resume",
+                       str(out / "resumed" / "checkpoint.bin")), out)
+    lines += run(["synth", "--score", str(corpus / "scores" / f"{song}.score"),
+                  "--checkpoint", ckpt,
+                  "--out", str(out / f"{song}_synth.feat")], out)
+    lines += run(["eval", "--manifest", manifest, "--checkpoint", ckpt,
+                  "--split", "all", "--out", str(out / "eval_manifest")], out)
+    lines += run(["eval", "--out", str(out / "eval_pair"), "--pair",
+                  str(out / "corpus_vibrato" / "features" / f"{song}.feat"),
+                  str(corpus / "features" / f"{song}.feat")], out)
     lines += digest(out)
     print("\n".join(lines))
 

@@ -225,13 +225,17 @@ def save_token_sidecar(path, tokens: PhonemeTokenSequence) -> None:
 
 
 def load_token_sidecar(path) -> PhonemeTokenSequence:
+    """A sidecar's token sequence; every ValueError names the file."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            row = [int(x) for x in line.split("\t")]
+            try:
+                row = [int(x) for x in line.split("\t")]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
             if len(row) != 5:
                 raise ValueError(f"{path}:{line_no}: expected 5 tab-separated "
                                  f"integers, got {len(row)}")
@@ -246,11 +250,14 @@ def load_token_sidecar(path) -> PhonemeTokenSequence:
         if i == len(rows) or syllable_index[i] != syllable_index[i - 1]:
             spans.append((start, i))
             start = i
-    return PhonemeTokenSequence(
-        phoneme_ids=list(columns[0]), pitch_ids=list(columns[1]),
-        note_frame_counts=list(columns[2]), syllable_spans=spans,
-        gt_phoneme_durations=list(columns[3]),
-    )
+    try:
+        return PhonemeTokenSequence(
+            phoneme_ids=list(columns[0]), pitch_ids=list(columns[1]),
+            note_frame_counts=list(columns[2]), syllable_spans=spans,
+            gt_phoneme_durations=list(columns[3]),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_manifest(path, manifest: CorpusManifest) -> None:
@@ -273,9 +280,8 @@ def load_manifest(path) -> CorpusManifest:
             entries.append(ManifestEntry(*parts))
     manifest = CorpusManifest(base_dir=path.parent, entries=entries)
     missing = [
-        e.score_path for e in entries
-        if not (manifest.base_dir / e.score_path).exists()
-        or not (manifest.base_dir / e.feature_path).exists()
+        rel for e in entries for rel in (e.score_path, e.feature_path)
+        if not (manifest.base_dir / rel).exists()
     ]
     if missing:
         raise FileNotFoundError(

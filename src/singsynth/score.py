@@ -286,6 +286,11 @@ class PhonemeTokenSequence:
             raise ValueError("token sequence is empty")
         if len(self.pitch_ids) != n or len(self.note_frame_counts) != n:
             raise ValueError("parallel token lists have different lengths")
+        if min(self.phoneme_ids) < 0:
+            raise ValueError(f"phoneme id {min(self.phoneme_ids)} is negative")
+        for pitch in self.pitch_ids:
+            if not 0 <= pitch <= 127:
+                raise ValueError(f"pitch id {pitch} out of range [0, 127]")
         if any(c < 1 for c in self.note_frame_counts):
             raise ValueError("note frame counts must all be >= 1")
         cursor = 0

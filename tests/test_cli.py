@@ -1,5 +1,6 @@
 import math
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,23 @@ def test_synth_rejects_mismatched_lexicon(tmp_path, corpus_dir, run_dir, capsys)
                  "--out", str(tmp_path / "x.feat")])
     assert code == 1
     assert "vocabulary" in capsys.readouterr().err
+
+
+def test_train_rejects_out_of_range_sidecar_before_writing(tmp_path, corpus_dir,
+                                                           capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    sidecar = corpus / "features" / "song_0002.feat.tokens.tsv"
+    rows = [line.split("\t") for line in sidecar.read_text().splitlines()]
+    rows[0][1] = "200"
+    sidecar.write_text("".join("\t".join(row) + "\n" for row in rows))
+    run = tmp_path / "run"
+    code = main(["train", "--manifest", str(corpus / "manifest.tsv"),
+                 "--out", str(run), "--steps", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(sidecar) in err and "pitch id 200" in err
+    assert not run.exists()
 
 
 def test_train_resume_continues_step_counter(tmp_path, corpus_dir):

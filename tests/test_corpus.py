@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -181,11 +182,44 @@ def test_manifest_round_trip(tmp_path, lexicon):
 
 
 def test_manifest_rejects_missing_files(tmp_path, lexicon):
+    # the error names the file that is missing, feature file or score
     generate_corpus(3, seed=1, config=OracleConfig(seed=1), out_dir=tmp_path,
                     lexicon=lexicon)
-    (tmp_path / "features" / "song_0001.feat").unlink()
-    with pytest.raises(FileNotFoundError):
-        load_manifest(tmp_path / "manifest.tsv")
+    for rel in ("features/song_0001.feat", "scores/song_0000.score"):
+        (tmp_path / rel).unlink()
+        with pytest.raises(FileNotFoundError, match=f"first: {rel}$"):
+            load_manifest(tmp_path / "manifest.tsv")
+
+
+def _sidecar_with(tmp_path, lexicon, column, value):
+    """A valid sidecar with one field of its first row replaced."""
+    tokens, _ = oracle_sing(parse_score("tempo 120\nla 69 0.5\n- 0 0.5\n"),
+                            lexicon, OracleConfig())
+    path = tmp_path / "x.feat.tokens.tsv"
+    save_token_sidecar(path, tokens)
+    rows = [line.split("\t") for line in path.read_text().splitlines()]
+    rows[0][column] = value
+    path.write_text("".join("\t".join(row) + "\n" for row in rows))
+    return path
+
+
+@pytest.mark.parametrize("column, value, message", [
+    (1, "200", "pitch id 200 out of range"),
+    (1, "-1", "pitch id -1 out of range"),
+    (0, "-4", "phoneme id -4 is negative"),
+    (2, "x", ":1: invalid literal"),
+])
+def test_token_sidecar_rejects_bad_ids_naming_the_file(tmp_path, lexicon, column,
+                                                      value, message):
+    path = _sidecar_with(tmp_path, lexicon, column, value)
+    with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + message):
+        load_token_sidecar(path)
+
+
+def test_token_sidecar_accepts_the_whole_pitch_range(tmp_path, lexicon):
+    for pitch in (0, 127):
+        path = _sidecar_with(tmp_path, lexicon, 1, str(pitch))
+        assert load_token_sidecar(path).pitch_ids[0] == pitch
 
 
 def test_random_scores_parse_and_have_advertised_shape(lexicon):
