@@ -13,7 +13,8 @@ resumed for 3 more, ``synth`` of one score, and ``eval`` over the manifest
 and in ``--pair`` mode. The report gives each command's exit code and
 stdout, with OUT_DIR replaced by ``<OUT>``, then one ``sha256  path`` line
 per file under OUT_DIR, sorted by path relative to it. OUT_DIR must be
-empty or not exist.
+empty or not exist. The commands run without the BLAS thread variables of
+the calling shell.
 """
 
 import argparse
@@ -27,6 +28,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SONGS = 6
 SEED = 3
 STEPS = 6
+# Left out of each command's environment, so that the report shows the BLAS
+# thread setting the package makes itself and not the calling shell's.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Each command runs in a fresh interpreter that puts this checkout's src
 # first on sys.path, restricts itself to the CPUs in argv[2] (a comma list,
@@ -45,8 +49,9 @@ def run(argv, out: Path, cpus=()) -> list[str]:
     """Run ``singsynth argv`` on ``cpus`` (all if empty); returns the report
     lines: the command, its exit code and its stdout."""
     cpu_list = ",".join(str(cpu) for cpu in sorted(cpus))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     proc = subprocess.run([sys.executable, "-c", CHILD, str(SRC), cpu_list,
-                           *argv], stdout=subprocess.PIPE, text=True)
+                           *argv], stdout=subprocess.PIPE, text=True, env=env)
     placeholder = lambda text: text.replace(str(out), "<OUT>")
     where = f" (cpus {len(cpus)})" if cpus else ""
     return ([f"$ singsynth {placeholder(' '.join(argv))}{where}",

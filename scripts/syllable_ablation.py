@@ -9,16 +9,17 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+# singsynth first: importing it sets the BLAS thread count numpy loads with
 from singsynth.corpus import OracleConfig, generate_corpus, load_corpus_items
 from singsynth.losses import LossWeights
 from singsynth.metrics import rmse_corr
 from singsynth.model import predicted_durations
 from singsynth.score import demo_lexicon
 from singsynth.training import TrainConfig, params_from_checkpoint, train
+
+import numpy as np
 
 
 def syllable_errors(items, params, model_config):

@@ -1,11 +1,12 @@
-"""Little-endian binary container primitives shared by the feature and
-checkpoint file formats: named float64 tensors with explicit shapes."""
+"""Little-endian binary container primitives (named float64 tensors with
+explicit shapes) for feature and checkpoint files, and the atomic writer."""
 
 from __future__ import annotations
 
 import math
 import os
 import struct
+from contextlib import contextmanager
 from typing import BinaryIO
 
 import numpy as np
@@ -13,6 +14,21 @@ import numpy as np
 
 class ContainerError(ValueError):
     pass
+
+
+@contextmanager
+def atomic_open(path, mode: str = "wb", encoding: str | None = None):
+    """Write ``path`` through a temporary sibling renamed over it at the end
+    of the block; a missing directory raises FileNotFoundError naming it."""
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    try:
+        fh = open(tmp, mode, encoding=encoding)
+    except FileNotFoundError:
+        raise FileNotFoundError(f"no such directory: {os.path.dirname(path)}") from None
+    with fh:
+        yield fh
+    os.replace(tmp, path)
 
 
 def write_u32(fh: BinaryIO, value: int) -> None:

@@ -4,13 +4,12 @@ JSON echo of the training configuration, in one little-endian binary file."""
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binio import ContainerError, read_exact, read_magic, read_named_tensor, \
-    read_u32, write_magic, write_named_tensor, write_u32
+from .binio import ContainerError, atomic_open, read_exact, read_magic, \
+    read_named_tensor, read_u32, write_magic, write_named_tensor, write_u32
 
 CHECKPOINT_MAGIC = b"SVSCKPT1"
 
@@ -25,22 +24,19 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    path = os.fspath(path)
     config_blob = json.dumps(ckpt.config, sort_keys=True,
                              separators=(",", ":")).encode("utf-8")
     named: list[tuple[str, np.ndarray]] = [("step", np.array([float(ckpt.step)]))]
     named += sorted((f"param.{k}", v) for k, v in ckpt.params.items())
     named += sorted((f"adam_m.{k}", v) for k, v in ckpt.adam_m.items())
     named += sorted((f"adam_v.{k}", v) for k, v in ckpt.adam_v.items())
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
+    with atomic_open(path) as fh:
         write_magic(fh, CHECKPOINT_MAGIC)
         write_u32(fh, len(config_blob))
         fh.write(config_blob)
         write_u32(fh, len(named))
         for name, array in named:
             write_named_tensor(fh, name, array)
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> Checkpoint:

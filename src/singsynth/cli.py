@@ -15,7 +15,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import OracleConfig, generate_corpus, load_corpus_items, \
     load_manifest
 from .features import concatenate_features, load_features, save_features
@@ -25,7 +25,7 @@ from .model import synthesize
 from .score import PhonemeLexicon, demo_lexicon, load_lexicon, parse_score, \
     score_to_tokens
 from .training import CorpusValidationError, TrainConfig, train, \
-    params_from_checkpoint
+    params_from_checkpoint, trained_model_config
 
 
 class CliError(RuntimeError):
@@ -33,11 +33,10 @@ class CliError(RuntimeError):
 
 
 def _scalar_fields(section) -> dict[str, type]:
-    """The int and float fields of one config dataclass, which are its
-    config.txt keys; ``output_dim`` is fixed by the feature layout."""
+    """The int and float fields of one config dataclass: its config.txt keys."""
     hints = get_type_hints(type(section))
     return {f.name: hints[f.name] for f in fields(section)
-            if hints[f.name] in (int, float) and f.name != "output_dim"}
+            if hints[f.name] in (int, float)}
 
 
 # The flat config.txt key space: the scalar fields of the desk configs. One
@@ -101,19 +100,18 @@ def _load_lexicon(args) -> PhonemeLexicon:
     return load_lexicon(args.lexicon) if args.lexicon else demo_lexicon()
 
 
-def _check_vocab(ckpt: Checkpoint, lexicon: PhonemeLexicon) -> None:
+def _trained_model(path, lexicon: PhonemeLexicon):
+    """The parameters and model config of the checkpoint at ``path``, which
+    must have been trained with ``lexicon``'s phoneme vocabulary."""
+    ckpt = load_checkpoint(path)
     stored = ckpt.config.get("phoneme_vocab")
     if stored is not None and tuple(stored) != lexicon.phoneme_vocab:
         raise CliError(
             "checkpoint was trained with a different phoneme vocabulary than "
             "the supplied lexicon"
         )
-
-
-def _model_from_checkpoint(ckpt: Checkpoint):
-    train_cfg = TrainConfig.from_dict(ckpt.config["train"])
-    params = params_from_checkpoint(ckpt, train_cfg.model)
-    return params, train_cfg
+    model = trained_model_config(ckpt)
+    return params_from_checkpoint(ckpt, model), model
 
 
 # ---------------------------------------------------------------------------
@@ -175,12 +173,10 @@ def cmd_train(args) -> int:
 
 def cmd_synth(args) -> int:
     lexicon = _load_lexicon(args)
-    ckpt = load_checkpoint(args.checkpoint)
-    _check_vocab(ckpt, lexicon)
-    params, train_cfg = _model_from_checkpoint(ckpt)
+    params, model = _trained_model(args.checkpoint, lexicon)
     score = parse_score(Path(args.score).read_text(encoding="utf-8"))
     tokens = score_to_tokens(score, lexicon)
-    feats, durations = synthesize(tokens, params, train_cfg.model)
+    feats, durations = synthesize(tokens, params, model)
     save_features(args.out, feats)
     print(args.out)
     print(f"{feats.num_frames} frames from {len(tokens)} phonemes")
@@ -197,10 +193,7 @@ def cmd_eval(args) -> int:
     if args.manifest:
         if not args.checkpoint:
             raise CliError("eval over a manifest needs --checkpoint")
-        lexicon = _load_lexicon(args)
-        ckpt = load_checkpoint(args.checkpoint)
-        _check_vocab(ckpt, lexicon)
-        params, train_cfg = _model_from_checkpoint(ckpt)
+        params, model = _trained_model(args.checkpoint, _load_lexicon(args))
         manifest = load_manifest(args.manifest)
         items = load_corpus_items(manifest, split=args.split)
         if not items:
@@ -209,7 +202,7 @@ def cmd_eval(args) -> int:
                      "(frame-aligned synthesis)")
         notes.append("duration metrics use free-running duration predictions")
         for utt in items:
-            pred, dur_pred = synthesize(utt.tokens, params, train_cfg.model,
+            pred, dur_pred = synthesize(utt.tokens, params, model,
                                         utt.tokens.gt_phoneme_durations)
             rows.append((utt.utt_id, pred, utt.features, dur_pred,
                          np.asarray(utt.tokens.gt_phoneme_durations)))

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .binio import atomic_open
 from .features import AcousticFeatureSequence, BAP_DIM, FRAME_SHIFT_S, MGC_DIM, \
     load_features, save_features
 from .score import VOWELS, MusicalScore, NoteEvent, PhonemeLexicon, \
@@ -204,12 +205,6 @@ def sidecar_path(feature_path) -> str:
     return os.fspath(feature_path) + ".tokens.tsv"
 
 
-def _write_text_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def save_token_sidecar(path, tokens: PhonemeTokenSequence) -> None:
     syllable_index = np.zeros(len(tokens), dtype=np.int64)
     for row, (start, end) in enumerate(tokens.syllable_spans):
@@ -221,7 +216,8 @@ def save_token_sidecar(path, tokens: PhonemeTokenSequence) -> None:
             tokens.note_frame_counts[i], tokens.gt_phoneme_durations[i],
             int(syllable_index[i]),
         ))))
-    _write_text_atomic(Path(path), "\n".join(lines) + "\n")
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_token_sidecar(path) -> PhonemeTokenSequence:
@@ -263,7 +259,8 @@ def load_token_sidecar(path) -> PhonemeTokenSequence:
 def save_manifest(path, manifest: CorpusManifest) -> None:
     lines = [f"{e.score_path}\t{e.feature_path}\t{e.split}"
              for e in manifest.entries]
-    _write_text_atomic(Path(path), "\n".join(lines) + "\n")
+    with atomic_open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_manifest(path) -> CorpusManifest:
@@ -311,7 +308,8 @@ def generate_corpus(n_songs: int, seed: int, config: OracleConfig, out_dir,
         tokens, feats = oracle_sing(score, lexicon, config)
         score_rel = f"scores/song_{i:04d}.score"
         feat_rel = f"features/song_{i:04d}.feat"
-        _write_text_atomic(out_dir / score_rel, serialize_score(score))
+        with atomic_open(out_dir / score_rel, "w", encoding="utf-8") as fh:
+            fh.write(serialize_score(score))
         save_features(out_dir / feat_rel, feats)
         save_token_sidecar(sidecar_path(out_dir / feat_rel), tokens)
         entries.append(ManifestEntry(score_rel, feat_rel, split_by_song[i]))

@@ -4,13 +4,12 @@ voiced/unvoiced value, plus their binary file format."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .binio import ContainerError, read_magic, read_named_tensor, read_u32, \
-    write_magic, write_named_tensor, write_u32
+from .binio import ContainerError, atomic_open, read_magic, read_named_tensor, \
+    read_u32, write_magic, write_named_tensor, write_u32
 
 FRAME_SHIFT_S = 0.015
 MGC_DIM = 60
@@ -72,16 +71,13 @@ def concatenate_features(seqs) -> AcousticFeatureSequence:
 
 def save_features(path, feats: AcousticFeatureSequence) -> None:
     """Write a feature file atomically (temp file + rename)."""
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
+    with atomic_open(path) as fh:
         write_magic(fh, FEATURE_MAGIC)
         write_u32(fh, feats.num_frames)
         write_named_tensor(fh, "mgc", feats.mgc)
         write_named_tensor(fh, "bap", feats.bap)
         write_named_tensor(fh, "logf0", feats.logf0)
         write_named_tensor(fh, "vuv", feats.vuv)
-    os.replace(tmp, path)
 
 
 def load_features(path) -> AcousticFeatureSequence:

@@ -28,7 +28,6 @@ class ModelConfig:
     phoneme_vocab_size: int = 72
     pitch_vocab_size: int = 128
     max_note_frames: int = 512
-    output_dim: int = OUTPUT_DIM
     dropout: float = 0.1
 
     def __post_init__(self):
@@ -37,8 +36,6 @@ class ModelConfig:
                 f"hidden_dim {self.hidden_dim} not divisible by "
                 f"attention_heads {self.attention_heads}"
             )
-        if self.output_dim != OUTPUT_DIM:
-            raise ValueError(f"output_dim must be {OUTPUT_DIM}")
         if self.conv_kernel_size % 2 != 1:
             raise ValueError("conv_kernel_size must be odd")
         if min(self.hidden_dim, self.encoder_blocks, self.decoder_blocks,
@@ -105,9 +102,8 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParameter
     tensors["dur.proj.b"] = ad.parameter(np.zeros(1))
     for i in range(config.decoder_blocks):
         _block_params(rng, f"dec.{i}", config, tensors)
-    tensors["out.w"] = ad.parameter(_xavier(rng, d, config.output_dim,
-                                            (d, config.output_dim)))
-    tensors["out.b"] = ad.parameter(np.zeros(config.output_dim))
+    tensors["out.w"] = ad.parameter(_xavier(rng, d, OUTPUT_DIM, (d, OUTPUT_DIM)))
+    tensors["out.b"] = ad.parameter(np.zeros(OUTPUT_DIM))
     return tensors
 
 
@@ -161,15 +157,10 @@ def encode(tokens: PhonemeTokenSequence, params: ModelParameters,
     stack; returns an N x hidden_dim sequence."""
     phoneme_ids = np.asarray(tokens.phoneme_ids, dtype=np.int64)
     pitch_ids = np.asarray(tokens.pitch_ids, dtype=np.int64)
-    if phoneme_ids.max() >= config.phoneme_vocab_size:
-        raise IndexError(
-            f"phoneme id {phoneme_ids.max()} out of range "
-            f"[0, {config.phoneme_vocab_size})"
-        )
-    if pitch_ids.max() >= config.pitch_vocab_size:
-        raise IndexError(
-            f"pitch id {pitch_ids.max()} out of range [0, {config.pitch_vocab_size})"
-        )
+    for kind, ids, size in (("phoneme", phoneme_ids, config.phoneme_vocab_size),
+                            ("pitch", pitch_ids, config.pitch_vocab_size)):
+        if ids.max() >= size:
+            raise IndexError(f"{kind} id {ids.max()} out of range [0, {size})")
     frame_buckets = np.minimum(
         np.asarray(tokens.note_frame_counts, dtype=np.int64), config.max_note_frames
     )

@@ -25,7 +25,6 @@ from .features import FRAME_SHIFT_S
 REST_SYLLABLE = "-"
 PAD_PHONEME = "pad"
 SILENCE_PHONEME = "sil"
-MAX_PHONEME_VOCAB = 72
 
 # phonemes that carry a melisma and take a note's non-consonant frames
 VOWELS = frozenset("aeiou")
@@ -89,11 +88,6 @@ class PhonemeLexicon:
     phoneme_vocab: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.phoneme_vocab) > MAX_PHONEME_VOCAB:
-            raise LexiconError(
-                f"phoneme vocabulary too large: {len(self.phoneme_vocab)} > "
-                f"{MAX_PHONEME_VOCAB}"
-            )
         if self.phoneme_vocab[:2] != (PAD_PHONEME, SILENCE_PHONEME):
             raise LexiconError(
                 f"vocabulary must start with ({PAD_PHONEME!r}, {SILENCE_PHONEME!r})"
@@ -373,13 +367,15 @@ def score_to_tokens(score: MusicalScore, lexicon: PhonemeLexicon,
     )
 
 
+# natural-log Hz of each pitch ID; 0.0 for the rest marker, pitch 0
+NOTE_LOGF0 = np.array([0.0] + [math.log(midi_to_hz(p)) for p in range(1, 128)])
+
+
 def frame_pitch_arrays(tokens: PhonemeTokenSequence,
                        durations) -> tuple[np.ndarray, np.ndarray]:
     """Expand per-phoneme pitch to frame rate: (note log-F0, non-rest mask)."""
     durations = np.asarray(durations, dtype=np.int64)
     pitches = np.asarray(tokens.pitch_ids, dtype=np.int64)
-    note_logf0 = np.array(
-        [math.log(midi_to_hz(int(p))) if p > 0 else 0.0 for p in pitches]
-    )
+    note_logf0 = NOTE_LOGF0[pitches]
     mask = (pitches > 0).astype(np.float64)
     return np.repeat(note_logf0, durations), np.repeat(mask, durations)

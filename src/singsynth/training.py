@@ -17,9 +17,9 @@ import mmap
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
@@ -71,13 +71,6 @@ class TrainConfig:
                       model=ModelConfig.desk())
         values.update(overrides)
         return cls(**values)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        data = dict(data)
-        data["loss_weights"] = LossWeights(**data.get("loss_weights", {}))
-        data["model"] = ModelConfig(**data.get("model", {}))
-        return cls(**data)
 
 
 def lr_schedule(step: int, hidden_dim: int, warmup_steps: int) -> float:
@@ -563,20 +556,32 @@ def _checked_tensors(tensors: dict[str, np.ndarray], params: ModelParameters,
     return {k: v.copy() for k, v in tensors.items()}
 
 
-def _check_trained_model(ckpt: Checkpoint, model: ModelConfig) -> None:
-    """A resumed run must use the model config the checkpoint was trained
-    with; loss weights and optimizer settings may change."""
+def trained_model_config(ckpt: Checkpoint) -> ModelConfig:
+    """The model config a checkpoint was trained with, from its config echo.
+    Other keys are ignored, as older echoes also hold the output width; a
+    missing echo or field, or one that is not a number, raises ValueError."""
     echo = ckpt.config.get("train")
     trained = echo.get("model") if isinstance(echo, dict) else None
     if not isinstance(trained, dict):
-        raise ValueError("checkpoint has no model config echo to resume from")
-    for f in fields(model):
-        ours, theirs = getattr(model, f.name), trained.get(f.name)
-        if ours != theirs:
-            raise ValueError(
-                f"checkpoint was trained with {f.name} {theirs!r}, "
-                f"run has {f.name} {ours!r}"
-            )
+        raise ValueError("checkpoint has no model config echo in 'train'")
+    values = {}
+    for name, kind in get_type_hints(ModelConfig).items():
+        if name not in trained:
+            raise ValueError(f"checkpoint model config echo lacks {name}")
+        value = values[name] = trained[name]
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            raise ValueError(f"checkpoint model config echo has {name} {value!r}")
+    return ModelConfig(**values)
+
+
+def _check_trained_model(ckpt: Checkpoint, model: ModelConfig) -> None:
+    """A resumed run must use the model config the checkpoint was trained
+    with; loss weights and optimizer settings may change."""
+    trained = asdict(trained_model_config(ckpt))
+    for name, ours in asdict(model).items():
+        if ours != trained[name]:
+            raise ValueError(f"checkpoint was trained with {name} "
+                             f"{trained[name]!r}, run has {name} {ours!r}")
 
 
 def params_from_checkpoint(ckpt: Checkpoint, config: ModelConfig) -> ModelParameters:

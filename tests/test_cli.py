@@ -1,12 +1,16 @@
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from singsynth import cli, model
+from singsynth.checkpoint import load_checkpoint, save_checkpoint
 from singsynth.cli import CONFIG_DEFAULTS, format_config, main, read_config
 from singsynth.features import AcousticFeatureSequence, load_features, save_features
 from singsynth.metrics import REPORT_KEYS
@@ -92,7 +96,7 @@ def test_config_echo_round_trips(run_dir):
 
 def test_config_keys_are_the_desk_config_fields():
     # the scalar fields of TrainConfig.desk(), its ModelConfig and LossWeights
-    # and OracleConfig(), minus output_dim; one seed key for trainer and oracle
+    # and OracleConfig(); one seed key for trainer and oracle
     assert CONFIG_DEFAULTS == {
         "hidden_dim": 32, "encoder_blocks": 1, "decoder_blocks": 1,
         "attention_heads": 2, "conv_kernel_size": 3, "conv_filter_dim": 64,
@@ -266,7 +270,7 @@ def test_synth_frame_count_equals_predicted_duration_sum(tmp_path, corpus_dir,
     from singsynth.checkpoint import load_checkpoint
     from singsynth.model import predicted_durations
     from singsynth.score import demo_lexicon, parse_score, score_to_tokens
-    from singsynth.training import TrainConfig, params_from_checkpoint
+    from singsynth.training import params_from_checkpoint, trained_model_config
 
     score_path = corpus_dir / "scores" / "song_0000.score"
     out = tmp_path / "synth.feat"
@@ -276,10 +280,10 @@ def test_synth_frame_count_equals_predicted_duration_sum(tmp_path, corpus_dir,
     feats = load_features(out)
 
     ckpt = load_checkpoint(run_dir / "checkpoint.bin")
-    config = TrainConfig.from_dict(ckpt.config["train"])
-    params = params_from_checkpoint(ckpt, config.model)
+    config = trained_model_config(ckpt)
+    params = params_from_checkpoint(ckpt, config)
     tokens = score_to_tokens(parse_score(score_path.read_text()), demo_lexicon())
-    durations = predicted_durations(tokens, params, config.model)
+    durations = predicted_durations(tokens, params, config)
     assert feats.num_frames == int(durations.sum())
 
 
@@ -439,3 +443,93 @@ def test_synth_with_truncated_checkpoint_is_runtime_error(tmp_path, corpus_dir,
     assert main(["synth", "--score", str(corpus_dir / "scores" / "song_0000.score"),
                  "--checkpoint", str(broken), "--out", str(tmp_path / "x.feat")]) == 1
     assert "truncated" in capsys.readouterr().err
+
+
+def _edited_checkpoint(run_dir, path, edit):
+    ckpt = load_checkpoint(run_dir / "checkpoint.bin")
+    edit(ckpt.config)
+    save_checkpoint(path, ckpt)
+    return path
+
+
+def test_checkpoint_echo_with_output_width_still_synthesizes_and_resumes(
+        tmp_path, corpus_dir, run_dir):
+    # checkpoints written while the output width was a config field hold
+    # "output_dim": 67 in their echo
+    old = _edited_checkpoint(
+        run_dir, tmp_path / "old.bin",
+        lambda config: config["train"]["model"].update(output_dim=67))
+    score = corpus_dir / "scores" / "song_0000.score"
+    for name, ckpt in (("old.feat", old), ("new.feat", run_dir / "checkpoint.bin")):
+        assert main(["synth", "--score", str(score), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "old.feat").read_bytes() == \
+        (tmp_path / "new.feat").read_bytes()
+    assert main(["train", "--manifest", str(corpus_dir / "manifest.tsv"),
+                 "--out", str(tmp_path / "resumed"), "--steps", "9",
+                 "--seed", "5", "--resume", str(old)]) == 0
+
+
+def test_synth_and_eval_name_a_missing_train_echo(tmp_path, corpus_dir, run_dir,
+                                                  capsys):
+    bare = _edited_checkpoint(run_dir, tmp_path / "bare.bin",
+                              lambda config: config.pop("train"))
+    assert main(["synth", "--score", str(corpus_dir / "scores" / "song_0000.score"),
+                 "--checkpoint", str(bare), "--out", str(tmp_path / "x.feat")]) == 1
+    assert "no model config echo in 'train'" in capsys.readouterr().err
+    assert main(["eval", "--out", str(tmp_path / "e"), "--checkpoint", str(bare),
+                 "--manifest", str(corpus_dir / "manifest.tsv")]) == 1
+    assert "no model config echo in 'train'" in capsys.readouterr().err
+
+
+def test_synth_into_missing_directory_names_it(tmp_path, corpus_dir, run_dir,
+                                               capsys):
+    missing = tmp_path / "missing"
+    assert main(["synth", "--score", str(corpus_dir / "scores" / "song_0000.score"),
+                 "--checkpoint", str(run_dir / "checkpoint.bin"),
+                 "--out", str(missing / "x.feat")]) == 1
+    err = capsys.readouterr().err
+    assert f"no such directory: {missing}\n" in err and ".tmp" not in err
+
+
+def test_lexicon_above_default_vocab_size_needs_a_larger_model(tmp_path, capsys):
+    lexicon = tmp_path / "big.tsv"
+    lexicon.write_text("".join(f"s{k}\tc{k} a\n" for k in range(77)))
+    corpus = tmp_path / "corpus"
+    assert main(["gen-data", "--songs", "3", "--seed", "2", "--out", str(corpus),
+                 "--lexicon", str(lexicon)]) == 0
+    base = ["train", "--manifest", str(corpus / "manifest.tsv"), "--steps", "2",
+            "--lexicon", str(lexicon)]
+    assert main(base + ["--out", str(tmp_path / "small")]) == 1
+    assert "lexicon has 80 phonemes but phoneme_vocab_size is 72" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "small").exists()
+    assert main(base + ["--out", str(tmp_path / "large"),
+                        "--set", "phoneme_vocab_size", "100"]) == 0
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs at least two CPUs")
+def test_cli_train_bytes_do_not_depend_on_cpu_count_without_blas_settings(
+        tmp_path, corpus_dir):
+    # the package itself pins BLAS to one thread, so a shell that sets no
+    # BLAS variable gets the same bits on one CPU as on all of them
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    one_cpu = min(os.sched_getaffinity(0))
+    runs = {}
+    for name, cpus in (("one", {one_cpu}), ("all", None)):
+        out = tmp_path / name
+        subprocess.run(
+            [sys.executable, "-m", "singsynth", "train", "--manifest",
+             str(corpus_dir / "manifest.tsv"), "--steps", "6", "--seed", "5",
+             "--out", str(out)],
+            env=env, check=True, stdout=subprocess.DEVNULL,
+            preexec_fn=cpus and (lambda: os.sched_setaffinity(0, cpus)))
+        runs[name] = [(out / f).read_bytes()
+                      for f in ("loss_log.tsv", "checkpoint.bin")]
+    assert runs["one"] == runs["all"]

@@ -51,7 +51,9 @@ def test_model_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(hidden_dim=7, attention_heads=2)
     with pytest.raises(ValueError):
-        ModelConfig(output_dim=66)
+        ModelConfig(conv_kernel_size=4)
+    with pytest.raises(TypeError):   # the output width is fixed, not a setting
+        ModelConfig(output_dim=67)
 
 
 def test_encode_shape_and_finite_default_config(lexicon):

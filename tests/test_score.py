@@ -1,8 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singsynth.score import (
+    NOTE_LOGF0,
     LexiconError,
     MusicalScore,
     NoteEvent,
@@ -10,6 +13,8 @@ from singsynth.score import (
     ScoreParseError,
     beats_to_frames,
     demo_lexicon,
+    frame_pitch_arrays,
+    load_lexicon,
     midi_to_hz,
     parse_score,
     score_to_tokens,
@@ -142,6 +147,30 @@ def test_demo_lexicon_shape(lexicon):
     assert lexicon.phoneme_vocab[1] == "sil"
     assert len(lexicon.phoneme_vocab) <= 72
     assert len(lexicon.syllables) >= 40
+
+
+def test_note_logf0_table_equals_log_of_midi_to_hz():
+    assert NOTE_LOGF0.shape == (128,) and NOTE_LOGF0[0] == 0.0
+    for p in range(1, 128):
+        assert NOTE_LOGF0[p] == math.log(midi_to_hz(p))
+
+
+def test_frame_pitch_arrays_expand_note_pitch(lexicon):
+    score = parse_score("tempo 120\nla 69 1.0\n- 0 0.5\nla 81 1.0\n")
+    tokens = score_to_tokens(score, lexicon)
+    durations = [2] * len(tokens)
+    note_logf0, nonrest = frame_pitch_arrays(tokens, durations)
+    expected = [math.log(midi_to_hz(p)) if p else 0.0 for p in tokens.pitch_ids]
+    assert note_logf0.tolist() == [v for v in expected for _ in range(2)]
+    assert nonrest.tolist() == [float(p > 0) for p in tokens.pitch_ids
+                                for _ in range(2)]
+
+
+def test_lexicon_size_is_not_capped(tmp_path):
+    # the model's phoneme_vocab_size, checked by train, is the only bound
+    path = tmp_path / "big.tsv"
+    path.write_text("".join(f"s{k}\tc{k} a\n" for k in range(77)))
+    assert len(load_lexicon(path).phoneme_vocab) == 80
 
 
 def test_lexicon_rejects_unknown_phoneme():

@@ -31,6 +31,7 @@ from singsynth.training import (
     lr_schedule,
     params_from_checkpoint,
     train,
+    trained_model_config,
     validate_corpus,
 )
 
@@ -329,6 +330,34 @@ def test_resume_rejects_checkpoint_without_model_config_echo(echo):
     ckpt = train(desk_config(total_steps=1), corpus).checkpoint
     ckpt.config = echo
     with pytest.raises(ValueError, match="no model config echo"):
+        train(desk_config(total_steps=3), corpus, resume_from=ckpt)
+
+
+def test_trained_model_config_reads_the_echo_and_ignores_other_keys():
+    corpus = make_corpus(2)
+    ckpt = train(desk_config(total_steps=1), corpus).checkpoint
+    assert trained_model_config(ckpt) == TINY_MODEL
+    # echoes written while the output width was a field still hold it
+    ckpt.config["train"]["model"]["output_dim"] = 67
+    assert trained_model_config(ckpt) == TINY_MODEL
+    assert len(train(desk_config(total_steps=2), corpus,
+                     resume_from=ckpt).records) == 1
+
+
+@pytest.mark.parametrize("value, message", [
+    (None, "lacks hidden_dim"), ("8", "has hidden_dim '8'"),
+    (8.0, "has hidden_dim 8.0"), (True, "has hidden_dim True"),
+])
+def test_trained_model_config_names_a_missing_or_malformed_field(value, message):
+    corpus = make_corpus(2)
+    ckpt = train(desk_config(total_steps=1), corpus).checkpoint
+    if value is None:
+        del ckpt.config["train"]["model"]["hidden_dim"]
+    else:
+        ckpt.config["train"]["model"]["hidden_dim"] = value
+    with pytest.raises(ValueError, match=f"model config echo {message}"):
+        trained_model_config(ckpt)
+    with pytest.raises(ValueError, match=f"model config echo {message}"):
         train(desk_config(total_steps=3), corpus, resume_from=ckpt)
 
 
