@@ -9,8 +9,9 @@ that the outputs of two checkouts can be compared with ``diff``:
 The sequence is: ``gen-data`` twice (the second corpus sings the same scores
 with deeper vibrato, so its features align frame for frame with the
 first's), ``train`` on one CPU, ``train`` on every CPU, a 3-step ``train``
-resumed for 3 more, ``synth`` of one score, and ``eval`` over the manifest
-and in ``--pair`` mode. The report gives each command's exit code and
+resumed for 3 more, ``synth`` of one score on every CPU and on one, and
+``eval`` over the manifest and in ``--pair`` mode. The two ``synth`` files
+must have the same hash. The report gives each command's exit code and
 stdout, with OUT_DIR replaced by ``<OUT>``, then one ``sha256  path`` line
 per file under OUT_DIR, sorted by path relative to it. OUT_DIR must be
 empty or not exist. The commands run without the BLAS thread variables of
@@ -77,25 +78,28 @@ def main():
     corpus, manifest = out / "corpus", str(out / "corpus" / "manifest.tsv")
     ckpt = str(out / "train_one_cpu" / "checkpoint.bin")
     song = "song_0000"
+    one_cpu = {min(os.sched_getaffinity(0))}
 
     def train(run_dir, steps, *extra):
         return ["train", "--manifest", manifest, "--steps", str(steps),
                 "--seed", str(SEED), "--out", str(out / run_dir), *extra]
+
+    def synth(name):
+        return ["synth", "--score", str(corpus / "scores" / f"{song}.score"),
+                "--checkpoint", ckpt, "--out", str(out / f"{song}_{name}.feat")]
 
     lines = run(["gen-data", "--out", str(corpus), "--songs", str(SONGS),
                  "--seed", str(SEED)], out)
     lines += run(["gen-data", "--out", str(out / "corpus_vibrato"),
                   "--songs", "1", "--seed", str(SEED),
                   "--set", "vibrato_depth_log", "0.06"], out)
-    lines += run(train("train_one_cpu", STEPS), out,
-                 {min(os.sched_getaffinity(0))})
+    lines += run(train("train_one_cpu", STEPS), out, one_cpu)
     lines += run(train("train_all_cpus", STEPS), out)
     lines += run(train("resumed", STEPS // 2), out)
     lines += run(train("resumed", STEPS, "--resume",
                        str(out / "resumed" / "checkpoint.bin")), out)
-    lines += run(["synth", "--score", str(corpus / "scores" / f"{song}.score"),
-                  "--checkpoint", ckpt,
-                  "--out", str(out / f"{song}_synth.feat")], out)
+    lines += run(synth("synth"), out)
+    lines += run(synth("synth_one_cpu"), out, one_cpu)
     lines += run(["eval", "--manifest", manifest, "--checkpoint", ckpt,
                   "--split", "all", "--out", str(out / "eval_manifest")], out)
     lines += run(["eval", "--out", str(out / "eval_pair"), "--pair",

@@ -14,7 +14,11 @@ surface as errors instead of silent broadcasts.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -24,6 +28,9 @@ _GRAD_ENABLED = True
 # query rows per block of graph-free attention: H x rows x S scores of about
 # this many float64 elements (2 MB, sized to a core's L2 cache) per block
 _ATTENTION_BLOCK_ELEMENTS = 1 << 18
+# graph-free attention spreads its blocks over threads only when each thread
+# gets at least this many; fewer lose more to thread handoffs than they gain
+_ATTENTION_BLOCKS_PER_THREAD = 4
 # added to each row's variance in layer_norm
 _LAYER_NORM_EPS = 1e-12
 
@@ -49,6 +56,14 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _GRAD_ENABLED = saved
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on (``taskset`` limits them), or 1 where
+    the platform cannot report its affinity."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 class ShapeError(ValueError):
@@ -462,7 +477,10 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
     the output records a graph, the block is all T rows and those
     probabilities are the only thing the pullback keeps; when it does not,
     blocks of query rows reuse one scratch buffer of about
-    ``_ATTENTION_BLOCK_ELEMENTS``, so H x T x S never exists.
+    ``_ATTENTION_BLOCK_ELEMENTS`` per thread, so H x T x S never exists.
+    Graph-free calls with enough blocks share them among up to
+    :func:`available_cpus` threads, each writing its own output rows; block
+    boundaries do not depend on the thread count, so neither do the bytes.
     """
     q, k, v = as_node(q), as_node(k), as_node(v)
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
@@ -496,11 +514,34 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
     probs = np.empty((heads, min(rows, t), s))
     out = np.empty((t, v.shape[1]))
     outh = split(out)
-    for lo in range(0, t, rows):
-        hi = min(lo + rows, t)
-        block = probs[:, : hi - lo]
-        _softmax_(np.matmul(qch[:, lo:hi], kth, out=block))
-        np.matmul(block, vh, out=outh[:, lo:hi])
+
+    starts, lock = iter(range(0, t, rows)), threading.Lock()
+
+    def attend(probs: np.ndarray) -> None:
+        # claims blocks one at a time until none is left
+        while True:
+            with lock:
+                lo = next(starts, None)
+            if lo is None:
+                return
+            hi = min(lo + rows, t)
+            block = probs[:, : hi - lo]
+            _softmax_(np.matmul(qch[:, lo:hi], kth, out=block))
+            np.matmul(block, vh, out=outh[:, lo:hi])
+
+    threads = 1 if records else min(
+        available_cpus(), -(-t // rows) // _ATTENTION_BLOCKS_PER_THREAD)
+    if threads <= 1:
+        attend(probs)
+    else:
+        with ThreadPoolExecutor(threads - 1) as pool:
+            # a copied context carries the caller's np.errstate to a helper
+            helpers = [pool.submit(contextvars.copy_context().run, attend,
+                                   np.empty_like(probs))
+                       for _ in range(threads - 1)]
+            attend(probs)
+            for helper in helpers:
+                helper.result()
     # d loss / d(q k^T), computed by the first of the q and k pullbacks of a
     # backward pass and dropped by the last one that needs it
     shared: dict = {}

@@ -57,8 +57,9 @@ class NoteEvent:
                 "pitch 0 is reserved for rests: "
                 f"got syllable {self.syllable!r} with pitch {self.midi_pitch}"
             )
-        if not self.beat_length > 0:
-            raise ValueError(f"beat_length must be positive, got {self.beat_length}")
+        if not 0 < self.beat_length < math.inf:
+            raise ValueError(
+                f"beat_length must be positive and finite, got {self.beat_length}")
 
     @property
     def is_rest(self) -> bool:
@@ -71,8 +72,9 @@ class MusicalScore:
     events: tuple[NoteEvent, ...]
 
     def __post_init__(self):
-        if not self.tempo_bpm > 0:
-            raise ValueError(f"tempo must be positive, got {self.tempo_bpm}")
+        if not 0 < self.tempo_bpm < math.inf:
+            raise ValueError(
+                f"tempo must be positive and finite, got {self.tempo_bpm}")
         if not self.events:
             raise ValueError("score has no events")
 
@@ -175,8 +177,8 @@ def parse_score(text: str) -> MusicalScore:
                 tempo = float(fields[1])
             except ValueError:
                 raise ScoreParseError(line_no, f"bad tempo value {fields[1]!r}") from None
-            if not tempo > 0:
-                raise ScoreParseError(line_no, "tempo must be positive")
+            if not 0 < tempo < math.inf:
+                raise ScoreParseError(line_no, "tempo must be positive and finite")
             continue
         continues = False
         if fields[-1] == "~":
@@ -250,11 +252,15 @@ def round_half_up(x: float) -> int:
 
 
 def beats_to_frames(beat_length: float, tempo_bpm: float, frame_shift_s: float) -> int:
-    """Frame count of a note, at least 1."""
+    """Frame count of a note, at least 1; raises ValueError when it is not
+    finite."""
     if beat_length <= 0 or tempo_bpm <= 0 or frame_shift_s <= 0:
         raise ValueError("beats_to_frames requires positive arguments")
-    seconds = beat_length * 60.0 / tempo_bpm
-    return max(1, round_half_up(seconds / frame_shift_s))
+    frames = beat_length * 60.0 / tempo_bpm / frame_shift_s
+    if not math.isfinite(frames):
+        raise ValueError(f"beat length {beat_length!r} at tempo {tempo_bpm!r} "
+                         "is not a finite number of frames")
+    return max(1, round_half_up(frames))
 
 
 # ---------------------------------------------------------------------------

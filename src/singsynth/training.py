@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import mmap
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
@@ -316,14 +315,12 @@ def utterance_gradients(params: ModelParameters, batch: Batch,
 
 
 def worker_count(batch_size: int) -> int:
-    """Processes that share each training step: one per CPU in this
-    process's affinity (``taskset`` limits it), at most one per batch item,
-    and one where the platform cannot report affinity or fork. Training
-    results do not depend on it."""
-    if (not hasattr(os, "sched_getaffinity")
-            or "fork" not in multiprocessing.get_all_start_methods()):
+    """Processes that share each training step: one per CPU in
+    :func:`autodiff.available_cpus`, at most one per batch item, and one
+    where the platform cannot fork. Training results do not depend on it."""
+    if "fork" not in multiprocessing.get_all_start_methods():
         return 1
-    return min(len(os.sched_getaffinity(0)), batch_size)
+    return min(ad.available_cpus(), batch_size)
 
 
 def longest_first(frames: Sequence[int]) -> list[int]:

@@ -1,3 +1,7 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -398,3 +402,104 @@ def test_blocked_attention_matches_recorded(monkeypatch, heads, t, s, width,
                                        ad.parameter(v), heads)
     assert not free.requires_grad
     np.testing.assert_allclose(free.value, recorded.value, rtol=0, atol=1e-12)
+
+
+# Graph-free attention on several threads. Blocks of 5 query rows against
+# 50 keys and 2 heads; a call starts min(cpus, blocks // 4) threads.
+THREADED_BLOCK_ELEMENTS = 2 * 50 * 5
+
+
+@pytest.fixture
+def started_pools(monkeypatch):
+    """Small attention blocks; returns the thread counts of the calls that
+    start helpers, in call order."""
+    monkeypatch.setattr(ad, "_ATTENTION_BLOCK_ELEMENTS", THREADED_BLOCK_ELEMENTS)
+    started = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, helpers):
+            started.append(helpers + 1)
+            super().__init__(helpers)
+
+    monkeypatch.setattr(ad, "ThreadPoolExecutor", CountingPool)
+    return started
+
+
+def graph_free_attention(q, k, v, heads=2):
+    with ad.no_grad():
+        return ad.scaled_dot_attention(q, k, v, heads)
+
+
+@pytest.mark.parametrize("t, pools", [
+    (35, []),       # 7 blocks: just below two threads' 8
+    (40, [2, 2]),   # 8 blocks
+    (55, [2, 2]),   # 11 blocks: just below three threads' 12
+    (60, [2, 3]),   # 12 blocks
+    (63, [2, 3]),   # 13 blocks, the last one short
+])
+def test_threaded_attention_bytes_do_not_depend_on_cpu_count(
+        monkeypatch, started_pools, t, pools):
+    # ``pools``: the thread count of each call that started helpers, at 2
+    # and then at 3 CPUs
+    rng = np.random.default_rng(t)
+    q, k, v = (rng.normal(size=shape) for shape in ((t, 8), (50, 8), (50, 6)))
+    outputs = {}
+    interval = sys.getswitchinterval()
+    # frequent thread switches interleave the claims of 3 threads on any
+    # number of cores; a block claimed twice or lost changes the bytes
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(ad, "available_cpus", lambda: cpus)
+            outputs[cpus] = graph_free_attention(q, k, v).value.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+    np.testing.assert_allclose(np.frombuffer(outputs[1]).reshape(t, 6),
+                               unblocked_attention(q, k, v, 2), rtol=0,
+                               atol=1e-12)
+    assert started_pools == pools
+
+
+def test_recorded_attention_stays_on_one_thread(monkeypatch, started_pools):
+    monkeypatch.setattr(ad, "available_cpus", lambda: 3)
+    x = ad.parameter(np.random.default_rng(0).normal(size=(60, 8)))
+    assert ad.scaled_dot_attention(x, x, x, heads=2).requires_grad
+    assert started_pools == []
+
+
+def test_threaded_attention_raises_a_helpers_exception(monkeypatch,
+                                                       started_pools):
+    monkeypatch.setattr(ad, "available_cpus", lambda: 2)
+    caller = threading.get_ident()
+    raised = threading.Event()
+    softmax = ad._softmax_
+
+    def failing_in_helper(x):
+        if threading.get_ident() != caller:
+            raised.set()
+            raise RuntimeError("helper block failed")
+        # hold the caller's first block until a helper has claimed one
+        assert raised.wait(timeout=30)
+        return softmax(x)
+
+    monkeypatch.setattr(ad, "_softmax_", failing_in_helper)
+    x = np.ones((60, 8))
+    with pytest.raises(RuntimeError, match="helper block failed"):
+        graph_free_attention(x, x[:50], x[:50])
+    assert started_pools == [2]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_threaded_attention_keeps_the_callers_errstate(monkeypatch,
+                                                       started_pools, cpus):
+    # inf queries make every score inf, so each block's softmax subtracts
+    # inf from inf once; a helper without the caller's errstate ignores it
+    monkeypatch.setattr(ad, "available_cpus", lambda: cpus)
+    calls = []
+    q, k, v = np.full((60, 8), np.inf), np.ones((50, 8)), np.ones((50, 6))
+    with np.errstate(invalid="call", call=lambda *args: calls.append(args)):
+        out = graph_free_attention(q, k, v)
+    assert np.isnan(out.value).all()
+    assert len(calls) == 12
+    assert started_pools == ([cpus] if cpus > 1 else [])

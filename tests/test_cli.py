@@ -307,6 +307,21 @@ def test_synth_unknown_syllable_names_it(tmp_path, run_dir, capsys):
     assert "zzqq" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("tempo 120\nla 69 inf\n", "line 2: beat_length must be positive and finite"),
+    ("tempo 120\nla 69 1e308\n", "beat length 1e+308 at tempo 120.0 is not a finite"),
+])
+def test_synth_names_a_note_too_long_to_count(tmp_path, run_dir, capsys, text,
+                                              message):
+    score = tmp_path / "long.score"
+    score.write_text(text)
+    code = main(["synth", "--score", str(score),
+                 "--checkpoint", str(run_dir / "checkpoint.bin"),
+                 "--out", str(tmp_path / "x.feat")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
 def test_eval_self_comparison_is_perfect(tmp_path, corpus_dir, capsys):
     gt = corpus_dir / "features" / "song_0000.feat"
     out = tmp_path / "eval"

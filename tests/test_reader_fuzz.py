@@ -18,7 +18,8 @@ from singsynth.cli import CONFIG_DEFAULTS, read_config
 from singsynth.corpus import load_manifest, load_token_sidecar
 from singsynth.features import AcousticFeatureSequence, load_features, \
     save_features
-from singsynth.score import load_lexicon, parse_score
+from singsynth.score import demo_lexicon, load_lexicon, parse_score, \
+    score_to_tokens
 
 DOCUMENTED = (ValueError, FileNotFoundError)
 
@@ -184,8 +185,10 @@ def test_config_reader_raises_only_documented_errors(fuzz_dir, text):
 score_lines = st.lists(
     st.one_of(
         st.tuples(st.sampled_from(["tempo", "la", "mi", "-", "zz", "#"]),
-                  st.sampled_from(["", "0", "69", "1e309", "nan", "-2", "x"]),
-                  st.sampled_from(["", "0.5", "0", "-1", "inf", "nan", "1e-300"]),
+                  st.sampled_from(["", "0", "69", "1e309", "nan", "-2", "x",
+                                   "1e-300", "1e-310"]),
+                  st.sampled_from(["", "0.5", "0", "-1", "inf", "nan", "1e-300",
+                                   "1e308"]),
                   st.sampled_from(["", "~", "~ ~"])).map(" ".join),
         st.text(max_size=12),
     ),
@@ -196,8 +199,13 @@ score_lines = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(text=score_lines)
 @example(text="tempo 120\nla 69 1e-300")
+@example(text="tempo 120\nla 69 inf")
+@example(text="tempo 120\nla 69 1e308")
+@example(text="tempo 1e-310\nla 69 0.5")
 def test_score_parser_raises_only_documented_errors(text):
-    only_documented_errors(parse_score, text)
+    # what parses is also tokenised, which turns beats into frame counts
+    only_documented_errors(
+        lambda: score_to_tokens(parse_score(text), demo_lexicon()))
 
 
 @settings(max_examples=150, deadline=None)

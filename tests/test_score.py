@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,23 @@ def test_parse_minimal_score():
 def test_parse_rejects_zero_tempo():
     with pytest.raises(ScoreParseError, match="tempo must be positive"):
         parse_score("tempo 0\nla 69 1.0\n")
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("tempo inf\nla 69 1.0\n", 1, "tempo must be positive and finite"),
+    ("tempo 120\nla 69 1.0\nla 69 inf\n", 3, "beat_length must be positive and finite"),
+    ("tempo 120\nla 69 nan\n", 2, "beat_length must be positive and finite"),
+])
+def test_parse_rejects_non_finite_tempo_and_beats(text, line, message):
+    with pytest.raises(ScoreParseError, match=f"line {line}: {message}"):
+        parse_score(text)
+
+
+def test_score_types_reject_non_finite_values():
+    with pytest.raises(ValueError, match="positive and finite"):
+        NoteEvent("la", 69, math.inf)
+    with pytest.raises(ValueError, match="positive and finite"):
+        MusicalScore(math.inf, (NoteEvent("la", 69, 1.0),))
 
 
 def test_parse_rejects_leading_continuation():
@@ -96,6 +114,13 @@ def test_beats_to_frames_examples():
 def test_beats_to_frames_requires_positive_args():
     with pytest.raises(ValueError):
         beats_to_frames(0.0, 120, 0.015)
+
+
+@pytest.mark.parametrize("beats, tempo", [(1e308, 120.0), (1.0, 1e-310)])
+def test_beats_to_frames_names_a_frame_count_that_is_not_finite(beats, tempo):
+    message = f"beat length {beats!r} at tempo {tempo!r} is not a finite"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        beats_to_frames(beats, tempo, 0.015)
 
 
 def test_score_to_tokens_duplicates_note_attributes(lexicon):
