@@ -9,13 +9,14 @@ that the outputs of two checkouts can be compared with ``diff``:
 The sequence is: ``gen-data`` twice (the second corpus sings the same scores
 with deeper vibrato, so its features align frame for frame with the
 first's), ``train`` on one CPU, ``train`` on every CPU, a 3-step ``train``
-resumed for 3 more, ``synth`` of one score on every CPU and on one, and
-``eval`` over the manifest and in ``--pair`` mode. The two ``synth`` files
-must have the same hash. The report gives each command's exit code and
-stdout, with OUT_DIR replaced by ``<OUT>``, then one ``sha256  path`` line
-per file under OUT_DIR, sorted by path relative to it. OUT_DIR must be
-empty or not exist. The commands run without the BLAS thread variables of
-the calling shell.
+resumed for 3 more, ``synth`` of one score, ``synth`` of a long score (that
+score's notes sung 8 times, long enough for threaded attention) on every
+CPU and on one, and ``eval`` over the manifest and in ``--pair`` mode. The
+two long ``synth`` files must have the same hash. The report gives each
+command's exit code and stdout, with OUT_DIR replaced by ``<OUT>``, then one
+``sha256  path`` line per file under OUT_DIR, sorted by path relative to
+it. OUT_DIR must be empty or not exist. The commands run without the BLAS
+thread variables of the calling shell.
 """
 
 import argparse
@@ -29,6 +30,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SONGS = 6
 SEED = 3
 STEPS = 6
+# times the long score repeats the first song's notes: 1,733 frames with the
+# 6-step checkpoint, enough attention blocks for two or more threads
+LONG_REPEATS = 8
 # Left out of each command's environment, so that the report shows the BLAS
 # thread setting the package makes itself and not the calling shell's.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -84,9 +88,9 @@ def main():
         return ["train", "--manifest", manifest, "--steps", str(steps),
                 "--seed", str(SEED), "--out", str(out / run_dir), *extra]
 
-    def synth(name):
-        return ["synth", "--score", str(corpus / "scores" / f"{song}.score"),
-                "--checkpoint", ckpt, "--out", str(out / f"{song}_{name}.feat")]
+    def synth(score, name):
+        return ["synth", "--score", str(score), "--checkpoint", ckpt,
+                "--out", str(out / f"{name}.feat")]
 
     lines = run(["gen-data", "--out", str(corpus), "--songs", str(SONGS),
                  "--seed", str(SEED)], out)
@@ -98,8 +102,12 @@ def main():
     lines += run(train("resumed", STEPS // 2), out)
     lines += run(train("resumed", STEPS, "--resume",
                        str(out / "resumed" / "checkpoint.bin")), out)
-    lines += run(synth("synth"), out)
-    lines += run(synth("synth_one_cpu"), out, one_cpu)
+    lines += run(synth(corpus / "scores" / f"{song}.score", f"{song}_synth"), out)
+    tempo, *notes = (corpus / "scores" / f"{song}.score").read_text().splitlines()
+    long_score = out / "long_song.score"
+    long_score.write_text("\n".join([tempo] + notes * LONG_REPEATS) + "\n")
+    lines += run(synth(long_score, "long_song_synth"), out)
+    lines += run(synth(long_score, "long_song_synth_one_cpu"), out, one_cpu)
     lines += run(["eval", "--manifest", manifest, "--checkpoint", ckpt,
                   "--split", "all", "--out", str(out / "eval_manifest")], out)
     lines += run(["eval", "--out", str(out / "eval_pair"), "--pair",

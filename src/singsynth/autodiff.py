@@ -23,6 +23,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import BLAS_ONE_THREAD
+
 _CHECK_FINITE = False
 _GRAD_ENABLED = True
 # query rows per block of graph-free attention: H x rows x S scores of about
@@ -31,6 +33,9 @@ _ATTENTION_BLOCK_ELEMENTS = 1 << 18
 # graph-free attention spreads its blocks over threads only when each thread
 # gets at least this many; fewer lose more to thread handoffs than they gain
 _ATTENTION_BLOCKS_PER_THREAD = 4
+# at most this many threads share one graph-free attention call, so its
+# scratch buffers hold at most this many blocks (8 MB) whatever the CPU count
+_ATTENTION_MAX_THREADS = 4
 # added to each row's variance in layer_norm
 _LAYER_NORM_EPS = 1e-12
 
@@ -479,7 +484,8 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
     blocks of query rows reuse one scratch buffer of about
     ``_ATTENTION_BLOCK_ELEMENTS`` per thread, so H x T x S never exists.
     Graph-free calls with enough blocks share them among up to
-    :func:`available_cpus` threads, each writing its own output rows; block
+    :func:`available_cpus` threads (at most ``_ATTENTION_MAX_THREADS``, and
+    one unless ``BLAS_ONE_THREAD``), each writing its own output rows; block
     boundaries do not depend on the thread count, so neither do the bytes.
     """
     q, k, v = as_node(q), as_node(k), as_node(v)
@@ -529,8 +535,9 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
             _softmax_(np.matmul(qch[:, lo:hi], kth, out=block))
             np.matmul(block, vh, out=outh[:, lo:hi])
 
-    threads = 1 if records else min(
-        available_cpus(), -(-t // rows) // _ATTENTION_BLOCKS_PER_THREAD)
+    threads = 1 if records or not BLAS_ONE_THREAD else min(
+        available_cpus(), -(-t // rows) // _ATTENTION_BLOCKS_PER_THREAD,
+        _ATTENTION_MAX_THREADS)
     if threads <= 1:
         attend(probs)
     else:

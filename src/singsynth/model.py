@@ -107,23 +107,14 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParameter
     return tensors
 
 
-# one read-only table per width, as long as the longest length asked for;
-# a row does not depend on the table's length, so a slice is a fresh table
-_POSITION_TABLES: dict[int, np.ndarray] = {}
-
-
 def positional_encoding(length: int, dim: int) -> np.ndarray:
-    """Fixed sinusoidal position encoding, length x dim (read-only)."""
-    table = _POSITION_TABLES.get(dim)
-    if table is None or len(table) < length:
-        positions = np.arange(length)[:, None]
-        div = np.exp(np.arange(0, dim, 2) * (-math.log(10000.0) / dim))
-        table = np.zeros((length, dim))
-        table[:, 0::2] = np.sin(positions * div)
-        table[:, 1::2] = np.cos(positions * div[: dim // 2])
-        table.flags.writeable = False
-        _POSITION_TABLES[dim] = table
-    return table[:length]
+    """Fixed sinusoidal position encoding, length x dim."""
+    positions = np.arange(length)[:, None]
+    div = np.exp(np.arange(0, dim, 2) * (-math.log(10000.0) / dim))
+    pe = np.zeros((length, dim))
+    pe[:, 0::2] = np.sin(positions * div)
+    pe[:, 1::2] = np.cos(positions * div[: dim // 2])
+    return pe
 
 
 def _maybe_dropout(x: Node, config: ModelConfig,

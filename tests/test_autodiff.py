@@ -405,15 +405,16 @@ def test_blocked_attention_matches_recorded(monkeypatch, heads, t, s, width,
 
 
 # Graph-free attention on several threads. Blocks of 5 query rows against
-# 50 keys and 2 heads; a call starts min(cpus, blocks // 4) threads.
+# 50 keys and 2 heads; a call starts min(cpus, blocks // 4, 4) threads.
 THREADED_BLOCK_ELEMENTS = 2 * 50 * 5
 
 
 @pytest.fixture
 def started_pools(monkeypatch):
-    """Small attention blocks; returns the thread counts of the calls that
-    start helpers, in call order."""
+    """Small attention blocks and one BLAS thread; returns the thread counts
+    of the calls that start helpers, in call order."""
     monkeypatch.setattr(ad, "_ATTENTION_BLOCK_ELEMENTS", THREADED_BLOCK_ELEMENTS)
+    monkeypatch.setattr(ad, "BLAS_ONE_THREAD", True)
     started = []
 
     class CountingPool(ThreadPoolExecutor):
@@ -431,34 +432,45 @@ def graph_free_attention(q, k, v, heads=2):
 
 
 @pytest.mark.parametrize("t, pools", [
-    (35, []),       # 7 blocks: just below two threads' 8
-    (40, [2, 2]),   # 8 blocks
-    (55, [2, 2]),   # 11 blocks: just below three threads' 12
-    (60, [2, 3]),   # 12 blocks
-    (63, [2, 3]),   # 13 blocks, the last one short
+    (35, []),           # 7 blocks: just below two threads' 8
+    (40, [2, 2, 2]),    # 8 blocks
+    (55, [2, 2, 2]),    # 11 blocks: just below three threads' 12
+    (60, [2, 3, 3]),    # 12 blocks
+    (63, [2, 3, 3]),    # 13 blocks, the last one short
+    (100, [2, 3, 4]),   # 20 blocks: enough for five threads, capped at 4
 ])
 def test_threaded_attention_bytes_do_not_depend_on_cpu_count(
         monkeypatch, started_pools, t, pools):
-    # ``pools``: the thread count of each call that started helpers, at 2
-    # and then at 3 CPUs
+    # ``pools``: the thread count of each call that started helpers, at 2,
+    # 3 and 8 CPUs
     rng = np.random.default_rng(t)
     q, k, v = (rng.normal(size=shape) for shape in ((t, 8), (50, 8), (50, 6)))
     outputs = {}
     interval = sys.getswitchinterval()
-    # frequent thread switches interleave the claims of 3 threads on any
+    # frequent thread switches interleave the claims of 4 threads on any
     # number of cores; a block claimed twice or lost changes the bytes
     sys.setswitchinterval(1e-6)
     try:
-        for cpus in (1, 2, 3):
+        for cpus in (1, 2, 3, 8):
             monkeypatch.setattr(ad, "available_cpus", lambda: cpus)
             outputs[cpus] = graph_free_attention(q, k, v).value.tobytes()
     finally:
         sys.setswitchinterval(interval)
-    assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+    assert all(outputs[cpus] == outputs[1] for cpus in (2, 3, 8))
     np.testing.assert_allclose(np.frombuffer(outputs[1]).reshape(t, 6),
                                unblocked_attention(q, k, v, 2), rtol=0,
                                atol=1e-12)
     assert started_pools == pools
+
+
+def test_attention_stays_on_one_thread_unless_blas_runs_one(monkeypatch,
+                                                            started_pools):
+    # helpers that each drove several BLAS threads would crowd one another
+    monkeypatch.setattr(ad, "available_cpus", lambda: 3)
+    monkeypatch.setattr(ad, "BLAS_ONE_THREAD", False)
+    x = np.random.default_rng(0).normal(size=(60, 8))
+    graph_free_attention(x, x[:50], x[:50])
+    assert started_pools == []
 
 
 def test_recorded_attention_stays_on_one_thread(monkeypatch, started_pools):

@@ -1,13 +1,20 @@
-"""Package layout guard: every import sits at module level, so the module
+"""Package import guards: every import sits at module level, so the module
 dependency graph is visible at the top of each file and has no cycles
-hidden inside functions."""
+hidden inside functions; and importing the package records whether numpy's
+BLAS runs one thread."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import singsynth
 
 PACKAGE_DIR = Path(singsynth.__file__).parent
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def function_level_imports(source: str, filename: str) -> list[int]:
@@ -35,3 +42,21 @@ def test_no_import_inside_a_function():
                                            str(path))
     ]
     assert offenders == []
+
+
+@pytest.mark.parametrize("code, env, one_thread", [
+    ("import singsynth", {}, True),
+    ("import numpy, singsynth", {}, False),
+    ("import singsynth", {"OPENBLAS_NUM_THREADS": "2"}, False),
+    ("import numpy, singsynth", dict.fromkeys(BLAS_THREAD_VARS, "1"), True),
+])
+def test_blas_one_thread_only_when_numpy_loads_with_every_variable_at_one(
+        code, env, one_thread):
+    # the variables' values when numpy loads are what its BLAS reads
+    child_env = {name: value for name, value in os.environ.items()
+                 if name not in BLAS_THREAD_VARS}
+    child_env["PYTHONPATH"] = str(PACKAGE_DIR.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}; print(singsynth.BLAS_ONE_THREAD)"],
+        env={**child_env, **env}, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == str(one_thread)

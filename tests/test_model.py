@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from singsynth import autodiff as ad, model
+from singsynth import autodiff as ad
 from singsynth.features import AcousticFeatureSequence
 from singsynth.model import (
     ModelConfig,
@@ -71,29 +71,6 @@ def test_encode_zero_params_reduces_to_positional_encoding(lexicon, tiny_config)
     out = encode(tokens, params, tiny_config)
     expected = positional_encoding(len(tokens), tiny_config.hidden_dim)
     np.testing.assert_array_equal(out.value, expected)
-
-
-def fresh_positional_encoding(length, dim):
-    """The sinusoidal table computed at exactly ``length`` rows."""
-    positions = np.arange(length)[:, None]
-    div = np.exp(np.arange(0, dim, 2) * (-math.log(10000.0) / dim))
-    pe = np.zeros((length, dim))
-    pe[:, 0::2] = np.sin(positions * div)
-    pe[:, 1::2] = np.cos(positions * div[: dim // 2])
-    return pe
-
-
-@pytest.mark.parametrize("dim", [32, 33, 384])
-def test_positional_encoding_slices_equal_fresh_tables_across_growth(
-        monkeypatch, dim):
-    monkeypatch.setattr(model, "_POSITION_TABLES", {})
-    # the table grows at 7, 300 and 1,500 rows; later shorter lengths are
-    # slices of the longer table
-    for length in (7, 1, 300, 7, 299, 1500, 1, 300, 1499):
-        pe = positional_encoding(length, dim)
-        assert pe.tobytes() == fresh_positional_encoding(length, dim).tobytes()
-        assert not pe.flags.writeable
-    assert len(model._POSITION_TABLES[dim]) == 1500
 
 
 def test_encode_rejects_out_of_range_ids(lexicon, tiny_config):
@@ -297,37 +274,41 @@ def test_synthesize_matches_recorded_forward_on_a_long_song(lexicon):
 
 
 def test_inference_never_holds_a_frames_squared_buffer(monkeypatch, lexicon):
-    # at 1,900 frames one H x T x T float64 score buffer alone is 58 MB; each
-    # attention thread holds a 2 MB block of it, so the CPU count is fixed
+    # at 1,900 frames one H x T x T float64 score buffer alone is 58 MB. Each
+    # attention thread holds a 2 MB block of it; the bound holds on this
+    # machine's CPUs and on 8, where the thread cap limits the sum.
     config = ModelConfig.desk()
     params = init_params(config, np.random.default_rng(0))
     tokens = desk_song(lexicon, 19)
     durations = np.full(len(tokens), 50)
     assert durations.sum() == 1900
-    for cpus in (1, 3):
-        monkeypatch.setattr(ad, "available_cpus", lambda: cpus)
+
+    def peak_bytes():
         tracemalloc.start()
         try:
             synthesize_with_durations(tokens, params, config, durations)
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+
+    assert peak_bytes() < 16e6
+    monkeypatch.setattr(ad, "available_cpus", lambda: 8)
+    assert peak_bytes() < 16e6
 
 
 def test_synthesis_bytes_do_not_depend_on_cpu_count(monkeypatch, lexicon):
-    # 1,900 frames: 28 decoder attention blocks, enough for three threads
+    # 1,900 frames: 28 decoder attention blocks, enough for four threads
     config = ModelConfig.desk()
     params = init_params(config, np.random.default_rng(2))
     tokens = desk_song(lexicon, 19)
     durations = np.full(len(tokens), 50)
     outputs = {}
-    for cpus in (1, 2, 3):
+    for cpus in (1, 2, 3, 8):
         monkeypatch.setattr(ad, "available_cpus", lambda: cpus)
         feats = synthesize_with_durations(tokens, params, config, durations)
         outputs[cpus] = [getattr(feats, name).tobytes()
                          for name in ("mgc", "bap", "logf0", "vuv")]
-    assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+    assert all(outputs[cpus] == outputs[1] for cpus in (2, 3, 8))
 
 
 def test_forward_train_rejects_frame_mismatch(lexicon, tiny_config):
