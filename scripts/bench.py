@@ -6,7 +6,9 @@ once per seed, then one ``--trace 1`` run on the first seed, one run at a
 time. The file holds each end-to-end metric's median and quartiles over the
 seeds (and every run's value), the per-layer metrics of the traced run, the
 ``details`` record of the runs (nproc, BLAS build, thread variables and the
-steal share of each run) and the git commit of the checkout measured.
+steal share of each run), the git commit of the checkout measured and
+whether its tree had uncommitted changes (``dirty``). A checkout without a
+commit is refused.
 
     python3 scripts/bench.py --label baseline --seeds 11 12 13 14 15
     python3 scripts/bench.py --label change --checkout ../other-copy --seconds 30
@@ -51,10 +53,17 @@ def summary(values: list[float]) -> dict:
             "values": values}
 
 
-def git_commit(checkout: Path) -> str | None:
-    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+def git_state(checkout: Path) -> tuple[str, bool]:
+    """The checkout's commit and whether its tree differs from it; exits
+    when the checkout has no commit to name."""
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
                           capture_output=True, text=True, check=False)
-    return done.stdout.strip() or None
+    if head.returncode != 0 or not head.stdout.strip():
+        sys.exit(f"bench: {checkout} is not a git checkout with a commit "
+                 f"(git rev-parse HEAD: {head.stderr.strip()})")
+    status = subprocess.run(["git", "status", "--porcelain"], cwd=checkout,
+                            capture_output=True, text=True, check=True)
+    return head.stdout.strip(), bool(status.stdout.strip())
 
 
 def bench_workload(checkout: Path, workload: str, seeds: list[int],
@@ -106,9 +115,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     checkout = args.checkout.resolve()
+    commit, dirty = git_state(checkout)
     record = {
         "label": args.label,
-        "commit": git_commit(checkout),
+        "commit": commit,
+        "dirty": dirty,
         "command": "perfbench/run.py",
         "seconds": args.seconds,
         "seeds": args.seeds,

@@ -237,8 +237,7 @@ def cmd_eval(args) -> int:
                  if args.manifest else ())
     pooled = metric_values(concatenate_features(preds),
                            concatenate_features(gts), *durations)
-    report = EvalReport(values=pooled, per_utterance=table_rows,
-                        header_notes=notes)
+    report = EvalReport(values=pooled, header_notes=notes)
     (out_dir / "eval_report.txt").write_text(report.format(), encoding="utf-8")
     (out_dir / "per_utterance.tsv").write_text(
         format_per_utterance_table(table_rows), encoding="utf-8")

@@ -141,11 +141,9 @@ class UtteranceEval:
 
 @dataclass
 class EvalReport:
-    """Corpus-level metrics (frames and phonemes pooled across utterances)
-    plus a per-utterance breakdown."""
+    """Corpus-level metrics (frames and phonemes pooled across utterances)."""
 
     values: dict[str, float | None]
-    per_utterance: list[UtteranceEval] = field(default_factory=list)
     header_notes: list[str] = field(default_factory=list)
 
     def __post_init__(self):

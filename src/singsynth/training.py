@@ -4,10 +4,12 @@ resumable checkpoints.
 
 The batch schedule and every dropout draw are pure functions of (seed, step,
 batch position), so resuming from a checkpoint reproduces an uninterrupted
-run bit for bit. Each step is data-parallel: every utterance's share of the
-objective is differentiated on its own, by one process per CPU the process
-may run on, and the parent adds the gradients in batch order, so the bits do
-not depend on how many processes there are.
+run bit for bit. Each step is data-parallel: a pool of one process per CPU
+differentiates each utterance's share of the objective on its own, while the
+parent dispatches the positions longest first and adds their gradients in
+that order, so the bits do not depend on the process count. At most four
+gradient rows per process are in flight: on 2 CPUs the shared mapping is
+4.1 MB at desk size and 3.7 GB at the full-size configuration (batch 32).
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from __future__ import annotations
 import math
 import mmap
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
-from typing import IO, Callable, Iterable, Iterator, Sequence, get_type_hints
+from functools import lru_cache, partial
+from typing import IO, Callable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
@@ -195,9 +198,13 @@ def utterance_loss(params: ModelParameters, batch: Batch, i: int,
                            counts, weights)
 
 
+def dropout_rng(seed: int, step: int, i: int) -> np.random.Generator:
+    """The dropout generator of batch position i at a training step."""
+    return np.random.default_rng([seed, 2, step, i])
+
+
 def dropout_rngs(seed: int, step: int, n: int) -> list[np.random.Generator]:
-    """The dropout generator of each batch position at a training step."""
-    return [np.random.default_rng([seed, 2, step, i]) for i in range(n)]
+    return [dropout_rng(seed, step, i) for i in range(n)]
 
 
 def batch_loss(params: ModelParameters, batch: Batch, config: ModelConfig,
@@ -227,91 +234,59 @@ def batch_loss(params: ModelParameters, batch: Batch, config: ModelConfig,
 # per-utterance gradients and the processes that compute them
 
 class GradientExchange:
-    """The parameters, then one flat gradient row per batch position, as
-    float64 views of one anonymous shared mapping, and a shared counter of
-    the step's claimed positions. Made before the workers fork, so they read
+    """The parameters, then ``rows`` flat gradient rows, as float64 views of
+    one anonymous shared mapping. Made before the workers fork, so they read
     the parent's parameters and write their gradients without pickling
     either."""
 
     def __init__(self, params: ModelParameters, rows: int):
-        self._claimed = multiprocessing.get_context("fork").Value("q", 0)
-        self.layout = []
-        offset = 0
+        self.layout, offset = [], 0
         for name, node in params.items():
-            self.layout.append((name, slice(offset, offset + node.value.size),
-                                node.value.shape))
-            offset += node.value.size
+            size = node.value.size
+            self.layout.append((name, slice(offset, offset + size), node.value.shape))
+            offset += size
         self._mapping = mmap.mmap(-1, 8 * offset * (rows + 1))
         flat = np.frombuffer(self._mapping, dtype=np.float64)
         self.values = flat[:offset]
         self.grads = flat[offset:].reshape(rows, offset)
 
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's part of a flat row, in its own shape."""
+        return {name: flat[where].reshape(shape)
+                for name, where, shape in self.layout}
+
     def publish(self, params: ModelParameters) -> None:
-        """Share a step's parameters; none of its positions is claimed yet."""
-        self._claimed.value = 0
         for name, where, _ in self.layout:
             self.values[where] = params[name].value.reshape(-1)
 
     def load(self, params: ModelParameters) -> None:
-        for name, where, shape in self.layout:
-            params[name].value[...] = self.values[where].reshape(shape)
+        for name, value in self.views(self.values).items():
+            params[name].value[...] = value
 
-    def claims(self, order: Sequence[int]) -> Iterator[int]:
-        """The positions of ``order`` this process takes, one at a time and
-        in that order, until every process together has taken them all."""
-        while True:
-            with self._claimed.get_lock():
-                k = self._claimed.value
-                self._claimed.value = k + 1
-            if k >= len(order):
-                return
-            yield order[k]
-
-    def store(self, i: int, params: ModelParameters) -> None:
-        """Row i := the parameters' gradients (0 where there is none)."""
-        row = self.grads[i]
+    def store(self, row: int, params: ModelParameters) -> None:
+        """Gradient row ``row`` := the parameters' gradients, 0 for none."""
         for name, where, _ in self.layout:
             grad = params[name].grad
-            row[where] = 0.0 if grad is None else grad.reshape(-1)
-
-    def reduce(self, params: ModelParameters) -> None:
-        """Set every parameter's gradient to the sum of the rows, added in
-        row order: the bits ``ad.backward`` accumulates when one process
-        differentiates each utterance's loss in turn."""
-        total = self.grads[0].copy()
-        for row in self.grads[1:]:
-            total += row
-        for name, where, shape in self.layout:
-            params[name].grad = total[where].reshape(shape)
+            self.grads[row, where] = 0.0 if grad is None else grad.reshape(-1)
 
 
-def utterance_gradients(params: ModelParameters, batch: Batch,
-                        positions: Iterable[int], counts: dict[str, int],
-                        config: ModelConfig, weights: LossWeights,
-                        exchange: GradientExchange | None,
-                        rngs: Sequence[np.random.Generator] | None = None
-                        ) -> list[tuple[int, float, dict[str, float]]]:
-    """Run ``ad.backward`` on :func:`utterance_loss` of each batch position
-    in turn. Without an exchange the gradients add up in the parameters'
-    ``.grad`` in that order; with one, each is taken from zero and stored
-    in ``exchange`` row i. ``rngs[i]`` drives position i's dropout, and
-    without rngs there is none. Returns (i, L_i, its component values) per
-    position; a non-finite L_i is not differentiated, as that step is
-    abandoned."""
-    out = []
-    for i in positions:
-        if exchange is not None:
-            for node in params.values():
-                node.grad = None
-        loss, comps = utterance_loss(params, batch, i, counts, config, weights,
-                                     None if rngs is None else rngs[i])
-        value = loss.item()
-        if math.isfinite(value):
-            ad.backward(loss)
-        if exchange is not None:
-            exchange.store(i, params)
-        out.append((i, value, {k: comps[k].item() for k in LOSS_NAMES}))
-    return out
+def utterance_gradient(params: ModelParameters, batch: Batch, i: int,
+                       counts: dict[str, int], config: ModelConfig,
+                       weights: LossWeights, exchange: GradientExchange,
+                       row: int, rng: np.random.Generator | None = None
+                       ) -> tuple[float, dict[str, float]]:
+    """Differentiate :func:`utterance_loss` of batch position i from zero
+    and store its gradient in ``exchange`` row ``row``; ``rng`` drives its
+    dropout. Returns L_i and its component values; a non-finite L_i is not
+    differentiated (its row is zero), as that step is abandoned."""
+    for node in params.values():
+        node.grad = None
+    loss, comps = utterance_loss(params, batch, i, counts, config, weights, rng)
+    value = loss.item()
+    if math.isfinite(value):
+        ad.backward(loss)
+    exchange.store(row, params)
+    return value, {k: comps[k].item() for k in LOSS_NAMES}
 
 
 def worker_count(batch_size: int) -> int:
@@ -325,27 +300,36 @@ def worker_count(batch_size: int) -> int:
 
 def longest_first(frames: Sequence[int]) -> list[int]:
     """Batch positions by decreasing frame count, ties in batch order: the
-    order in which the processes of a step claim them, so that the short
-    utterances left at the end even out the processes' finishing times."""
+    order in which a step dispatches them, so that the short utterances
+    left at the end even out the processes' finishing times."""
     return sorted(range(len(frames)), key=lambda i: (-int(frames[i]), i))
 
 
 @dataclass
 class _Replica:
-    """What one process needs to differentiate its part of a step. Workers
-    inherit the parent's at fork: the corpus and the shared exchange, which
-    exists only when there are workers."""
+    """What one process needs to differentiate a batch position. Workers
+    inherit the parent's at fork, with the corpus and the shared exchange,
+    and keep the batch of the step they last worked on."""
     params: ModelParameters
-    exchange: GradientExchange | None
+    exchange: GradientExchange
     corpus: Sequence[Utterance]
     config: TrainConfig
+    step: int = 0
+    batch: Batch | None = None
 
-    def shard(self, batch: Batch, step: int, positions: Iterable[int],
-              counts: dict[str, int]):
-        return utterance_gradients(
-            self.params, batch, positions, counts, self.config.model,
-            self.config.loss_weights, self.exchange,
-            dropout_rngs(self.config.seed, step, len(batch.items)))
+    def batch_of(self, step: int) -> Batch:
+        if step != self.step:
+            picks = batch_item_indices(step, len(self.corpus),
+                                       self.config.batch_size, self.config.seed)
+            self.step = step
+            self.batch = assemble_batch([self.corpus[i] for i in picks])
+        return self.batch
+
+    def gradient(self, step: int, counts: dict[str, int], i: int, row: int):
+        return utterance_gradient(
+            self.params, self.batch_of(step), i, counts, self.config.model,
+            self.config.loss_weights, self.exchange, row,
+            dropout_rng(self.config.seed, step, i))
 
 
 _WORKER_REPLICA: _Replica | None = None   # set in each worker process
@@ -356,12 +340,34 @@ def _start_worker(replica: _Replica) -> None:
     _WORKER_REPLICA = replica
 
 
-def _worker_shard(step: int, picks: list[int], order: list[int],
-                  counts: dict[str, int]):
+def _worker_gradient(step: int, counts: dict[str, int], i: int, row: int):
+    """A pool task. The first task of a step loads that step's parameters;
+    a worker forked during a step inherits them with its batch."""
     replica = _WORKER_REPLICA
-    replica.exchange.load(replica.params)
-    batch = assemble_batch([replica.corpus[i] for i in picks])
-    return replica.shard(batch, step, replica.exchange.claims(order), counts)
+    if replica.step != step:
+        replica.exchange.load(replica.params)
+    return replica.gradient(step, counts, i, row)
+
+
+class _Inline(Executor):
+    """The pool of one process: runs each task here as it is submitted."""
+
+    def submit(self, fn, /, *args) -> Future:
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def _in_claim_order(submit: Callable[..., Future], tasks: list[tuple],
+                    window: int) -> Iterator[Future]:
+    """Submit the tasks in order and yield their futures in that order, task
+    k only once the caller has taken the future of task k - ``window``."""
+    pending: deque[Future] = deque()
+    for task in tasks:
+        if len(pending) == window:
+            yield pending.popleft()
+        pending.append(submit(*task))
+    yield from pending
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +436,12 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
     ``ValueError``, also before step one. ``on_start()`` runs once both are
     accepted.
 
-    Each step is shared by :func:`worker_count` processes: this one and a
-    pool of workers forked once both checks pass and shut down on return.
-    A worker's exception fails the step with its message; a killed worker
-    raises ``BrokenProcessPool``. Logs and checkpoints do not depend on the
-    number of processes.
+    Each step's positions run in a pool of :func:`worker_count` processes,
+    forked once both checks pass and shut down on return, while this one
+    dispatches and adds; with one process it runs them itself. A worker's
+    exception fails the step with its message; a killed worker raises
+    ``BrokenProcessPool``. Logs and checkpoints do not depend on the number
+    of processes.
     """
     problems = validate_corpus(corpus)
     if problems:
@@ -457,28 +464,29 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
         on_start()
 
     workers = worker_count(config.batch_size)
-    exchange = (GradientExchange(params, config.batch_size) if workers > 1
-                else None)
-    replica = _Replica(params, exchange, corpus, config)
-    pool = None
+    # four gradient rows per process keep each one busy while the parent adds
+    rows = 1 if workers == 1 else min(config.batch_size, 4 * workers)
+    replica = _Replica(params, GradientExchange(params, rows), corpus, config)
+    if workers == 1:
+        pool, task = _Inline(), replica.gradient
+    else:
+        # forked once the exchange exists, so workers share its mapping and
+        # inherit the corpus copy-on-write
+        pool = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker, initargs=(replica,))
+        task = _worker_gradient
     records: list[LogRecord] = []
     try:
-        if workers > 1:
-            # forked after the exchange exists, so workers share its mapping
-            # and inherit the corpus copy-on-write
-            pool = ProcessPoolExecutor(
-                workers - 1, mp_context=multiprocessing.get_context("fork"),
-                initializer=_start_worker, initargs=(replica,))
         for step in range(start_step, config.total_steps + 1):
-            record = _train_step(step, replica, pool, workers)
+            record = _train_step(step, replica, partial(pool.submit, task))
             adam.update(params, record.lr, config)
             records.append(record)
             if log_stream is not None:
                 log_stream.write(record.format() + "\n")
                 log_stream.flush()
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        pool.shutdown(cancel_futures=True)
 
     final = Checkpoint(
         step=max(config.total_steps, start_step - 1),
@@ -490,45 +498,39 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
     return TrainResult(checkpoint=final, records=records)
 
 
-def _train_step(step: int, replica: _Replica, pool: ProcessPoolExecutor | None,
-                workers: int) -> LogRecord:
-    """One step's objective and gradient. With one process, each
-    utterance's share is differentiated in turn. With a pool, the parent
-    publishes the parameters and every process, the parent too, claims
-    positions longest first until none is left, so a process that runs
-    slower takes fewer; the parent then adds the per-utterance gradients in
-    batch order, which gives the same bits. Leaves the summed gradient in the
-    parameters' ``.grad``; raises TrainingDiverged, before any update, on a
-    non-finite loss."""
-    config = replica.config
-    picks = batch_item_indices(step, len(replica.corpus), config.batch_size,
-                               config.seed)
-    batch = assemble_batch([replica.corpus[i] for i in picks])
+def _train_step(step: int, replica: _Replica,
+                submit: Callable[..., Future]) -> LogRecord:
+    """One step's objective and gradient. The parent publishes the
+    parameters and dispatches the batch positions longest first; the k-th
+    writes its gradient into row k mod R of the exchange, and the parent
+    adds the rows in that same order as they finish, so at most R positions
+    are in flight and the bits do not depend on who computes them.
+    ``submit(step, counts, i, row)`` runs one position, in a worker or in
+    this process. Leaves the summed gradient in the parameters' ``.grad``;
+    raises TrainingDiverged, before any update, on a non-finite loss."""
+    config, exchange = replica.config, replica.exchange
+    batch = replica.batch_of(step)
     counts = batch_counts(batch)
-    futures = []
-    if pool is None:
-        for node in replica.params.values():
-            node.grad = None
-        positions: Iterable[int] = range(len(picks))
-    else:
-        replica.exchange.publish(replica.params)
-        order = longest_first(batch.n_frames)
-        futures = [pool.submit(_worker_shard, step, picks, order, counts)
-                   for _ in range(workers - 1)]
-        positions = replica.exchange.claims(order)
-    results = replica.shard(batch, step, positions, counts)
-    for future in futures:
-        results += future.result()
-    results.sort(key=lambda result: result[0])
-    total, comps = results[0][1], dict(results[0][2])
-    for _, value, parts in results[1:]:
+    exchange.publish(replica.params)
+    rows = len(exchange.grads)
+    tasks = [(step, counts, i, k % rows)
+             for k, i in enumerate(longest_first(batch.n_frames))]
+    results, gradient = [None] * len(tasks), None
+    for (_, _, i, row), future in zip(tasks, _in_claim_order(submit, tasks, rows)):
+        results[i] = future.result()
+        if gradient is None:
+            gradient = exchange.grads[row].copy()
+        else:
+            gradient += exchange.grads[row]
+    total, comps = results[0][0], dict(results[0][1])
+    for value, parts in results[1:]:
         total += value
         for k in LOSS_NAMES:
             comps[k] += parts[k]
     if not math.isfinite(total):
         raise TrainingDiverged(f"non-finite loss at step {step}")
-    if pool is not None:
-        replica.exchange.reduce(replica.params)
+    for name, grad in exchange.views(gradient).items():
+        replica.params[name].grad = grad
     return LogRecord(step=step, lr=lr_schedule(step, config.model.hidden_dim,
                                                config.warmup_steps),
                      total=total, components=comps)

@@ -27,7 +27,7 @@ from singsynth.score import demo_lexicon, parse_score, score_to_tokens, \
     serialize_score
 from singsynth.training import GradientExchange, TrainConfig, Utterance, \
     assemble_batch, batch_counts, batch_loss, params_from_checkpoint, train, \
-    utterance_gradients, utterance_loss
+    utterance_gradient, utterance_loss
 
 GRAD_CHECK_MODEL = ModelConfig(hidden_dim=8, encoder_blocks=1, decoder_blocks=1,
                                attention_heads=2, conv_filter_dim=16,
@@ -136,7 +136,7 @@ def _full_model_gradient_check():
     the objective as trained: batch_loss on a two-utterance batch (one with
     a rest) with non-default weights; one block, hidden width 8. The
     gradient checked is the one train applies: each utterance's share
-    differentiated on its own, the gradients added in batch order."""
+    differentiated on its own into a gradient row, the rows added up."""
     lexicon = demo_lexicon()
     corpus = [make_utterance(lexicon, seed=3),
               make_utterance(lexicon, seed=4, text="tempo 120\nlan 69 0.25\n")]
@@ -156,10 +156,15 @@ def _full_model_gradient_check():
                                   weights)
         ad.backward(share)
     accumulated = {name: node.grad for name, node in params.items()}
-    exchange = GradientExchange(params, len(corpus))
-    utterance_gradients(params, batch, range(len(corpus)), counts,
-                        GRAD_CHECK_MODEL, weights, exchange)
-    exchange.reduce(params)
+    exchange = GradientExchange(params, 1)
+    summed = None
+    for i in range(len(corpus)):
+        utterance_gradient(params, batch, i, counts, GRAD_CHECK_MODEL, weights,
+                           exchange, 0)
+        summed = exchange.grads[0].copy() if summed is None \
+            else summed + exchange.grads[0]
+    for name, grad in exchange.views(summed).items():
+        params[name].grad = grad
     for name, node in params.items():
         assert accumulated[name] is not None, f"no gradient on {name}"
         # the bits ad.backward accumulates over the shares in batch order

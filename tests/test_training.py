@@ -414,10 +414,10 @@ def test_one_process_without_affinity_or_fork(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity")
     assert training.worker_count(10 ** 6) == 1
 
-    def no_exchange(*args):
-        raise AssertionError("one process needs no gradient exchange")
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one process starts no process pool")
 
-    monkeypatch.setattr(training, "GradientExchange", no_exchange)
+    monkeypatch.setattr(training, "ProcessPoolExecutor", no_pool)
     log = io.StringIO()
     train(desk_config(total_steps=2), make_corpus(2), log_stream=log)
     assert log.getvalue().count("\n") == 2
@@ -466,29 +466,35 @@ def test_logged_loss_is_batch_loss():
     assert record.components == {k: comps[k].item() for k in comps}
 
 
-def test_applied_gradient_is_backward_accumulated_in_batch_order():
+def test_applied_gradient_is_backward_accumulated_longest_first(monkeypatch):
     # the gradient train applies has the bits of one process running
-    # ad.backward on each utterance's share in turn, without zeroing
+    # ad.backward on each utterance's share in turn, longest first, without
+    # zeroing
     corpus = make_corpus(5)
-    batch = assemble_batch(corpus)
-    params = init_params(TINY_MODEL, np.random.default_rng(4))
-    counts = training.batch_counts(batch)
     weights = LossWeights(w_pd=0.6, w_sd=1.3, w_m=0.9, w_b=1.7, w_f=1.1, w_u=0.4)
-    for node in params.values():
-        node.grad = None
-    rngs = dropout_rngs(7, 3, len(corpus))
-    for i in range(len(corpus)):
+    config = desk_config(batch_size=5, total_steps=1, loss_weights=weights)
+    applied = []
+    update = AdamState.update
+
+    def record(self, params, *args):
+        applied.append({name: node.grad.copy() for name, node in params.items()})
+        return update(self, params, *args)
+
+    monkeypatch.setattr(AdamState, "update", record)
+    run_with_workers(monkeypatch, 2, config, corpus)
+    params = init_params(TINY_MODEL, np.random.default_rng([config.seed, 1]))
+    picks = batch_item_indices(1, len(corpus), config.batch_size, config.seed)
+    batch = assemble_batch([corpus[i] for i in picks])
+    counts = training.batch_counts(batch)
+    rngs = dropout_rngs(config.seed, 1, len(picks))
+    order = longest_first(batch.n_frames)
+    assert order != sorted(order)
+    for i in order:
         share, _ = training.utterance_loss(params, batch, i, counts, TINY_MODEL,
                                            weights, rng=rngs[i])
         ad.backward(share)
-    accumulated = {name: node.grad for name, node in params.items()}
-    exchange = training.GradientExchange(params, len(corpus))
-    training.utterance_gradients(params, batch, [3, 0, 4, 1, 2], counts,
-                                 TINY_MODEL, weights, exchange,
-                                 rngs=dropout_rngs(7, 3, len(corpus)))
-    exchange.reduce(params)
     for name, node in params.items():
-        assert node.grad.tobytes() == accumulated[name].tobytes(), name
+        assert applied[0][name].tobytes() == node.grad.tobytes(), name
 
 
 def test_worker_exception_fails_train_with_its_message(monkeypatch):
@@ -533,16 +539,32 @@ def test_non_finite_loss_aborts_before_any_update_with_workers(monkeypatch):
     assert updates == []
 
 
-def test_processes_claim_each_position_once_longest_first():
-    frames = [10, 50, 20, 50, 30]
-    order = longest_first(frames)
-    assert order == [1, 3, 4, 2, 0]
-    params = init_params(TINY_MODEL, np.random.default_rng(0))
-    exchange = training.GradientExchange(params, len(frames))
-    for _ in range(2):   # publishing a step's parameters reopens its positions
-        exchange.publish(params)
-        fast, slow = exchange.claims(order), exchange.claims(order)
-        taken = [next(fast), next(slow), next(fast), next(fast)]
-        assert taken == [1, 3, 4, 2]
-        assert list(slow) == [0]
-        assert list(fast) == []
+def test_longest_first_orders_by_frames_then_position():
+    assert longest_first([10, 50, 20, 50, 30]) == [1, 3, 4, 2, 0]
+
+
+def test_gradient_rows_are_reused_with_the_same_bits(monkeypatch, tmp_path):
+    # two processes keep 8 rows for a batch of 12, so rows 0-3 take a second
+    # position each step; the bits equal the one-process run's
+    corpus = make_corpus(5)
+    config = desk_config(batch_size=12, total_steps=3)
+    runs = {}
+    for workers in (1, 2):
+        log, result = run_with_workers(monkeypatch, workers, config, corpus)
+        runs[workers] = (log, checkpoint_bytes(result, tmp_path / f"{workers}.ckpt"))
+    assert runs[1][0].count("\n") == 3
+    assert runs[2] == runs[1]
+
+
+def test_exchange_holds_four_gradient_rows_per_process(monkeypatch):
+    made = []
+
+    class Recorded(training.GradientExchange):
+        def __init__(self, params, rows):
+            super().__init__(params, rows)
+            made.append(self)
+
+    monkeypatch.setattr(training, "GradientExchange", Recorded)
+    run_with_workers(monkeypatch, 2, desk_config(batch_size=32, total_steps=1),
+                     make_corpus(3))
+    assert [len(exchange.grads) for exchange in made] == [min(32, 4 * 2)]
