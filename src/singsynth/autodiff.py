@@ -36,6 +36,11 @@ _ATTENTION_BLOCKS_PER_THREAD = 4
 # at most this many threads share one graph-free attention call, so its
 # scratch buffers hold at most this many blocks (8 MB) whatever the CPU count
 _ATTENTION_MAX_THREADS = 4
+# attention exponentiates its scores without subtracting each row's max when
+# every head's Cauchy-Schwarz bound on |score| is below this: exp then stays
+# within e^+-300, so no row sum can overflow or underflow (float64 reaches
+# e^+-709)
+_ATTENTION_UNSHIFTED_REACH = 300.0
 # added to each row's variance in layer_norm
 _LAYER_NORM_EPS = 1e-12
 
@@ -308,18 +313,20 @@ def exp(a) -> Node:
     return Node(out, parents=[(a, lambda g: g * out)])
 
 
-def _softmax_(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, computed in place in ``x``; returns ``x``."""
-    x -= x.max(axis=-1, keepdims=True)
+def _exp_rows_(x: np.ndarray, shift: bool) -> np.ndarray:
+    """``exp`` in place in ``x``, after subtracting each last-axis row's max
+    when ``shift``; returns the row sums."""
+    if shift:
+        x -= x.max(axis=-1, keepdims=True)
     np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
-    return x
+    return x.sum(axis=-1, keepdims=True)
 
 
 def softmax(a) -> Node:
     """Softmax over the last axis."""
     a = as_node(a)
-    out = _softmax_(np.array(a.value))
+    out = np.array(a.value)
+    out /= _exp_rows_(out, shift=True)
 
     def pull(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -478,12 +485,15 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
     holds ``heads`` contiguous heads of width d_h = D / heads (D_v / heads for
     ``v``); the output is T x D_v with the heads side by side in that order.
     All heads run as one batched matmul into an H x rows x S score buffer
-    that is normalised in place and multiplied into the output rows. When
-    the output records a graph, the block is all T rows and those
-    probabilities are the only thing the pullback keeps; when it does not,
-    blocks of query rows reuse one scratch buffer of about
-    ``_ATTENTION_BLOCK_ELEMENTS`` per thread, so H x T x S never exists.
-    Graph-free calls with enough blocks share them among up to
+    that is exponentiated in place and multiplied into the output rows,
+    which are then divided by the exponentials' row sums. A per-row shift
+    cancels in that division, so the scores are shifted by their row max
+    only when some head's bound c max_i |q_i| max_j |k_j| on every |score|
+    reaches ``_ATTENTION_UNSHIFTED_REACH`` or is not finite. When the output
+    records a graph, the block is all T rows, and the exponentials and their
+    row sums are all the pullbacks keep; when it does not, blocks of query
+    rows reuse one scratch buffer of about ``_ATTENTION_BLOCK_ELEMENTS`` per
+    thread, so H x T x S never exists. Graph-free calls with enough blocks share them among up to
     :func:`available_cpus` threads (at most ``_ATTENTION_MAX_THREADS``, and
     one unless ``BLAS_ONE_THREAD``), each writing its own output rows; block
     boundaries do not depend on the thread count, so neither do the bytes.
@@ -514,16 +524,24 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
 
     qh, kh, vh = split(q.value), split(k.value), split(v.value)
     qch, kth = split(q.value * c), kh.transpose(0, 2, 1)
+
+    def reach(x):  # each head's largest row norm, as python floats
+        return np.linalg.norm(x, axis=-1).max(axis=-1, initial=0.0).tolist()
+
+    # python floats, so that inf * 0 sets no numpy error flag; NaN shifts
+    shift = not all(c * a * b < _ATTENTION_UNSHIFTED_REACH
+                    for a, b in zip(reach(qh), reach(kh)))
     records = _GRAD_ENABLED and (q.requires_grad or k.requires_grad
                                  or v.requires_grad)
     rows = max(1, t if records else _ATTENTION_BLOCK_ELEMENTS // (heads * s))
-    probs = np.empty((heads, min(rows, t), s))
+    exps = np.empty((heads, min(rows, t), s))
+    sums = np.empty((heads, t, 1))
     out = np.empty((t, v.shape[1]))
     outh = split(out)
 
     starts, lock = iter(range(0, t, rows)), threading.Lock()
 
-    def attend(probs: np.ndarray) -> None:
+    def attend(exps: np.ndarray) -> None:
         # claims blocks one at a time until none is left
         while True:
             with lock:
@@ -531,22 +549,24 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
             if lo is None:
                 return
             hi = min(lo + rows, t)
-            block = probs[:, : hi - lo]
-            _softmax_(np.matmul(qch[:, lo:hi], kth, out=block))
+            block = exps[:, : hi - lo]
+            np.matmul(qch[:, lo:hi], kth, out=block)
+            sums[:, lo:hi] = _exp_rows_(block, shift)
             np.matmul(block, vh, out=outh[:, lo:hi])
+            outh[:, lo:hi] /= sums[:, lo:hi]
 
     threads = 1 if records or not BLAS_ONE_THREAD else min(
         available_cpus(), -(-t // rows) // _ATTENTION_BLOCKS_PER_THREAD,
         _ATTENTION_MAX_THREADS)
     if threads <= 1:
-        attend(probs)
+        attend(exps)
     else:
         with ThreadPoolExecutor(threads - 1) as pool:
             # a copied context carries the caller's np.errstate to a helper
             helpers = [pool.submit(contextvars.copy_context().run, attend,
-                                   np.empty_like(probs))
+                                   np.empty_like(exps))
                        for _ in range(threads - 1)]
-            attend(probs)
+            attend(exps)
             for helper in helpers:
                 helper.result()
     # d loss / d(q k^T), computed by the first of the q and k pullbacks of a
@@ -555,12 +575,13 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
 
     def score_grad(g):
         if shared.get("g") is not g:
-            gh = split(g)
+            # c P (g v^T - rowsum(g * out)) for P = exps / sums, since
+            # sum_s dP * P == rowsum(g * out) when out = P v; c / sums scales
+            # g once per row
+            gh = split(g) * (c / sums)
             ds = np.matmul(gh, vh.transpose(0, 2, 1))
-            # sum_s dP * P == rowsum(g * out), since out = P v
             ds -= (gh * split(out)).sum(axis=-1, keepdims=True)
-            ds *= probs
-            ds *= c
+            ds *= exps
             shared.update(g=g, ds=ds, users=q.requires_grad + k.requires_grad)
         ds = shared["ds"]
         shared["users"] -= 1
@@ -573,7 +594,8 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
         parents=[
             (q, lambda g: merge(np.matmul(score_grad(g), kh))),
             (k, lambda g: merge(np.matmul(score_grad(g).transpose(0, 2, 1), qh))),
-            (v, lambda g: merge(np.matmul(probs.transpose(0, 2, 1), split(g)))),
+            (v, lambda g: merge(np.matmul(exps.transpose(0, 2, 1),
+                                          split(g) / sums))),
         ],
     )
 

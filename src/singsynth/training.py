@@ -234,10 +234,11 @@ def batch_loss(params: ModelParameters, batch: Batch, config: ModelConfig,
 # per-utterance gradients and the processes that compute them
 
 class GradientExchange:
-    """The parameters, then ``rows`` flat gradient rows, as float64 views of
-    one anonymous shared mapping. Made before the workers fork, so they read
-    the parent's parameters and write their gradients without pickling
-    either."""
+    """``rows`` flat gradient rows, and once :meth:`share_values` has run a
+    row of the parameters, as float64 views of anonymous shared mappings.
+    Made before the workers fork, so they read the parent's parameters and
+    write their gradients without pickling either. One process reads its
+    own parameters, so it maps no parameter row."""
 
     def __init__(self, params: ModelParameters, rows: int):
         self.layout, offset = [], 0
@@ -245,10 +246,13 @@ class GradientExchange:
             size = node.value.size
             self.layout.append((name, slice(offset, offset + size), node.value.shape))
             offset += size
-        self._mapping = mmap.mmap(-1, 8 * offset * (rows + 1))
-        flat = np.frombuffer(self._mapping, dtype=np.float64)
-        self.values = flat[:offset]
-        self.grads = flat[offset:].reshape(rows, offset)
+        self.grads = np.frombuffer(mmap.mmap(-1, 8 * offset * rows)).reshape(
+            rows, offset)
+        self.values: np.ndarray | None = None
+
+    def share_values(self) -> None:
+        """Map the row that :meth:`publish` writes and :meth:`load` reads."""
+        self.values = np.frombuffer(mmap.mmap(-1, self.grads[0].nbytes))
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Each parameter's part of a flat row, in its own shape."""
@@ -470,7 +474,8 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
     if workers == 1:
         pool, task = _Inline(), replica.gradient
     else:
-        # forked once the exchange exists, so workers share its mapping and
+        replica.exchange.share_values()
+        # forked once the exchange exists, so workers share its mappings and
         # inherit the corpus copy-on-write
         pool = ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"),
@@ -501,17 +506,19 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
 def _train_step(step: int, replica: _Replica,
                 submit: Callable[..., Future]) -> LogRecord:
     """One step's objective and gradient. The parent publishes the
-    parameters and dispatches the batch positions longest first; the k-th
-    writes its gradient into row k mod R of the exchange, and the parent
-    adds the rows in that same order as they finish, so at most R positions
-    are in flight and the bits do not depend on who computes them.
+    parameters when workers read them from the exchange, and dispatches the
+    batch positions longest first; the k-th writes its gradient into row
+    k mod R of the exchange, and the parent adds the rows in that same order
+    as they finish, so at most R positions are in flight and the bits do
+    not depend on who computes them.
     ``submit(step, counts, i, row)`` runs one position, in a worker or in
     this process. Leaves the summed gradient in the parameters' ``.grad``;
     raises TrainingDiverged, before any update, on a non-finite loss."""
     config, exchange = replica.config, replica.exchange
     batch = replica.batch_of(step)
     counts = batch_counts(batch)
-    exchange.publish(replica.params)
+    if exchange.values is not None:
+        exchange.publish(replica.params)
     rows = len(exchange.grads)
     tasks = [(step, counts, i, k % rows)
              for k, i in enumerate(longest_first(batch.n_frames))]

@@ -253,6 +253,78 @@ def test_attention_matches_per_head_composition(heads, width, v_width):
         np.testing.assert_allclose(fused, reference, rtol=0, atol=1e-12)
 
 
+def fused_attention_shifts(monkeypatch, q, k, v, heads):
+    """Asserts that graph-free and recorded attention, and the recorded q, k
+    and v gradients, match :func:`per_head_attention` at atol 1e-12; returns
+    whether each of the fused op's blocks shifted its scores."""
+    w = ad.constant(np.random.default_rng(0).normal(size=(q.shape[0], v.shape[1])))
+    shifts, exp_rows = [], ad._exp_rows_
+
+    def recording(x, shift):
+        shifts.append(shift)
+        return exp_rows(x, shift)
+
+    def recorded(attention):
+        nodes = [ad.parameter(a) for a in (q, k, v)]
+        out = attention(*nodes, heads)
+        ad.backward(ad.reduce_sum(ad.mul(out, w)))
+        return [out.value] + [node.grad for node in nodes]
+
+    results = [recorded(per_head_attention)]
+    monkeypatch.setattr(ad, "_exp_rows_", recording)
+    results.append(recorded(ad.scaled_dot_attention))
+    with ad.no_grad():
+        results[1].append(ad.scaled_dot_attention(q, k, v, heads).value)
+    results[0].append(results[0][0])
+    for reference, fused in zip(*results):
+        assert np.all(np.isfinite(fused))
+        np.testing.assert_allclose(fused, reference, rtol=0, atol=1e-12)
+    return shifts
+
+
+def head_scores(q, k, heads):
+    c = 1.0 / np.sqrt(q.shape[1] // heads)
+    return np.stack([c * qh @ kh.T for qh, kh in
+                     zip(np.split(q, heads, axis=1), np.split(k, heads, axis=1))])
+
+
+@pytest.mark.parametrize("block_elements", [None, 2 * 11 * 2])
+def test_attention_shifts_scores_beyond_the_bound(monkeypatch, block_elements):
+    # scores near +-1e4, where exp of an unshifted score overflows or
+    # underflows, and softmax rows saturated on one key; 2 x 11 x 2 elements
+    # give graph-free blocks of two query rows
+    if block_elements is not None:
+        monkeypatch.setattr(ad, "_ATTENTION_BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(12)
+    q, k = 100 * rng.normal(size=(9, 8)), 100 * rng.normal(size=(11, 8))
+    v = rng.normal(size=(11, 6))
+    scores = head_scores(q, k, 2)
+    assert np.abs(scores).max() > 1e4
+    top2 = np.sort(scores, axis=-1)[..., -2:]
+    assert np.all(top2[..., 1] - top2[..., 0] > 40)
+    shifts = fused_attention_shifts(monkeypatch, q, k, v, 2)
+    # one recorded block, then one graph-free block or five
+    assert shifts == [True] * (2 if block_elements is None else 1 + 5)
+
+
+def test_attention_unshifted_just_inside_the_bound(monkeypatch):
+    # q = a u and k = -a u per head, so every score sits just above -bound:
+    # exp of them is about 1e-130 unshifted, and a larger bound would
+    # underflow it to 0 here and fail
+    rng = np.random.default_rng(13)
+    heads, width, c = 2, 8, 0.5
+    a = np.sqrt(0.999 * ad._ATTENTION_UNSHIFTED_REACH / c)
+    u = rng.normal(size=(heads, width // heads))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    q = a * (1 - 0.005 * rng.random((9, heads, 1))) * u
+    k = -a * (1 - 0.005 * rng.random((11, heads, 1))) * u
+    q, k = q.reshape(9, width), k.reshape(11, width)
+    v = rng.normal(size=(11, 6))
+    scores = head_scores(q, k, heads)
+    assert np.all(scores < -0.98 * ad._ATTENTION_UNSHIFTED_REACH)
+    assert fused_attention_shifts(monkeypatch, q, k, v, heads) == [False, False]
+
+
 def test_attention_rejects_widths_not_divisible_by_heads():
     x = ad.constant(np.zeros((3, 6)))
     with pytest.raises(ad.ShapeError, match="4 heads"):
@@ -366,14 +438,19 @@ def test_debug_finite_check_inside_no_grad():
 
 
 def unblocked_attention(q, k, v, heads):
-    """``_softmax_(q c @ k^T) @ v`` over all heads at once, in one block."""
+    """``exp(q c @ k^T) @ v`` divided by the row sums of ``exp(q c @ k^T)``,
+    over all heads at once, in one block: attention's arithmetic for inputs
+    whose scores it exponentiates unshifted, which these must be."""
     c = 1.0 / np.sqrt(q.shape[1] // heads)
 
     def split(x):
         return x.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
 
-    probs = ad._softmax_(np.matmul(split(q * c), split(k).transpose(0, 2, 1)))
-    out = np.matmul(probs, split(v))
+    reach = (c * np.linalg.norm(split(q), axis=-1).max(axis=-1)
+             * np.linalg.norm(split(k), axis=-1).max(axis=-1))
+    assert np.all(reach < ad._ATTENTION_UNSHIFTED_REACH)
+    exps = np.exp(np.matmul(split(q * c), split(k).transpose(0, 2, 1)))
+    out = np.matmul(exps, split(v)) / exps.sum(axis=-1, keepdims=True)
     return out.transpose(1, 0, 2).reshape(q.shape[0], v.shape[1])
 
 
@@ -485,17 +562,17 @@ def test_threaded_attention_raises_a_helpers_exception(monkeypatch,
     monkeypatch.setattr(ad, "available_cpus", lambda: 2)
     caller = threading.get_ident()
     raised = threading.Event()
-    softmax = ad._softmax_
+    exp_rows = ad._exp_rows_
 
-    def failing_in_helper(x):
+    def failing_in_helper(x, shift):
         if threading.get_ident() != caller:
             raised.set()
             raise RuntimeError("helper block failed")
         # hold the caller's first block until a helper has claimed one
         assert raised.wait(timeout=30)
-        return softmax(x)
+        return exp_rows(x, shift)
 
-    monkeypatch.setattr(ad, "_softmax_", failing_in_helper)
+    monkeypatch.setattr(ad, "_exp_rows_", failing_in_helper)
     x = np.ones((60, 8))
     with pytest.raises(RuntimeError, match="helper block failed"):
         graph_free_attention(x, x[:50], x[:50])

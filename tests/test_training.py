@@ -568,3 +568,24 @@ def test_exchange_holds_four_gradient_rows_per_process(monkeypatch):
     run_with_workers(monkeypatch, 2, desk_config(batch_size=32, total_steps=1),
                      make_corpus(3))
     assert [len(exchange.grads) for exchange in made] == [min(32, 4 * 2)]
+
+
+def test_one_process_train_never_publishes(monkeypatch):
+    # one process reads its own parameters: no parameter row to map or fill
+    made, published = [], []
+
+    class Recorded(training.GradientExchange):
+        def __init__(self, params, rows):
+            super().__init__(params, rows)
+            made.append(self)
+
+        def publish(self, params):
+            published.append(1)
+            super().publish(params)
+
+    monkeypatch.setattr(training, "GradientExchange", Recorded)
+    run_with_workers(monkeypatch, 1, desk_config(total_steps=2), make_corpus(2))
+    assert published == []
+    assert [exchange.values for exchange in made] == [None]
+    run_with_workers(monkeypatch, 2, desk_config(total_steps=2), make_corpus(2))
+    assert len(published) == 2
