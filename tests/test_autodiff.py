@@ -312,8 +312,8 @@ def test_attention_unshifted_just_inside_the_bound(monkeypatch):
     # exp of them is about 1e-130 unshifted, and a larger bound would
     # underflow it to 0 here and fail
     rng = np.random.default_rng(13)
-    heads, width, c = 2, 8, 0.5
-    a = np.sqrt(0.999 * ad._ATTENTION_UNSHIFTED_REACH / c)
+    heads, width = 2, 8
+    a = np.sqrt(0.999 * ad._ATTENTION_UNSHIFTED_REACH * np.sqrt(width // heads))
     u = rng.normal(size=(heads, width // heads))
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
     q = a * (1 - 0.005 * rng.random((9, heads, 1))) * u
