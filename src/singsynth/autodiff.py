@@ -493,10 +493,11 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
     records a graph, the block is all T rows, and the exponentials and their
     row sums are all the pullbacks keep; when it does not, blocks of query
     rows reuse one scratch buffer of about ``_ATTENTION_BLOCK_ELEMENTS`` per
-    thread, so H x T x S never exists. Graph-free calls with enough blocks share them among up to
-    :func:`available_cpus` threads (at most ``_ATTENTION_MAX_THREADS``, and
-    one unless ``BLAS_ONE_THREAD``), each writing its own output rows; block
-    boundaries do not depend on the thread count, so neither do the bytes.
+    thread, so H x T x S never exists. Graph-free calls with enough blocks
+    share them among up to :func:`available_cpus` threads (at most
+    ``_ATTENTION_MAX_THREADS``, and one unless ``BLAS_ONE_THREAD``), each
+    writing its own output rows; block boundaries do not depend on the
+    thread count, so neither do the bytes.
     """
     q, k, v = as_node(q), as_node(k), as_node(v)
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
