@@ -201,13 +201,6 @@ def matmul(a, b) -> Node:
     )
 
 
-def transpose(a) -> Node:
-    a = as_node(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose: expected a matrix, got shape {a.shape}")
-    return Node(a.value.T, parents=[(a, lambda g: _tensor(g.T))])
-
-
 def embedding(table, ids) -> Node:
     """Row lookup ``table[ids]``; gradient scatter-adds into the table."""
     table = as_node(table)
@@ -400,28 +393,6 @@ def reshape(a, shape) -> Node:
     )
 
 
-def concat_last(parts: Sequence[Node]) -> Node:
-    """Concatenate along the last axis."""
-    parts = [as_node(p) for p in parts]
-    lead = parts[0].shape[:-1]
-    if any(p.shape[:-1] != lead for p in parts):
-        raise ShapeError(
-            "concat_last: leading dimensions differ: "
-            + ", ".join(str(p.shape) for p in parts)
-        )
-    sizes = [p.shape[-1] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def make_pull(i):
-        lo, hi = offsets[i], offsets[i + 1]
-        return lambda g: _tensor(g[..., lo:hi])
-
-    return Node(
-        np.concatenate([p.value for p in parts], axis=-1),
-        parents=[(p, make_pull(i)) for i, p in enumerate(parts)],
-    )
-
-
 def split_last(a, sizes: Sequence[int]) -> list[Node]:
     """Split into pieces of the given widths along the last axis."""
     a = as_node(a)
@@ -484,20 +455,26 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
     ``q`` is T x D, ``k`` is S x D and ``v`` is S x D_v. The last axis of each
     holds ``heads`` contiguous heads of width d_h = D / heads (D_v / heads for
     ``v``); the output is T x D_v with the heads side by side in that order.
-    All heads run as one batched matmul into an H x rows x S score buffer
-    that is exponentiated in place and multiplied into the output rows,
-    which are then divided by the exponentials' row sums. A per-row shift
-    cancels in that division, so the scores are shifted by their row max
-    only when some head's bound c max_i |q_i| max_j |k_j| on every |score|
-    reaches ``_ATTENTION_UNSHIFTED_REACH`` or is not finite. When the output
-    records a graph, the block is all T rows, and the exponentials and their
-    row sums are all the pullbacks keep; when it does not, blocks of query
-    rows reuse one scratch buffer of about ``_ATTENTION_BLOCK_ELEMENTS`` per
-    thread, so H x T x S never exists. Graph-free calls with enough blocks
-    share them among up to :func:`available_cpus` threads (at most
-    ``_ATTENTION_MAX_THREADS``, and one unless ``BLAS_ONE_THREAD``), each
-    writing its own output rows; block boundaries do not depend on the
-    thread count, so neither do the bytes.
+    Training and inference run one loop over blocks of query rows, each an
+    H x rows x S buffer of about ``_ATTENTION_BLOCK_ELEMENTS``: its scores are
+    exponentiated in place and multiplied into the block's output rows, which
+    are then divided by the exponentials' row sums s. A per-row shift cancels
+    in that division, so the scores are shifted by their row max only when
+    some head's bound c max_i |q_i| max_j |k_j| on every |score| reaches
+    ``_ATTENTION_UNSHIFTED_REACH`` or is not finite. Blocks run last first,
+    so one thread's buffer ends holding block 0.
+
+    A recorded call runs on one thread and keeps only s, the shift flag and
+    its buffer. The first of its q, k and v pullbacks in a backward pass
+    walks the blocks from block 0, recomputes each block's exponentials (the
+    forward's bits) unless the buffer holds them, writes the block's dQ rows
+    and adds its dK and dV partials in block order. Appending c rowsum(g / s
+    * out) to c g / s and a column of -1 to v makes the score gradient
+    c (g v^T - rowsum(g * out)) / s one matmul. Graph-free calls with enough
+    blocks share them among up to :func:`available_cpus` threads (at most
+    ``_ATTENTION_MAX_THREADS``, and one unless ``BLAS_ONE_THREAD``), each with
+    its own buffer; block boundaries depend on neither the thread count nor
+    the claim order, so neither do the bytes.
     """
     q, k, v = as_node(q), as_node(k), as_node(v)
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
@@ -519,10 +496,6 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
     def split(x):  # rows x (H * w) -> H x rows x w view
         return x.reshape(x.shape[0], heads, x.shape[1] // heads).transpose(1, 0, 2)
 
-    def merge(x):  # H x rows x w -> rows x (H * w)
-        h, rows, w = x.shape
-        return x.transpose(1, 0, 2).reshape(rows, h * w)
-
     qh, kh, vh = split(q.value), split(k.value), split(v.value)
     qch, kth = split(q.value * c), kh.transpose(0, 2, 1)
 
@@ -534,15 +507,20 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
                     for a, b in zip(reach(qh), reach(kh)))
     records = _GRAD_ENABLED and (q.requires_grad or k.requires_grad
                                  or v.requires_grad)
-    rows = max(1, t if records else _ATTENTION_BLOCK_ELEMENTS // (heads * s))
+    rows = max(1, _ATTENTION_BLOCK_ELEMENTS // (heads * s))
     exps = np.empty((heads, min(rows, t), s))
     sums = np.empty((heads, t, 1))
     out = np.empty((t, v.shape[1]))
     outh = split(out)
 
-    starts, lock = iter(range(0, t, rows)), threading.Lock()
+    def exp_scores(block: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        # rows lo:hi's exponentials into block; returns their row sums
+        np.matmul(qch[:, lo:hi], kth, out=block)
+        return _exp_rows_(block, shift)
 
-    def attend(exps: np.ndarray) -> None:
+    starts, lock = iter(range(0, t, rows)[::-1]), threading.Lock()
+
+    def attend(buffer: np.ndarray) -> None:
         # claims blocks one at a time until none is left
         while True:
             with lock:
@@ -550,9 +528,8 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
             if lo is None:
                 return
             hi = min(lo + rows, t)
-            block = exps[:, : hi - lo]
-            np.matmul(qch[:, lo:hi], kth, out=block)
-            sums[:, lo:hi] = _exp_rows_(block, shift)
+            block = buffer[:, : hi - lo]
+            sums[:, lo:hi] = exp_scores(block, lo, hi)
             np.matmul(block, vh, out=outh[:, lo:hi])
             outh[:, lo:hi] /= sums[:, lo:hi]
 
@@ -570,34 +547,55 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
             attend(exps)
             for helper in helpers:
                 helper.result()
-    # d loss / d(q k^T), computed by the first of the q and k pullbacks of a
-    # backward pass and dropped by the last one that needs it
-    shared: dict = {}
+    held = [0]  # the first row of the block whose exponentials exps holds
 
-    def score_grad(g):
-        if shared.get("g") is not g:
-            # c P (g v^T - rowsum(g * out)) for P = exps / sums, since
-            # sum_s dP * P == rowsum(g * out) when out = P v; c / sums scales
-            # g once per row
-            gh = split(g) * (c / sums)
-            ds = np.matmul(gh, vh.transpose(0, 2, 1))
-            ds -= (gh * split(out)).sum(axis=-1, keepdims=True)
-            ds *= exps
-            shared.update(g=g, ds=ds, users=q.requires_grad + k.requires_grad)
-        ds = shared["ds"]
-        shared["users"] -= 1
-        if shared["users"] == 0:
-            shared.clear()
-        return ds
+    def walk(g: np.ndarray) -> list[np.ndarray]:
+        # the q, k and v gradients, one block at a time in block order
+        grads = [np.empty_like(x.value) for x in (q, k, v)]
+        dqh, dkh, dvh = (split(x) for x in grads)
+        # rowsum(P dP) == rowsum(g * out) for P = exps / s
+        gs = split(g) / sums
+        gc = np.empty(gs.shape[:2] + (gs.shape[2] + 1,))
+        np.multiply(gs, c, out=gc[..., :-1])
+        (gc[..., :-1] * outh).sum(axis=-1, out=gc[..., -1])
+        vt = np.full(vh.shape[:2] + (vh.shape[2] + 1,), -1.0)
+        vt[..., :-1] = vh
+        vt, ds = vt.transpose(0, 2, 1), np.empty_like(exps)
+        for lo in range(0, t, rows):
+            hi = min(lo + rows, t)
+            block, dsb = exps[:, : hi - lo], ds[:, : hi - lo]
+            if held[0] != lo:
+                exp_scores(block, lo, hi)
+                held[0] = lo
+            np.matmul(gc[:, lo:hi], vt, out=dsb)
+            dsb *= block
+            np.matmul(dsb, kh, out=dqh[:, lo:hi])
+            if lo:  # block 0 writes the dK and dV sums, later blocks add
+                dvh += np.matmul(block.transpose(0, 2, 1), gs[:, lo:hi])
+                dkh += np.matmul(dsb.transpose(0, 2, 1), qh[:, lo:hi])
+            else:
+                np.matmul(block.transpose(0, 2, 1), gs[:, lo:hi], out=dvh)
+                np.matmul(dsb.transpose(0, 2, 1), qh[:, lo:hi], out=dkh)
+        return grads
+
+    # one walk's gradients, made by the first of the q, k and v pullbacks of
+    # a backward pass and dropped by the last one that needs them
+    walked: dict = {}
+
+    def gradient(i: int, g: np.ndarray) -> np.ndarray:
+        if walked.get("g") is not g:
+            walked.update(enumerate(walk(g)), g=g, users=q.requires_grad
+                          + k.requires_grad + v.requires_grad)
+        walked["users"] -= 1
+        grad = walked.pop(i)
+        if walked["users"] == 0:
+            walked.clear()
+        return grad
 
     return Node(
         out,
-        parents=[
-            (q, lambda g: merge(np.matmul(score_grad(g), kh))),
-            (k, lambda g: merge(np.matmul(score_grad(g).transpose(0, 2, 1), qh))),
-            (v, lambda g: merge(np.matmul(exps.transpose(0, 2, 1),
-                                          split(g) / sums))),
-        ],
+        parents=[(x, lambda g, i=i: gradient(i, g))
+                 for i, x in enumerate((q, k, v))],
     )
 
 

@@ -253,13 +253,15 @@ def round_half_up(x: float) -> int:
 
 def beats_to_frames(beat_length: float, tempo_bpm: float, frame_shift_s: float) -> int:
     """Frame count of a note, at least 1; raises ValueError when it is not
-    finite."""
+    finite or does not fit in int64."""
     if beat_length <= 0 or tempo_bpm <= 0 or frame_shift_s <= 0:
         raise ValueError("beats_to_frames requires positive arguments")
     frames = beat_length * 60.0 / tempo_bpm / frame_shift_s
-    if not math.isfinite(frames):
+    if not frames < 2.0 ** 63:
+        cause = ("gives a frame count beyond int64" if math.isfinite(frames)
+                 else "is not a finite number of frames")
         raise ValueError(f"beat length {beat_length!r} at tempo {tempo_bpm!r} "
-                         "is not a finite number of frames")
+                         f"{cause}")
     return max(1, round_half_up(frames))
 
 

@@ -37,3 +37,34 @@ def check_grad(build_loss, x, tol=1e-4, h=1e-5):
     err = rel_err(p.grad, fd)
     assert err < tol, f"gradient mismatch: rel err {err:.3g}"
     return err
+
+
+# Graph ops that only tests build: the per-head attention reference and the
+# gradient checks of their own pullbacks.
+
+def transpose(a) -> ad.Node:
+    a = ad.as_node(a)
+    if a.ndim != 2:
+        raise ad.ShapeError(f"transpose: expected a matrix, got shape {a.shape}")
+    return ad.Node(a.value.T, parents=[(a, lambda g: np.ascontiguousarray(g.T))])
+
+
+def concat_last(parts) -> ad.Node:
+    """Concatenate along the last axis."""
+    parts = [ad.as_node(p) for p in parts]
+    lead = parts[0].shape[:-1]
+    if any(p.shape[:-1] != lead for p in parts):
+        raise ad.ShapeError(
+            "concat_last: leading dimensions differ: "
+            + ", ".join(str(p.shape) for p in parts)
+        )
+    offsets = np.cumsum([0] + [p.shape[-1] for p in parts])
+
+    def make_pull(i):
+        lo, hi = offsets[i], offsets[i + 1]
+        return lambda g: np.ascontiguousarray(g[..., lo:hi])
+
+    return ad.Node(
+        np.concatenate([p.value for p in parts], axis=-1),
+        parents=[(p, make_pull(i)) for i, p in enumerate(parts)],
+    )

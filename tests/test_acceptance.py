@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradcheck import check_grad
+from gradcheck import check_grad, concat_last, transpose
 from singsynth import autodiff as ad
 from singsynth.checkpoint import load_checkpoint, save_checkpoint
 from singsynth.cli import main
@@ -94,7 +94,7 @@ def _op_gradient_battery():
         "mul": (lambda p: dot(ad.mul(p, ad.constant(y)), probe), x),
         "scale": (lambda p: dot(ad.scale(p, 1.37), probe), x),
         "matmul": (lambda p: dot(ad.matmul(p, ad.constant(m)), probe6), x),
-        "transpose": (lambda p: ad.reduce_sum(ad.matmul(ad.transpose(p), p)), x),
+        "transpose": (lambda p: ad.reduce_sum(ad.matmul(transpose(p), p)), x),
         "embedding": (lambda p: ad.reduce_sum(
             ad.exp(ad.scale(ad.embedding(p, ids), 0.3))), table),
         "conv1d": (lambda p: ad.reduce_sum(ad.conv1d(
@@ -114,7 +114,7 @@ def _op_gradient_battery():
             p, ad.constant(m.T), ad.constant(m.T), heads=2), probe), x),
         "attention_mh_kv": (lambda p: dot(ad.scaled_dot_attention(
             ad.constant(x), p, p, heads=2), probe), m.T),
-        "concat_split": (lambda p: dot(ad.concat_last(
+        "concat_split": (lambda p: dot(concat_last(
             list(reversed(ad.split_last(p, [1, 3])))), probe), x),
         "reduce_sum": (lambda p: ad.reduce_sum(ad.mul(p, p)), x),
         "absolute": (lambda p: dot(ad.absolute(p), probe), kinked),

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gradcheck import check_grad
+from gradcheck import check_grad, concat_last, transpose
 from singsynth import autodiff as ad
 
 
@@ -102,7 +103,7 @@ def test_grad_matmul_transpose(seed):
     b = rng.uniform(-2, 2, size=(3, 5))
     check_grad(lambda p: ad.reduce_sum(ad.matmul(p, ad.constant(b))), a)
     check_grad(lambda p: ad.reduce_sum(ad.matmul(ad.constant(a), p)), b)
-    check_grad(lambda p: ad.reduce_sum(ad.matmul(ad.transpose(p), p)), a)
+    check_grad(lambda p: ad.reduce_sum(ad.matmul(transpose(p), p)), a)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -177,7 +178,7 @@ def test_grad_concat_split(seed):
     x = rng.uniform(-2, 2, size=(3, 7))
     def f(p):
         parts = ad.split_last(p, [2, 4, 1])
-        recombined = ad.concat_last([parts[2], parts[0], parts[1]])
+        recombined = concat_last([parts[2], parts[0], parts[1]])
         return ad.reduce_sum(ad.mul(recombined, recombined))
     check_grad(f, x)
 
@@ -232,9 +233,9 @@ def per_head_attention(q, k, v, heads):
     for qh, kh, vh in zip(ad.split_last(q, [qk_width] * heads),
                           ad.split_last(k, [qk_width] * heads),
                           ad.split_last(v, [v_width] * heads)):
-        scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(qk_width))
+        scores = ad.scale(ad.matmul(qh, transpose(kh)), 1.0 / np.sqrt(qk_width))
         outs.append(ad.matmul(ad.softmax(scores), vh))
-    return outs[0] if heads == 1 else ad.concat_last(outs)
+    return outs[0] if heads == 1 else concat_last(outs)
 
 
 @pytest.mark.parametrize("heads,width,v_width", [(1, 4, 4), (2, 8, 6), (3, 9, 3)])
@@ -303,8 +304,10 @@ def test_attention_shifts_scores_beyond_the_bound(monkeypatch, block_elements):
     top2 = np.sort(scores, axis=-1)[..., -2:]
     assert np.all(top2[..., 1] - top2[..., 0] > 40)
     shifts = fused_attention_shifts(monkeypatch, q, k, v, 2)
-    # one recorded block, then one graph-free block or five
-    assert shifts == [True] * (2 if block_elements is None else 1 + 5)
+    # one block: recorded forward, then graph-free; five blocks: recorded
+    # forward, the backward's recomputation of all but the held block 0,
+    # then graph-free
+    assert shifts == [True] * (2 if block_elements is None else 5 + 4 + 5)
 
 
 def test_attention_unshifted_just_inside_the_bound(monkeypatch):
@@ -472,13 +475,68 @@ def test_blocked_attention_matches_recorded(monkeypatch, heads, t, s, width,
     recorded = ad.scaled_dot_attention(ad.parameter(q), ad.parameter(k),
                                        ad.parameter(v), heads)
     assert recorded.requires_grad
-    # the recorded path is one block: bit for bit the unblocked product
-    assert recorded.value.tobytes() == unblocked_attention(q, k, v, heads).tobytes()
     with ad.no_grad():
         free = ad.scaled_dot_attention(ad.parameter(q), ad.parameter(k),
                                        ad.parameter(v), heads)
     assert not free.requires_grad
-    np.testing.assert_allclose(free.value, recorded.value, rtol=0, atol=1e-12)
+    # both paths run the same blocks: bit for bit the same output
+    assert recorded.value.tobytes() == free.value.tobytes()
+    np.testing.assert_allclose(recorded.value, unblocked_attention(q, k, v, heads),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("heads,t,s,width,v_width", [
+    (1, 40, 40, 4, 4),
+    (2, 37, 23, 8, 6),
+    (3, 29, 31, 9, 3),
+])
+@pytest.mark.parametrize("block_elements", [1, 300])
+def test_blocked_attention_gradients_match_per_head_composition(
+        monkeypatch, heads, t, s, width, v_width, block_elements):
+    # the pullback recomputes every block but the one its buffer holds; 300
+    # elements give blocks of 3 to 7 rows and a shorter last block
+    monkeypatch.setattr(ad, "_ATTENTION_BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(heads * 100 + t)
+    q, k, v = (rng.normal(size=shape) for shape in
+               ((t, width), (s, width), (s, v_width)))
+    assert not any(fused_attention_shifts(monkeypatch, q, k, v, heads))
+
+
+def test_attention_backward_twice_gives_the_same_gradients(monkeypatch):
+    # the first backward leaves the buffer holding the last block, not the
+    # block 0 that the forward left there
+    monkeypatch.setattr(ad, "_ATTENTION_BLOCK_ELEMENTS", 300)
+    rng = np.random.default_rng(5)
+    nodes = [ad.parameter(rng.normal(size=shape))
+             for shape in ((37, 8), (23, 8), (23, 6))]
+    out = ad.scaled_dot_attention(*nodes, heads=2)
+    loss = ad.reduce_sum(ad.mul(out, ad.constant(rng.normal(size=(37, 6)))))
+    grads = []
+    for _ in range(2):
+        ad.backward(loss)
+        grads.append([node.grad.tobytes() for node in nodes])
+        for node in nodes:
+            node.grad = None
+    assert grads[0] == grads[1]
+
+
+def test_recorded_attention_never_holds_a_frames_squared_buffer():
+    # at 1,900 frames one H x T x S float64 buffer is 58 MB; the recorded op
+    # keeps one scratch block of about 2 MB, the row sums and T x D arrays
+    rng = np.random.default_rng(19)
+    nodes = [ad.parameter(rng.normal(scale=0.3, size=(1900, 32)))
+             for _ in range(3)]
+    w = ad.constant(rng.normal(size=(1900, 32)))
+    tracemalloc.start()
+    try:
+        out = ad.scaled_dot_attention(*nodes, heads=2)
+        kept = tracemalloc.get_traced_memory()[0]
+        ad.backward(ad.reduce_sum(ad.mul(out, w)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept < 2 * 8 * ad._ATTENTION_BLOCK_ELEMENTS
+    assert peak < 16e6
 
 
 # Graph-free attention on several threads. Blocks of 5 query rows against

@@ -202,10 +202,15 @@ score_lines = st.lists(
 @example(text="tempo 120\nla 69 inf")
 @example(text="tempo 120\nla 69 1e308")
 @example(text="tempo 1e-310\nla 69 0.5")
+@example(text="tempo 1e-300\nla 69 1")
 def test_score_parser_raises_only_documented_errors(text):
-    # what parses is also tokenised, which turns beats into frame counts
-    only_documented_errors(
-        lambda: score_to_tokens(parse_score(text), demo_lexicon()))
+    # what parses is also tokenised, which turns beats into frame counts,
+    # and those become the int64 array the model reads
+    def read():
+        tokens = score_to_tokens(parse_score(text), demo_lexicon())
+        np.asarray(tokens.note_frame_counts, dtype=np.int64)
+
+    only_documented_errors(read)
 
 
 @settings(max_examples=150, deadline=None)

@@ -123,6 +123,16 @@ def test_beats_to_frames_names_a_frame_count_that_is_not_finite(beats, tempo):
         beats_to_frames(beats, tempo, 0.015)
 
 
+@pytest.mark.parametrize("beats, tempo", [(1.0, 1e-300), (1e300, 120.0)])
+def test_beats_to_frames_names_a_frame_count_beyond_int64(beats, tempo):
+    message = (f"beat length {beats!r} at tempo {tempo!r} gives a frame count "
+               "beyond int64")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        beats_to_frames(beats, tempo, 0.015)
+    # the largest float count below 2**63 still converts
+    assert beats_to_frames(2.0 ** 63 - 1024, 60.0, 1.0) == 2 ** 63 - 1024
+
+
 def test_score_to_tokens_duplicates_note_attributes(lexicon):
     score = parse_score("tempo 120\nla 69 1.0\n")
     tokens = score_to_tokens(score, lexicon)
