@@ -464,8 +464,8 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
     ``_ATTENTION_UNSHIFTED_REACH`` or is not finite. Blocks run last first,
     so one thread's buffer ends holding block 0.
 
-    A recorded call runs on one thread and keeps only s, the shift flag and
-    its buffer. The first of its q, k and v pullbacks in a backward pass
+    A recorded call runs on one thread and keeps only s, the shift flag, its
+    buffer and c q. The first of its q, k and v pullbacks in a backward pass
     walks the blocks from block 0, recomputes each block's exponentials (the
     forward's bits) unless the buffer holds them, writes the block's dQ rows
     and adds its dK and dV partials in block order. Appending c rowsum(g / s
@@ -507,7 +507,7 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
                     for a, b in zip(reach(qh), reach(kh)))
     records = _GRAD_ENABLED and (q.requires_grad or k.requires_grad
                                  or v.requires_grad)
-    rows = max(1, _ATTENTION_BLOCK_ELEMENTS // (heads * s))
+    rows = max(1, _ATTENTION_BLOCK_ELEMENTS // max(1, heads * s))
     exps = np.empty((heads, min(rows, t), s))
     sums = np.empty((heads, t, 1))
     out = np.empty((t, v.shape[1]))

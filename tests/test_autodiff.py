@@ -334,6 +334,15 @@ def test_attention_rejects_widths_not_divisible_by_heads():
         ad.scaled_dot_attention(x, x, x, heads=4)
 
 
+def test_attention_over_no_rows():
+    x = ad.parameter(np.zeros((0, 4)))
+    out = ad.scaled_dot_attention(x, x, x, heads=2)
+    ad.backward(ad.reduce_sum(out))
+    assert out.shape == (0, 4) and x.grad.shape == (0, 4)
+    with ad.no_grad():
+        assert ad.scaled_dot_attention(x, x, x, heads=2).shape == (0, 4)
+
+
 def test_grad_dropout(rng):
     x = rng.uniform(-2, 2, size=(4, 5))
     mask = ad.dropout_mask((4, 5), 0.4, np.random.default_rng(7))
