@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the benchmark over several seeds and write one BENCH_<label>.json.
+"""Run the benchmark over several seeds into BENCH_<label>.json files.
 
 For each workload this runs the unchanged ``perfbench/run.py --trace 0``
 once per seed, then one ``--trace 1`` run on the first seed, one run at a
@@ -10,8 +10,17 @@ steal share of each run), the git commit of the checkout measured and
 whether its tree had uncommitted changes (``dirty``). A checkout without a
 commit is refused.
 
+With ``--parent CHECKOUT`` each run of the measured checkout is paired with
+the same run of CHECKOUT, the two back to back and the side that goes first
+switching from one seed (and traced run) to the next, so machine drift over
+the session falls on both sides alike. CHECKOUT's file is
+BENCH_<label>_parent.json.
+
     python3 scripts/bench.py --label baseline --seeds 11 12 13 14 15
     python3 scripts/bench.py --label change --checkout ../other-copy --seconds 30
+    python3 scripts/bench.py --label change --parent ../parent-copy --seconds 10
+    python3 scripts/bench.py --label claim --parent ../parent-copy \\
+        --workloads synth-phrases --seeds 51 52 53 54 55 56 57 58 59 60
 """
 
 from __future__ import annotations
@@ -66,22 +75,38 @@ def git_state(checkout: Path) -> tuple[str, bool]:
     return head.stdout.strip(), bool(status.stdout.strip())
 
 
-def bench_workload(checkout: Path, workload: str, seeds: list[int],
-                   seconds: int) -> dict:
-    runs = []
-    for seed in seeds:
-        details, result = run_once(checkout, workload, seed, seconds, 0)
-        runs.append((details, result))
-        print(f"{workload} seed {seed}: "
-              f"p50 {result['metrics']['latency_ms_p50']['value']:.2f} ms, "
-              f"failed {result['failed']}", file=sys.stderr, flush=True)
+def paired_runs(checkouts: list[Path], workload: str, seeds: list[int],
+                seconds: int) -> list[tuple[list, tuple]]:
+    """Each checkout's untraced runs (one per seed) and its traced run; with
+    several checkouts, the order they run in rotates from one run to the
+    next."""
+    runs = [[] for _ in checkouts]
+    traced = [None] * len(checkouts)
+    for n, seed in enumerate([*seeds, seeds[0]]):
+        trace = int(n == len(seeds))
+        for j in range(len(checkouts)):
+            side = (j + n) % len(checkouts)
+            details, result = run_once(checkouts[side], workload, seed,
+                                       seconds, trace)
+            p50 = ("traced" if trace else
+                   f"p50 {result['metrics']['latency_ms_p50']['value']:.2f} ms")
+            print(f"{checkouts[side]} {workload} seed {seed}: {p50}, "
+                  f"failed {result['failed']}", file=sys.stderr, flush=True)
+            if trace:
+                traced[side] = (details, result)
+            else:
+                runs[side].append((details, result))
+    return list(zip(runs, traced))
+
+
+def workload_record(runs: list, traced: tuple, seed: int) -> dict:
+    """One checkout's record of one workload: the end-to-end summaries of
+    its untraced runs and the per-layer metrics of its traced run."""
     names = list(runs[0][1]["metrics"])
     metrics = {name: {"unit": runs[0][1]["metrics"][name]["unit"],
                       **summary([r["metrics"][name]["value"] for _, r in runs])}
                for name in names}
-    traced_details, traced = run_once(checkout, workload, seeds[0], seconds, 1)
-    print(f"{workload} seed {seeds[0]} traced: failed {traced['failed']}",
-          file=sys.stderr, flush=True)
+    traced_details, traced = traced
     return {
         "metrics": metrics,
         "attempted": [r["attempted"] for _, r in runs],
@@ -92,7 +117,7 @@ def bench_workload(checkout: Path, workload: str, seeds: list[int],
             "latency_samples": [d["latency_samples"] for d, _ in runs],
         },
         "trace": {
-            "seed": seeds[0],
+            "seed": seed,
             "attempted": traced["attempted"],
             "failed": traced["failed"],
             "metrics": {name: m["value"]
@@ -110,25 +135,35 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+",
                         default=[11, 12, 13, 14, 15])
     parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS,
+                        default=list(WORKLOADS))
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="source checkout to measure (default: this one)")
+    parser.add_argument("--parent", type=Path, default=None,
+                        help="checkout to measure in alternation with it, "
+                             "into BENCH_<label>_parent.json")
     args = parser.parse_args(argv)
 
-    checkout = args.checkout.resolve()
-    commit, dirty = git_state(checkout)
-    record = {
-        "label": args.label,
-        "commit": commit,
-        "dirty": dirty,
-        "command": "perfbench/run.py",
-        "seconds": args.seconds,
-        "seeds": args.seeds,
-        "workloads": {w: bench_workload(checkout, w, args.seeds, args.seconds)
-                      for w in WORKLOADS},
-    }
-    out = ROOT / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    print(out)
+    labels = {args.label: args.checkout.resolve()}
+    if args.parent is not None:
+        labels = {f"{args.label}_parent": args.parent.resolve(), **labels}
+    records = {}
+    for label, path in labels.items():
+        commit, dirty = git_state(path)
+        records[label] = {"label": label, "commit": commit, "dirty": dirty,
+                          "command": "perfbench/run.py",
+                          "seconds": args.seconds, "seeds": args.seeds,
+                          "workloads": {}}
+    for workload in args.workloads:
+        sides = paired_runs(list(labels.values()), workload, args.seeds,
+                            args.seconds)
+        for label, (runs, traced) in zip(labels, sides):
+            records[label]["workloads"][workload] = workload_record(
+                runs, traced, args.seeds[0])
+    for label, record in records.items():
+        out = ROOT / f"BENCH_{label}.json"
+        out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+        print(out)
     return 0
 
 

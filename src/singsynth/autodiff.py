@@ -191,14 +191,21 @@ def scale(a, c: float) -> Node:
 # ---------------------------------------------------------------------------
 # linear algebra
 
-def matmul(a, b) -> Node:
+def matmul(a, b, bias=None) -> Node:
+    """``a @ b``, plus ``bias`` on every row if one is given: the bits of
+    ``add(matmul(a, b), bias)`` from one node and one buffer."""
     a, b = as_node(a), as_node(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    return Node(
-        a.value @ b.value,
-        parents=[(a, lambda g: g @ b.value.T), (b, lambda g: a.value.T @ g)],
-    )
+    out = a.value @ b.value
+    parents = [(a, lambda g: g @ b.value.T), (b, lambda g: a.value.T @ g)]
+    if bias is not None:
+        bias = as_node(bias)
+        if bias.shape != b.shape[1:]:
+            raise ShapeError(f"matmul: bias {bias.shape} for width {b.shape[1]}")
+        out += bias.value
+        parents.append((bias, lambda g: g.sum(axis=0)))
+    return Node(out, parents=parents)
 
 
 def embedding(table, ids) -> Node:
@@ -281,8 +288,8 @@ def relu(a) -> Node:
 def sigmoid(a) -> Node:
     a = as_node(a)
     v = a.value
-    out = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
-                   np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+    e = np.exp(-np.abs(v))
+    out = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return Node(out, parents=[(a, lambda g: g * out * (1.0 - out))])
 
 
@@ -337,17 +344,18 @@ def layer_norm(x, gain, bias) -> Node:
             f"layer_norm: gain/bias must have shape ({d},), got "
             f"{gain.shape} and {bias.shape}"
         )
-    mu = x.value.mean(axis=-1, keepdims=True)
+    # np.add.reduce / d: the bits of .mean() without its Python wrapper
+    mu = np.add.reduce(x.value, axis=-1, keepdims=True) / d
     centered = x.value - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + _LAYER_NORM_EPS)
     xhat = centered * inv_std
     out = xhat * gain.value + bias.value
 
     def pull_x(g):
         gxhat = g * gain.value
-        mean_g = gxhat.mean(axis=-1, keepdims=True)
-        mean_gx = (gxhat * xhat).mean(axis=-1, keepdims=True)
+        mean_g = np.add.reduce(gxhat, axis=-1, keepdims=True) / d
+        mean_gx = np.add.reduce(gxhat * xhat, axis=-1, keepdims=True) / d
         return inv_std * (gxhat - mean_g - xhat * mean_gx)
 
     return Node(
@@ -500,11 +508,13 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
     qch, kth = split(q.value * c), kh.transpose(0, 2, 1)
 
     def reach(x):  # each head's largest row norm, as python floats
-        return np.linalg.norm(x, axis=-1).max(axis=-1, initial=0.0).tolist()
+        x = x.reshape(x.shape[0], heads, x.shape[1] // heads)
+        return np.sqrt(np.add.reduce(x * x, axis=-1).max(axis=0, initial=0.0)
+                       ).tolist()
 
     # python floats, so that inf * 0 sets no numpy error flag; NaN shifts
     shift = not all(c * a * b < _ATTENTION_UNSHIFTED_REACH
-                    for a, b in zip(reach(qh), reach(kh)))
+                    for a, b in zip(reach(q.value), reach(k.value)))
     records = _GRAD_ENABLED and (q.requires_grad or k.requires_grad
                                  or v.requires_grad)
     rows = max(1, _ATTENTION_BLOCK_ELEMENTS // max(1, heads * s))

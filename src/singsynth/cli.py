@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -258,6 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="singsynth",
         description="Singing voice synthesis: scores in, vocoder features out.",
     )
+    parser.add_argument("--verbose", action="store_true",
+                        help="print a failure's traceback before its error line")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a synthetic oracle corpus")
@@ -309,12 +312,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CorpusValidationError as exc:
-        for problem in exc.problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 1
     except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if args.verbose:
+            traceback.print_exc()
+        problems = (exc.problems if isinstance(exc, CorpusValidationError)
+                    else [exc])
+        for problem in problems:
+            print(f"error: {problem}", file=sys.stderr)
         return 1
 
 

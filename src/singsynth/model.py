@@ -107,14 +107,22 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParameter
     return tensors
 
 
+_POSITION_TABLES: dict[int, np.ndarray] = {}  # width -> read-only table
+
+
 def positional_encoding(length: int, dim: int) -> np.ndarray:
-    """Fixed sinusoidal position encoding, length x dim."""
-    positions = np.arange(length)[:, None]
-    div = np.exp(np.arange(0, dim, 2) * (-math.log(10000.0) / dim))
-    pe = np.zeros((length, dim))
-    pe[:, 0::2] = np.sin(positions * div)
-    pe[:, 1::2] = np.cos(positions * div[: dim // 2])
-    return pe
+    """Fixed sinusoidal position encoding, length x dim: a read-only slice of
+    one table per width, recomputed only when a longer length is asked for."""
+    pe = _POSITION_TABLES.get(dim)
+    if pe is None or len(pe) < length:
+        positions = np.arange(length)[:, None]
+        div = np.exp(np.arange(0, dim, 2) * (-math.log(10000.0) / dim))
+        pe = np.zeros((length, dim))
+        pe[:, 0::2] = np.sin(positions * div)
+        pe[:, 1::2] = np.cos(positions * div[: dim // 2])
+        pe.flags.writeable = False
+        _POSITION_TABLES[dim] = pe
+    return pe[:length]
 
 
 def _maybe_dropout(x: Node, config: ModelConfig,
@@ -127,11 +135,11 @@ def _maybe_dropout(x: Node, config: ModelConfig,
 def self_attention(x: Node, params: ModelParameters, prefix: str,
                    config: ModelConfig) -> Node:
     p = lambda name: params[f"{prefix}.attn.{name}"]
-    q = ad.add(ad.matmul(x, p("wq")), p("bq"))
-    k = ad.add(ad.matmul(x, p("wk")), p("bk"))
-    v = ad.add(ad.matmul(x, p("wv")), p("bv"))
+    q = ad.matmul(x, p("wq"), p("bq"))
+    k = ad.matmul(x, p("wk"), p("bk"))
+    v = ad.matmul(x, p("wv"), p("bv"))
     merged = ad.scaled_dot_attention(q, k, v, heads=config.attention_heads)
-    return ad.add(ad.matmul(merged, p("wo")), p("bo"))
+    return ad.matmul(merged, p("wo"), p("bo"))
 
 
 def fft_block(x: Node, params: ModelParameters, prefix: str, config: ModelConfig,
@@ -184,7 +192,7 @@ def predict_durations(hidden: Node, params: ModelParameters, config: ModelConfig
     h = ad.relu(ad.conv1d(h, params["dur.conv2.w"], params["dur.conv2.b"]))
     h = ad.layer_norm(h, params["dur.ln2.gain"], params["dur.ln2.bias"])
     h = _maybe_dropout(h, config, rng)
-    v = ad.add(ad.matmul(h, params["dur.proj.w"]), params["dur.proj.b"])
+    v = ad.matmul(h, params["dur.proj.w"], params["dur.proj.b"])
     return ad.reshape(v, (hidden.shape[0],))
 
 
@@ -240,7 +248,7 @@ def decode(expanded: Node, frame_note_logf0: np.ndarray,
     x = ad.add(expanded, ad.constant(positional_encoding(t, config.hidden_dim)))
     for i in range(config.decoder_blocks):
         x = fft_block(x, params, f"dec.{i}", config, rng)
-    y = ad.add(ad.matmul(x, params["out.w"]), params["out.b"])
+    y = ad.matmul(x, params["out.w"], params["out.b"])
     mgc, bap, residual, logit = ad.split_last(y, [MGC_DIM, BAP_DIM, 1, 1])
     residual = ad.reshape(residual, (t,))
     logit = ad.reshape(logit, (t,))

@@ -107,6 +107,51 @@ def test_grad_matmul_transpose(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
+def test_grad_matmul_with_bias(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-2, 2, size=(4, 3))
+    b = rng.uniform(-2, 2, size=(3, 5))
+    bias = rng.uniform(-1, 1, size=5)
+    probe = ad.constant(rng.uniform(-1, 1, size=(4, 5)))
+
+    def loss(x, w, c):
+        return ad.reduce_sum(ad.mul(ad.matmul(x, w, c), probe))
+
+    check_grad(lambda p: loss(p, ad.constant(b), ad.constant(bias)), a)
+    check_grad(lambda p: loss(ad.constant(a), p, ad.constant(bias)), b)
+    check_grad(lambda p: loss(ad.constant(a), ad.constant(b), p), bias)
+
+
+def test_matmul_bias_matches_add_of_matmul_bit_for_bit(rng):
+    values = [rng.normal(size=shape) for shape in ((7, 4), (4, 6), (6,))]
+    g = rng.normal(size=(7, 6))
+    fused = [ad.parameter(v) for v in values]
+    split = [ad.parameter(v) for v in values]
+    out = ad.matmul(*fused)
+    ref = ad.add(ad.matmul(*split[:2]), split[2])
+    np.testing.assert_array_equal(out.value, ref.value)
+    ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
+    ad.backward(ad.reduce_sum(ad.mul(ref, ad.constant(g))))
+    for mine, theirs in zip(fused, split):
+        np.testing.assert_array_equal(mine.grad, theirs.grad)
+
+
+def test_matmul_rejects_a_bias_of_another_width():
+    with pytest.raises(ad.ShapeError, match=r"bias \(5,\) for width 6"):
+        ad.matmul(np.zeros((2, 3)), np.zeros((3, 6)), np.zeros(5))
+
+
+def test_sigmoid_matches_the_three_exp_formula_bit_for_bit(rng):
+    v = np.concatenate([rng.normal(scale=20.0, size=200),
+                        [800.0, -800.0, 0.0, -0.0, 1e-300, -1e-300, 36.0, -745.0]])
+    with np.errstate(under="ignore"):
+        expected = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
+                            np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+        out = ad.sigmoid(v).value
+    assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
 def test_grad_scale_reshape(seed):
     rng = np.random.default_rng(seed)
     a = rng.uniform(-2, 2, size=(2, 6))

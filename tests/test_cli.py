@@ -548,3 +548,16 @@ def test_cli_train_bytes_do_not_depend_on_cpu_count_without_blas_settings(
         runs[name] = [(out / f).read_bytes()
                       for f in ("loss_log.tsv", "checkpoint.bin")]
     assert runs["one"] == runs["all"]
+
+
+def test_verbose_prints_the_traceback_of_a_failure(tmp_path, capsys):
+    argv = ["eval", "--out", str(tmp_path / "e")]
+    assert main(argv) == 1
+    quiet = capsys.readouterr().err
+    assert "Traceback" not in quiet
+    assert main(["--verbose", *argv]) == 1
+    loud = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in loud
+    assert "CliError" in loud
+    # the usual error line still comes last
+    assert loud.endswith(quiet) and quiet.startswith("error: ")

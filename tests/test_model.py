@@ -73,6 +73,34 @@ def test_encode_zero_params_reduces_to_positional_encoding(lexicon, tiny_config)
     np.testing.assert_array_equal(out.value, expected)
 
 
+def _fresh_positional_encoding(length, dim):
+    positions = np.arange(length)[:, None]
+    div = np.exp(np.arange(0, dim, 2) * (-math.log(10000.0) / dim))
+    pe = np.zeros((length, dim))
+    pe[:, 0::2] = np.sin(positions * div)
+    pe[:, 1::2] = np.cos(positions * div[: dim // 2])
+    return pe
+
+
+def test_positional_encoding_table_equals_a_fresh_one_at_any_length():
+    dim = 10  # a width no other test uses, so the first call fills the cache
+    cached = positional_encoding(300, dim)
+    for length in (0, 1, 137, 300, 301, 2950):
+        got = positional_encoding(length, dim)
+        assert got.shape == (length, dim)
+        assert got.tobytes() == _fresh_positional_encoding(length, dim).tobytes()
+    # shorter lengths are slices of the one cached table
+    assert np.shares_memory(positional_encoding(5, dim), positional_encoding(7, dim))
+    assert cached.tobytes() == _fresh_positional_encoding(300, dim).tobytes()
+
+
+def test_positional_encoding_is_read_only():
+    pe = positional_encoding(12, 16)
+    with pytest.raises(ValueError, match="read-only"):
+        pe[0, 0] = 1.0
+    assert pe[0, 0] == 0.0
+
+
 def test_encode_rejects_out_of_range_ids(lexicon, tiny_config):
     params = init_params(tiny_config, np.random.default_rng(0))
     tokens = make_tokens(lexicon)
