@@ -6,15 +6,22 @@ pullback closure; calling :func:`backward` on a scalar loss accumulates
 gradients on every reachable node that requires them. Inside
 :func:`no_grad` no op records a graph.
 
-Broadcasting is deliberately restricted to bias addition over the last
-axis; everything else demands exact shape agreement so that shape bugs
-surface as errors instead of silent broadcasts.
+Each node takes a creation number from one module counter, larger than its
+parents' numbers, so :func:`backward` walks the graph in decreasing number
+instead of sorting it first.
+
+Broadcasting is deliberately restricted to :func:`matmul`'s bias and
+:func:`layer_norm`'s gain and bias, each over the last axis; everything else
+demands exact shape agreement so that shape bugs surface as errors instead of
+silent broadcasts.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import heapq
+import itertools
 import math
 import os
 import threading
@@ -43,6 +50,8 @@ _ATTENTION_MAX_THREADS = 4
 _ATTENTION_UNSHIFTED_REACH = 300.0
 # added to each row's variance in layer_norm
 _LAYER_NORM_EPS = 1e-12
+# hands every new Node its creation number
+_CREATED = itertools.count(1)
 
 
 def set_debug_checks(enabled: bool) -> None:
@@ -89,10 +98,11 @@ class Node:
 
     ``parents`` is a tuple of ``(parent_node, pullback)`` pairs where
     ``pullback(out_grad)`` returns that parent's gradient contribution. A
-    node that does not require grad keeps no parents.
+    node that does not require grad keeps no parents. ``number`` is the
+    node's creation number, larger than each of its parents'.
     """
 
-    __slots__ = ("value", "grad", "parents", "requires_grad")
+    __slots__ = ("value", "grad", "parents", "requires_grad", "number")
 
     def __init__(self, value, parents=(), requires_grad: bool = False):
         self.value = _tensor(value)
@@ -104,6 +114,7 @@ class Node:
         ))
         self.parents = parents if self.requires_grad else ()
         self.grad: np.ndarray | None = None
+        self.number = next(_CREATED)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -140,35 +151,16 @@ def as_node(x) -> Node:
 
 def add(a, b) -> Node:
     a, b = as_node(a), as_node(b)
-    if a.shape == b.shape:
-        return Node(
-            a.value + b.value,
-            parents=[(a, lambda g: g), (b, lambda g: g)],
-        )
-    if b.ndim == 1 and a.ndim >= 1 and a.shape[-1:] == b.shape:
-        # bias add over the last axis
-        d = b.shape[0]
-        return Node(
-            a.value + b.value,
-            parents=[(a, lambda g: g), (b, lambda g: g.reshape(-1, d).sum(axis=0))],
-        )
-    raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    if a.shape != b.shape:
+        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
+    return Node(a.value + b.value, parents=[(a, lambda g: g), (b, lambda g: g)])
 
 
 def sub(a, b) -> Node:
     a, b = as_node(a), as_node(b)
-    if a.shape == b.shape:
-        return Node(
-            a.value - b.value,
-            parents=[(a, lambda g: g), (b, lambda g: -g)],
-        )
-    if b.ndim == 1 and a.ndim >= 1 and a.shape[-1:] == b.shape:
-        d = b.shape[0]
-        return Node(
-            a.value - b.value,
-            parents=[(a, lambda g: g), (b, lambda g: -g.reshape(-1, d).sum(axis=0))],
-        )
-    raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
+    if a.shape != b.shape:
+        raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
+    return Node(a.value - b.value, parents=[(a, lambda g: g), (b, lambda g: -g)])
 
 
 def mul(a, b) -> Node:
@@ -193,7 +185,7 @@ def scale(a, c: float) -> Node:
 
 def matmul(a, b, bias=None) -> Node:
     """``a @ b``, plus ``bias`` on every row if one is given: the bits of
-    ``add(matmul(a, b), bias)`` from one node and one buffer."""
+    numpy's ``a @ b + bias`` in one node and one buffer."""
     a, b = as_node(a), as_node(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
@@ -433,14 +425,7 @@ def repeat_rows(a, counts) -> Node:
         )
     if np.any(counts < 1):
         raise ValueError("repeat_rows: all counts must be >= 1")
-    idx = np.repeat(np.arange(a.shape[0]), counts)
-
-    def pull(g):
-        da = np.zeros_like(a.value)
-        np.add.at(da, idx, g)
-        return da
-
-    return Node(a.value[idx], parents=[(a, pull)])
+    return embedding(a, np.repeat(np.arange(a.shape[0]), counts))
 
 
 # ---------------------------------------------------------------------------
@@ -612,48 +597,28 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
 # ---------------------------------------------------------------------------
 # backward pass
 
-def _toposort(root: Node) -> list[Node]:
-    order: list[Node] = []
-    seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent, _ in node.parents:
-            if parent.requires_grad and id(parent) not in seen:
-                stack.append((parent, False))
-    return order
-
-
 def backward(loss: Node) -> None:
     """Accumulate d(loss)/d(node) into .grad for every reachable node.
 
     Repeated calls without zeroing grads add their contributions, and a node
-    used several times in the graph receives the sum of all path gradients.
+    used several times in the graph receives the sum of all path gradients,
+    added in decreasing creation number of its consumers.
     """
     if loss.value.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     if not loss.requires_grad:
         return
-    order = _toposort(loss)
-    flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.value)}
-    for node in reversed(order):
-        g = flowing.pop(id(node), None)
-        if g is None:
-            continue
+    # a node pops only after every consumer, since each has a larger number
+    flowing: dict[int, np.ndarray] = {loss.number: np.ones_like(loss.value)}
+    heap = [(-loss.number, loss)]
+    while heap:
+        _, node = heapq.heappop(heap)
+        g = flowing.pop(node.number)
         node.grad = g if node.grad is None else node.grad + g
         for parent, pull in node.parents:
             if not parent.requires_grad:
                 continue
-            contrib = pull(g)
-            key = id(parent)
-            if key in flowing:
-                flowing[key] = flowing[key] + contrib
-            else:
-                flowing[key] = contrib
+            contrib, held = pull(g), flowing.get(parent.number)
+            if held is None:
+                heapq.heappush(heap, (-parent.number, parent))
+            flowing[parent.number] = contrib if held is None else held + contrib

@@ -66,6 +66,10 @@ def load_checkpoint(path) -> Checkpoint:
         group, _, rest = name.partition(".")
         if group not in groups or not rest:
             raise ContainerError(f"unexpected tensor {name!r} in checkpoint")
+        finite = np.isfinite(array)
+        if not finite.all():
+            raise ContainerError(f"checkpoint tensor {name} is not finite at "
+                                 f"flat index {finite.argmin()}")
         groups[group][rest] = array
     return Checkpoint(
         step=int(step[0]),

@@ -26,7 +26,8 @@ class AcousticFeatureSequence:
 
     ``logf0`` is natural-log Hz and only meaningful where ``vuv`` marks a
     voiced frame. Ground truth carries hard 0/1 voicing; model output carries
-    a probability in [0, 1].
+    a probability in [0, 1]. Every value must be finite, so a file that is
+    loaded or saved and a model output all pass the same check.
     """
 
     mgc: np.ndarray          # T x 60
@@ -48,6 +49,11 @@ class AcousticFeatureSequence:
             raise ValueError(f"bap must be T x {BAP_DIM}, got {self.bap.shape}")
         if self.logf0.shape != (t,) or self.vuv.shape != (t,):
             raise ValueError("logf0/vuv must be length-T vectors")
+        for name in ("mgc", "bap", "logf0", "vuv"):
+            finite = np.isfinite(getattr(self, name))
+            if not finite.all():
+                frame = finite.reshape(t, -1).all(axis=1).argmin()
+                raise ValueError(f"{name} is not finite at frame {frame}")
         if np.any(self.vuv < 0) or np.any(self.vuv > 1):
             raise ValueError("vuv values must lie in [0, 1]")
 

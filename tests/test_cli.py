@@ -441,6 +441,34 @@ def test_eval_mixed_pairs_continue_after_failure(tmp_path, corpus_dir, capsys):
     assert (out / "eval_report.txt").exists()
 
 
+def test_eval_pair_with_a_nan_feature_file_fails_that_pair_only(
+        tmp_path, corpus_dir, capsys):
+    gt0 = corpus_dir / "features" / "song_0000.feat"
+    feats = load_features(gt0)
+    feats.logf0[7] = np.nan  # after validation, so that the file gets written
+    bad = tmp_path / "nan_song.feat"
+    save_features(bad, feats)
+    out = tmp_path / "eval"
+    assert main(["eval", "--out", str(out), "--pair", str(bad), str(gt0),
+                 "--pair", str(gt0), str(gt0)]) == 0
+    assert "logf0 is not finite at frame 7" in capsys.readouterr().err
+    table = (out / "per_utterance.tsv").read_text()
+    assert "song_0000" in table and "nan_song" not in table
+
+
+def test_synth_refuses_a_checkpoint_with_a_nan_parameter(tmp_path, corpus_dir,
+                                                         run_dir, capsys):
+    ckpt = load_checkpoint(run_dir / "checkpoint.bin")
+    ckpt.params["out.w"][0, 1] = np.nan
+    bad = tmp_path / "nan.bin"
+    save_checkpoint(bad, ckpt)
+    out = tmp_path / "x.feat"
+    assert main(["synth", "--score", str(corpus_dir / "scores" / "song_0000.score"),
+                 "--checkpoint", str(bad), "--out", str(out)]) == 1
+    assert "param.out.w is not finite at flat index 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_without_inputs_is_runtime_error(tmp_path, capsys):
     assert main(["eval", "--out", str(tmp_path / "e")]) == 1
     assert "error" in capsys.readouterr().err

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from singsynth.binio import ContainerError
-from singsynth.features import AcousticFeatureSequence, load_features, save_features
+from singsynth.binio import ContainerError, write_magic, write_named_tensor, \
+    write_u32
+from singsynth.features import FEATURE_MAGIC, AcousticFeatureSequence, \
+    load_features, save_features
 
 
 def random_features(rng, t=25):
@@ -35,6 +37,32 @@ def test_feature_vuv_must_be_probability(rng):
                                 bap=rng.normal(size=(3, 5)),
                                 logf0=rng.normal(size=3),
                                 vuv=np.array([0.5, 1.2, 0.0]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("stream", ["mgc", "bap", "logf0", "vuv"])
+def test_feature_validation_names_a_non_finite_stream_and_frame(rng, stream,
+                                                                value):
+    feats = random_features(rng, t=5)
+    streams = {name: getattr(feats, name) for name in ("mgc", "bap", "logf0", "vuv")}
+    streams[stream][3] = value
+    with pytest.raises(ValueError, match=rf"^{stream} is not finite at frame 3$"):
+        AcousticFeatureSequence(**streams)
+
+
+@pytest.mark.parametrize("stream", ["mgc", "bap", "logf0", "vuv"])
+def test_load_features_refuses_a_nan_in_any_stream(tmp_path, stream):
+    blocks = {"mgc": np.zeros((4, 60)), "bap": np.zeros((4, 5)),
+              "logf0": np.zeros(4), "vuv": np.ones(4)}
+    blocks[stream][2] = np.nan
+    path = tmp_path / "nan.feat"
+    with open(path, "wb") as fh:
+        write_magic(fh, FEATURE_MAGIC)
+        write_u32(fh, 4)
+        for name, array in blocks.items():
+            write_named_tensor(fh, name, array)
+    with pytest.raises(ValueError, match=f"{stream} is not finite at frame 2"):
+        load_features(path)
 
 
 def test_feature_file_round_trip(tmp_path, rng):

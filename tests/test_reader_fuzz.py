@@ -111,6 +111,20 @@ def test_checkpoint_rejects_step_that_is_not_a_count(tmp_path, step):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("group", ["param", "adam_v"])
+def test_checkpoint_rejects_non_finite_tensor_naming_it(tmp_path, group, value):
+    tensors = {name: {"w": np.ones((2, 3))} for name in ("param", "adam_m", "adam_v")}
+    tensors[group]["w"][1, 1] = value
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, Checkpoint(step=1, params=tensors["param"],
+                                     adam_m=tensors["adam_m"],
+                                     adam_v=tensors["adam_v"]))
+    with pytest.raises(ContainerError,
+                       match=rf"tensor {group}\.w is not finite at flat index 4$"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("blob", [b"[" * 100_000, b"[1]", b"\xff", b"{"])
 def test_checkpoint_rejects_config_echo_that_is_not_a_json_object(tmp_path, blob):
     path = tmp_path / "bad.ckpt"
