@@ -2,18 +2,20 @@
 """Run the benchmark over several seeds into BENCH_<label>.json files.
 
 For each workload this runs the unchanged ``perfbench/run.py --trace 0``
-once per seed, then one ``--trace 1`` run on the first seed, one run at a
-time. The file holds each end-to-end metric's median and quartiles over the
-seeds (and every run's value), the per-layer metrics of the traced run, the
-``details`` record of the runs (nproc, BLAS build, thread variables and the
-steal share of each run), the git commit of the checkout measured and
-whether its tree had uncommitted changes (``dirty``). A checkout without a
-commit is refused.
+once per seed, then one ``--trace 1`` run on each of the first three seeds,
+one run at a time. The file holds each end-to-end metric's median and
+quartiles over the untraced runs and each per-layer metric's over the traced
+runs (and every run's value), the ``details`` record of the runs (nproc,
+BLAS build, thread variables and the steal share of each run), the git
+commit of the checkout measured and whether its tree had uncommitted changes
+(``dirty``). A checkout without a commit is refused. One traced run drifts
+by more than a 10-20% per-layer saving, so the per-layer figures are
+medians too.
 
 With ``--parent CHECKOUT`` each run of the measured checkout is paired with
 the same run of CHECKOUT, the two back to back and the side that goes first
-switching from one seed (and traced run) to the next, so machine drift over
-the session falls on both sides alike. CHECKOUT's file is
+switching from one run to the next, traced runs included, so machine drift
+over the session falls on both sides alike. CHECKOUT's file is
 BENCH_<label>_parent.json.
 
     python3 scripts/bench.py --label baseline --seeds 11 12 13 14 15
@@ -34,6 +36,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("train-desk", "synth-phrases", "synth-verse")
+# traced runs per side and workload, on the first seeds
+TRACED_SEEDS = 3
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: int,
@@ -76,14 +80,14 @@ def git_state(checkout: Path) -> tuple[str, bool]:
 
 
 def paired_runs(checkouts: list[Path], workload: str, seeds: list[int],
-                seconds: int) -> list[tuple[list, tuple]]:
-    """Each checkout's untraced runs (one per seed) and its traced run; with
-    several checkouts, the order they run in rotates from one run to the
-    next."""
+                seconds: int) -> list[tuple[list, list]]:
+    """Each checkout's untraced runs (one per seed) and its traced runs (one
+    per seed of the first ``TRACED_SEEDS``); with several checkouts, the
+    order they run in rotates from one run to the next."""
     runs = [[] for _ in checkouts]
-    traced = [None] * len(checkouts)
-    for n, seed in enumerate([*seeds, seeds[0]]):
-        trace = int(n == len(seeds))
+    traced = [[] for _ in checkouts]
+    for n, seed in enumerate([*seeds, *seeds[:TRACED_SEEDS]]):
+        trace = int(n >= len(seeds))
         for j in range(len(checkouts)):
             side = (j + n) % len(checkouts)
             details, result = run_once(checkouts[side], workload, seed,
@@ -92,23 +96,22 @@ def paired_runs(checkouts: list[Path], workload: str, seeds: list[int],
                    f"p50 {result['metrics']['latency_ms_p50']['value']:.2f} ms")
             print(f"{checkouts[side]} {workload} seed {seed}: {p50}, "
                   f"failed {result['failed']}", file=sys.stderr, flush=True)
-            if trace:
-                traced[side] = (details, result)
-            else:
-                runs[side].append((details, result))
+            (traced if trace else runs)[side].append((details, result))
     return list(zip(runs, traced))
 
 
-def workload_record(runs: list, traced: tuple, seed: int) -> dict:
+def metric_summaries(runs: list) -> dict:
+    """Each metric's unit, median and quartiles over the runs."""
+    return {name: {"unit": metric["unit"],
+                   **summary([r["metrics"][name]["value"] for _, r in runs])}
+            for name, metric in runs[0][1]["metrics"].items()}
+
+
+def workload_record(runs: list, traced: list, seeds: list[int]) -> dict:
     """One checkout's record of one workload: the end-to-end summaries of
-    its untraced runs and the per-layer metrics of its traced run."""
-    names = list(runs[0][1]["metrics"])
-    metrics = {name: {"unit": runs[0][1]["metrics"][name]["unit"],
-                      **summary([r["metrics"][name]["value"] for _, r in runs])}
-               for name in names}
-    traced_details, traced = traced
+    its untraced runs and the per-layer summaries of its traced runs."""
     return {
-        "metrics": metrics,
+        "metrics": metric_summaries(runs),
         "attempted": [r["attempted"] for _, r in runs],
         "failed": [r["failed"] for _, r in runs],
         "details": {
@@ -117,13 +120,13 @@ def workload_record(runs: list, traced: tuple, seed: int) -> dict:
             "latency_samples": [d["latency_samples"] for d, _ in runs],
         },
         "trace": {
-            "seed": seed,
-            "attempted": traced["attempted"],
-            "failed": traced["failed"],
-            "metrics": {name: m["value"]
-                        for name, m in traced["metrics"].items()},
-            "details": {key: traced_details[key] for key in traced_details
-                        if key not in ("environment", "bases", "spans_file")},
+            "seeds": seeds,
+            "attempted": [r["attempted"] for _, r in traced],
+            "failed": [r["failed"] for _, r in traced],
+            "metrics": metric_summaries(traced),
+            "details": [{key: d[key] for key in d if key not in
+                         ("environment", "bases", "spans_file")}
+                        for d, _ in traced],
         },
     }
 
@@ -159,7 +162,7 @@ def main(argv=None) -> int:
                             args.seconds)
         for label, (runs, traced) in zip(labels, sides):
             records[label]["workloads"][workload] = workload_record(
-                runs, traced, args.seeds[0])
+                runs, traced, args.seeds[:TRACED_SEEDS])
     for label, record in records.items():
         out = ROOT / f"BENCH_{label}.json"
         out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -10,6 +10,11 @@ Each node takes a creation number from one module counter, larger than its
 parents' numbers, so :func:`backward` walks the graph in decreasing number
 instead of sorting it first.
 
+:func:`scaled_dot_attention` runs over tiles of about 2^16 scores, small
+enough for a core's L2 cache, in three passes over the H x T x S scores
+forward and seven backward; a recorded call keeps one tile and T- or S-row
+arrays, never an H x T x S one.
+
 Broadcasting is deliberately restricted to :func:`matmul`'s bias and
 :func:`layer_norm`'s gain and bias, each over the last axis; everything else
 demands exact shape agreement so that shape bugs surface as errors instead of
@@ -34,14 +39,16 @@ from . import BLAS_ONE_THREAD
 
 _CHECK_FINITE = False
 _GRAD_ENABLED = True
-# query rows per block of graph-free attention: H x rows x S scores of about
-# this many float64 elements (2 MB, sized to a core's L2 cache) per block
-_ATTENTION_BLOCK_ELEMENTS = 1 << 18
+# scores per attention tile (512 KB), so that the backward's two tiles,
+# exponentials and score gradients, fit in a core's 2 MB L2 with operands
+_ATTENTION_BLOCK_ELEMENTS = 1 << 16
+# keys per attention tile; its rows fill _ATTENTION_BLOCK_ELEMENTS
+_ATTENTION_TILE_COLS = 256
 # graph-free attention spreads its blocks over threads only when each thread
 # gets at least this many; fewer lose more to thread handoffs than they gain
 _ATTENTION_BLOCKS_PER_THREAD = 4
 # at most this many threads share one graph-free attention call, so its
-# scratch buffers hold at most this many blocks (8 MB) whatever the CPU count
+# scratch buffers hold at most this many tiles (2 MB) whatever the CPU count
 _ATTENTION_MAX_THREADS = 4
 # attention exponentiates its scores without subtracting each row's max when
 # every head's Cauchy-Schwarz bound on |score| is below this: exp then stays
@@ -305,20 +312,22 @@ def exp(a) -> Node:
     return Node(out, parents=[(a, lambda g: g * out)])
 
 
-def _exp_rows_(x: np.ndarray, shift: bool) -> np.ndarray:
+def _exp_rows_(x: np.ndarray, shift: bool) -> np.ndarray | None:
     """``exp`` in place in ``x``, after subtracting each last-axis row's max
-    when ``shift``; returns the row sums."""
+    when ``shift``; returns those maxes, or None without ``shift``."""
+    top = x.max(axis=-1, keepdims=True) if shift else None
     if shift:
-        x -= x.max(axis=-1, keepdims=True)
+        x -= top
     np.exp(x, out=x)
-    return x.sum(axis=-1, keepdims=True)
+    return top
 
 
 def softmax(a) -> Node:
     """Softmax over the last axis."""
     a = as_node(a)
     out = np.array(a.value)
-    out /= _exp_rows_(out, shift=True)
+    _exp_rows_(out, shift=True)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def pull(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -448,26 +457,32 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
     ``q`` is T x D, ``k`` is S x D and ``v`` is S x D_v. The last axis of each
     holds ``heads`` contiguous heads of width d_h = D / heads (D_v / heads for
     ``v``); the output is T x D_v with the heads side by side in that order.
-    Training and inference run one loop over blocks of query rows, each an
-    H x rows x S buffer of about ``_ATTENTION_BLOCK_ELEMENTS``: its scores are
-    exponentiated in place and multiplied into the block's output rows, which
-    are then divided by the exponentials' row sums s. A per-row shift cancels
-    in that division, so the scores are shifted by their row max only when
-    some head's bound c max_i |q_i| max_j |k_j| on every |score| reaches
-    ``_ATTENTION_UNSHIFTED_REACH`` or is not finite. Blocks run last first,
-    so one thread's buffer ends holding block 0.
 
-    A recorded call runs on one thread and keeps only s, the shift flag, its
-    buffer and c q. The first of its q, k and v pullbacks in a backward pass
-    walks the blocks from block 0, recomputes each block's exponentials (the
-    forward's bits) unless the buffer holds them, writes the block's dQ rows
-    and adds its dK and dV partials in block order. Appending c rowsum(g / s
-    * out) to c g / s and a column of -1 to v makes the score gradient
-    c (g v^T - rowsum(g * out)) / s one matmul. Graph-free calls with enough
-    blocks share them among up to :func:`available_cpus` threads (at most
-    ``_ATTENTION_MAX_THREADS``, and one unless ``BLAS_ONE_THREAD``), each with
-    its own buffer; block boundaries depend on neither the thread count nor
-    the claim order, so neither do the bytes.
+    Training and inference run one loop over tiles of H x rows x cols scores,
+    cols = min(S, ``_ATTENTION_TILE_COLS``) keys by as many query rows as give
+    about ``_ATTENTION_BLOCK_ELEMENTS`` scores. Each block of query rows
+    exponentiates its tiles' scores in place and multiplies them by [v | 1],
+    adding up its output rows and their row sums s in one matmul, then
+    divides by s: three H x T x S passes. Blocks and each block's key tiles
+    run last first, so one thread's buffer ends holding tile (0, 0). A
+    per-row shift cancels in the division, so scores are shifted only when
+    some head's bound c max_i |q_i| max_j |k_j| on every |score| reaches
+    ``_ATTENTION_UNSHIFTED_REACH`` or is not finite: each tile then subtracts
+    its own row max, and the block rescales its sums to the larger max as
+    its tiles add up (online softmax), keeping each row's max m.
+
+    A recorded call runs on one thread and keeps s, m, c q, [v | 1] and one
+    tile. The first of its q, k and v pullbacks in a backward pass walks the
+    tiles from (0, 0), recomputing each tile's exponentials (the forward's
+    bits) unless the buffer holds them. The score gradient is one matmul of
+    [c g / s | -c rowsum(g / s * out)] by [v | 1]^T times the exponentials;
+    dQ rows add up over key tiles and dK and dV rows over query blocks, so
+    the walk makes seven passes, two of them the recomputation. Graph-free
+    calls with enough query blocks share them among up to
+    :func:`available_cpus` threads (at most ``_ATTENTION_MAX_THREADS``, and
+    one unless ``BLAS_ONE_THREAD``), each with its own buffers; tile
+    boundaries and order depend on neither the thread count nor the claim
+    order, so neither do the bytes.
     """
     q, k, v = as_node(q), as_node(k), as_node(v)
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
@@ -502,75 +517,125 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
                     for a, b in zip(reach(q.value), reach(k.value)))
     records = _GRAD_ENABLED and (q.requires_grad or k.requires_grad
                                  or v.requires_grad)
-    rows = max(1, _ATTENTION_BLOCK_ELEMENTS // max(1, heads * s))
-    exps = np.empty((heads, min(rows, t), s))
+    cols = max(1, min(s, _ATTENTION_TILE_COLS))
+    rows = max(1, min(t, _ATTENTION_BLOCK_ELEMENTS // (heads * cols)))
+    # with no keys, one empty tile: 0 / 0 rows, as a softmax over nothing
+    col_starts = range(0, max(s, 1), cols)
+
+    def scratch() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # one tile, and a block's [output | s] rows and one tile's share
+        acc = np.empty((heads, rows, vh.shape[2] + 1))
+        return np.empty(heads * rows * cols), acc, np.empty_like(acc)
+
+    # the tile buffer before the other arrays: allocated after them, every
+    # 140 x 140 call's score matmul ran 2x as long in a process making them
+    buffers = scratch()
+    vo = np.ones(vh.shape[:2] + (vh.shape[2] + 1,))  # [v | 1]
+    vo[..., :-1] = vh
     sums = np.empty((heads, t, 1))
+    maxes = np.empty((heads, t, 1)) if shift else None
     out = np.empty((t, v.shape[1]))
     outh = split(out)
 
-    def exp_scores(block: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        # rows lo:hi's exponentials into block; returns their row sums
-        np.matmul(qch[:, lo:hi], kth, out=block)
-        return _exp_rows_(block, shift)
+    def tile_of(buffer: np.ndarray, lo: int, hi: int, c0: int) -> np.ndarray:
+        # tile (lo:hi, c0:c0 + cols) as the contiguous front of a flat buffer
+        width = min(c0 + cols, s) - c0
+        return buffer[: heads * (hi - lo) * width].reshape(heads, hi - lo, width)
+
+    def exp_scores(tile: np.ndarray, lo: int, c0: int):
+        # the tile's exponentials; returns its rows' max score when shifted
+        np.matmul(qch[:, lo : lo + tile.shape[1]], kth[:, :, c0 : c0 + cols],
+                  out=tile)
+        return _exp_rows_(tile, shift)
 
     starts, lock = iter(range(0, t, rows)[::-1]), threading.Lock()
 
-    def attend(buffer: np.ndarray) -> None:
-        # claims blocks one at a time until none is left
+    def attend(flat: np.ndarray, acc: np.ndarray, part: np.ndarray):
+        # claims query blocks one at a time until none is left; returns the
+        # row maxes of the last tile it exponentiated (None unless shifted)
+        top = None
         while True:
             with lock:
                 lo = next(starts, None)
             if lo is None:
-                return
+                return top
             hi = min(lo + rows, t)
-            block = buffer[:, : hi - lo]
-            sums[:, lo:hi] = exp_scores(block, lo, hi)
-            np.matmul(block, vh, out=outh[:, lo:hi])
-            outh[:, lo:hi] /= sums[:, lo:hi]
+            a, p = acc[:, : hi - lo], part[:, : hi - lo]
+            for c0 in col_starts[::-1]:
+                tile = tile_of(flat, lo, hi, c0)
+                top = exp_scores(tile, lo, c0)
+                if c0 == col_starts[-1]:
+                    np.matmul(tile, vo[:, c0 : c0 + cols], out=a)
+                    peak = top
+                    continue
+                np.matmul(tile, vo[:, c0 : c0 + cols], out=p)
+                if shift:  # both to the larger of their row maxes
+                    larger = np.maximum(peak, top)
+                    a *= np.exp(peak - larger)
+                    p *= np.exp(top - larger)
+                    peak = larger
+                a += p
+            if shift:
+                maxes[:, lo:hi] = peak
+            sums[:, lo:hi] = a[..., -1:]
+            np.divide(a[..., :-1], sums[:, lo:hi], out=outh[:, lo:hi])
 
     threads = 1 if records or not BLAS_ONE_THREAD else min(
         available_cpus(), -(-t // rows) // _ATTENTION_BLOCKS_PER_THREAD,
         _ATTENTION_MAX_THREADS)
+    flat = buffers[0]
     if threads <= 1:
-        attend(exps)
+        # the tile flat holds: its first query row, first key and row maxes
+        held = [0, 0, attend(*buffers)]
     else:
         with ThreadPoolExecutor(threads - 1) as pool:
             # a copied context carries the caller's np.errstate to a helper
             helpers = [pool.submit(contextvars.copy_context().run, attend,
-                                   np.empty_like(exps))
+                                   *scratch())
                        for _ in range(threads - 1)]
-            attend(exps)
+            attend(*buffers)
             for helper in helpers:
                 helper.result()
-    held = [0]  # the first row of the block whose exponentials exps holds
 
     def walk(g: np.ndarray) -> list[np.ndarray]:
-        # the q, k and v gradients, one block at a time in block order
+        # the q, k and v gradients, one tile at a time in row-major order
         grads = [np.empty_like(x.value) for x in (q, k, v)]
         dqh, dkh, dvh = (split(x) for x in grads)
         # rowsum(P dP) == rowsum(g * out) for P = exps / s
         gs = split(g) / sums
         gc = np.empty(gs.shape[:2] + (gs.shape[2] + 1,))
         np.multiply(gs, c, out=gc[..., :-1])
-        (gc[..., :-1] * outh).sum(axis=-1, out=gc[..., -1])
-        vt = np.full(vh.shape[:2] + (vh.shape[2] + 1,), -1.0)
-        vt[..., :-1] = vh
-        vt, ds = vt.transpose(0, 2, 1), np.empty_like(exps)
+        np.negative((gc[..., :-1] * outh).sum(axis=-1), out=gc[..., -1])
+        ds = np.empty_like(flat)
+        parts = [np.empty((heads, n, x.shape[2]))
+                 for n, x in ((rows, qh), (cols, kh), (cols, vh))]
+
+        def into(target, first, a, b, part):
+            # target = a @ b when first, else target += a @ b
+            if first:
+                np.matmul(a, b, out=target)
+            else:
+                target += np.matmul(a, b, out=part[:, : target.shape[1]])
+
         for lo in range(0, t, rows):
             hi = min(lo + rows, t)
-            block, dsb = exps[:, : hi - lo], ds[:, : hi - lo]
-            if held[0] != lo:
-                exp_scores(block, lo, hi)
-                held[0] = lo
-            np.matmul(gc[:, lo:hi], vt, out=dsb)
-            dsb *= block
-            np.matmul(dsb, kh, out=dqh[:, lo:hi])
-            if lo:  # block 0 writes the dK and dV sums, later blocks add
-                dvh += np.matmul(block.transpose(0, 2, 1), gs[:, lo:hi])
-                dkh += np.matmul(dsb.transpose(0, 2, 1), qh[:, lo:hi])
-            else:
-                np.matmul(block.transpose(0, 2, 1), gs[:, lo:hi], out=dvh)
-                np.matmul(dsb.transpose(0, 2, 1), qh[:, lo:hi], out=dkh)
+            for c0 in col_starts:
+                tile, dst = tile_of(flat, lo, hi, c0), tile_of(ds, lo, hi, c0)
+                if held[:2] != [lo, c0]:
+                    held[:] = lo, c0, exp_scores(tile, lo, c0)
+                gct, gst = gc[:, lo:hi], gs[:, lo:hi]
+                if shift:  # the tile holds exp(score - its own row max)
+                    scale_rows = np.exp(held[2] - maxes[:, lo:hi])
+                    gct, gst = gct * scale_rows, gst * scale_rows
+                np.matmul(gct, vo[:, c0 : c0 + cols].transpose(0, 2, 1), out=dst)
+                dst *= tile
+                # dQ rows add up over key tiles, dK and dV rows over blocks
+                into(dqh[:, lo:hi], c0 == 0, dst, kh[:, c0 : c0 + cols],
+                     parts[0])
+                into(dkh[:, c0 : c0 + cols], lo == 0, dst.transpose(0, 2, 1),
+                     qh[:, lo:hi], parts[1])
+                into(dvh[:, c0 : c0 + cols], lo == 0, tile.transpose(0, 2, 1),
+                     gst, parts[2])
         return grads
 
     # one walk's gradients, made by the first of the q, k and v pullbacks of

@@ -4,7 +4,7 @@ voiced/unvoiced value, plus their binary file format."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,7 +76,10 @@ def concatenate_features(seqs) -> AcousticFeatureSequence:
 
 
 def save_features(path, feats: AcousticFeatureSequence) -> None:
-    """Write a feature file atomically (temp file + rename)."""
+    """Write a feature file atomically (temp file + rename), after the
+    constructor's checks, which arrays edited since construction must pass
+    too; a stream that fails them raises before any file is opened."""
+    feats = replace(feats)
     with atomic_open(path) as fh:
         write_magic(fh, FEATURE_MAGIC)
         write_u32(fh, feats.num_frames)

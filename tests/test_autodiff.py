@@ -608,7 +608,7 @@ def test_attention_backward_twice_gives_the_same_gradients(monkeypatch):
 
 def test_recorded_attention_never_holds_a_frames_squared_buffer():
     # at 1,900 frames one H x T x S float64 buffer is 58 MB; the recorded op
-    # keeps one scratch block of about 2 MB, the row sums and T x D arrays
+    # keeps one 512 KB scratch tile, the row sums and T x D arrays
     rng = np.random.default_rng(19)
     nodes = [ad.parameter(rng.normal(scale=0.3, size=(1900, 32)))
              for _ in range(3)]
@@ -621,8 +621,69 @@ def test_recorded_attention_never_holds_a_frames_squared_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert kept < 2 * 8 * ad._ATTENTION_BLOCK_ELEMENTS
+    assert kept < 2.5e6
     assert peak < 16e6
+
+
+# Attention in tiles of several keys. Tiles of 7 keys and 5 query rows with
+# 2 heads; 23 x 17 scores give ragged last tiles on both axes.
+
+def small_tiles(monkeypatch, cols=7, rows=5, heads=2):
+    monkeypatch.setattr(ad, "_ATTENTION_TILE_COLS", cols)
+    monkeypatch.setattr(ad, "_ATTENTION_BLOCK_ELEMENTS", heads * rows * cols)
+
+
+@pytest.mark.parametrize("t,s", [(23, 17), (23, 5)])
+def test_attention_over_several_key_tiles_matches_per_head_composition(
+        monkeypatch, t, s):
+    # 17 keys are tiles of 7, 7 and 3; 5 keys are less than one tile
+    small_tiles(monkeypatch)
+    rng = np.random.default_rng(t + s)
+    q, k, v = (rng.normal(size=shape) for shape in ((t, 8), (s, 8), (s, 6)))
+    recorded = ad.scaled_dot_attention(ad.parameter(q), ad.parameter(k),
+                                       ad.parameter(v), 2)
+    with ad.no_grad():
+        free = ad.scaled_dot_attention(q, k, v, 2)
+    assert recorded.value.tobytes() == free.value.tobytes()
+    np.testing.assert_allclose(free.value, unblocked_attention(q, k, v, 2),
+                               rtol=0, atol=1e-12)
+    assert not any(fused_attention_shifts(monkeypatch, q, k, v, 2))
+
+
+def test_shifted_attention_with_each_rows_max_in_any_key_tile(monkeypatch):
+    # scores near +-1e4, whose rows peak in the first, a middle or the last
+    # of the tiles of 7, 7 and 3 keys: a block meets its last tile first and
+    # rescales what it has added up whenever a later tile has a larger max
+    small_tiles(monkeypatch)
+    rng = np.random.default_rng(14)
+    q, k = 100 * rng.normal(size=(23, 8)), 100 * rng.normal(size=(17, 8))
+    v = rng.normal(size=(17, 6))
+    scores = head_scores(q, k, 2)
+    assert np.abs(scores).max() > 1e4
+    assert set(np.unique(scores.argmax(axis=-1) // 7)) == {0, 1, 2}
+    shifts = fused_attention_shifts(monkeypatch, q, k, v, 2)
+    # 15 tiles: recorded forward, the backward's recomputation of all but
+    # the held tile, then graph-free
+    assert shifts == [True] * (15 + 14 + 15)
+
+
+@pytest.mark.parametrize("scale", [1, 100])
+def test_attention_backward_twice_over_several_key_tiles(monkeypatch, scale):
+    # the first backward leaves the buffer holding the last tile, and at
+    # scale 100 its row maxes, not the tile (0, 0) the forward left there
+    small_tiles(monkeypatch)
+    rng = np.random.default_rng(6)
+    nodes = [ad.parameter(scale * rng.normal(size=shape))
+             for shape in ((23, 8), (17, 8), (17, 6))]
+    out = ad.scaled_dot_attention(*nodes, heads=2)
+    loss = ad.reduce_sum(ad.mul(out, ad.constant(rng.normal(size=(23, 6)))))
+    grads = []
+    for _ in range(2):
+        ad.backward(loss)
+        grads.append([node.grad.tobytes() for node in nodes])
+        for node in nodes:
+            node.grad = None
+    assert grads[0] == grads[1]
 
 
 # Graph-free attention on several threads. Blocks of 5 query rows against
@@ -682,6 +743,29 @@ def test_threaded_attention_bytes_do_not_depend_on_cpu_count(
                                unblocked_attention(q, k, v, 2), rtol=0,
                                atol=1e-12)
     assert started_pools == pools
+
+
+def test_threaded_attention_over_several_key_tiles_same_bytes_on_any_cpus(
+        monkeypatch, started_pools):
+    # tiles of 20, 20 and 10 keys and 12 query rows: 13 query blocks, so 2
+    # threads at 2 CPUs and 3 at 3 or 8
+    monkeypatch.setattr(ad, "_ATTENTION_TILE_COLS", 20)
+    rng = np.random.default_rng(15)
+    q, k, v = (rng.normal(size=shape) for shape in ((150, 8), (50, 8), (50, 6)))
+    outputs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3, 8):
+            monkeypatch.setattr(ad, "available_cpus", lambda: cpus)
+            outputs[cpus] = graph_free_attention(q, k, v).value.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(outputs[cpus] == outputs[1] for cpus in (2, 3, 8))
+    np.testing.assert_allclose(np.frombuffer(outputs[1]).reshape(150, 6),
+                               unblocked_attention(q, k, v, 2), rtol=0,
+                               atol=1e-12)
+    assert started_pools == [2, 3, 3]
 
 
 def test_attention_stays_on_one_thread_unless_blas_runs_one(monkeypatch,

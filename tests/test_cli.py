@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from singsynth import cli, model
+from singsynth.binio import write_magic, write_named_tensor, write_u32
 from singsynth.checkpoint import load_checkpoint, save_checkpoint
 from singsynth.cli import CONFIG_DEFAULTS, format_config, main, read_config
-from singsynth.features import AcousticFeatureSequence, load_features, save_features
+from singsynth.features import FEATURE_MAGIC, AcousticFeatureSequence, load_features, \
+    save_features
 from singsynth.metrics import REPORT_KEYS
 
 
@@ -445,9 +447,13 @@ def test_eval_pair_with_a_nan_feature_file_fails_that_pair_only(
         tmp_path, corpus_dir, capsys):
     gt0 = corpus_dir / "features" / "song_0000.feat"
     feats = load_features(gt0)
-    feats.logf0[7] = np.nan  # after validation, so that the file gets written
+    feats.logf0[7] = np.nan
     bad = tmp_path / "nan_song.feat"
-    save_features(bad, feats)
+    with open(bad, "wb") as fh:  # save_features would refuse the NaN
+        write_magic(fh, FEATURE_MAGIC)
+        write_u32(fh, feats.num_frames)
+        for name in ("mgc", "bap", "logf0", "vuv"):
+            write_named_tensor(fh, name, getattr(feats, name))
     out = tmp_path / "eval"
     assert main(["eval", "--out", str(out), "--pair", str(bad), str(gt0),
                  "--pair", str(gt0), str(gt0)]) == 0

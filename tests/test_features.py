@@ -65,6 +65,15 @@ def test_load_features_refuses_a_nan_in_any_stream(tmp_path, stream):
         load_features(path)
 
 
+def test_save_features_refuses_a_stream_edited_after_construction(tmp_path,
+                                                                  rng):
+    feats = random_features(rng, t=9)
+    feats.bap[6, 2] = np.nan
+    with pytest.raises(ValueError, match=r"^bap is not finite at frame 6$"):
+        save_features(tmp_path / "edited.feat", feats)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_feature_file_round_trip(tmp_path, rng):
     feats = random_features(rng)
     path = tmp_path / "x.feat"
