@@ -1,6 +1,5 @@
 """Training loop: Adam with the inverse-square-root warmup schedule, shuffled
-mini-batches padded per batch with loss masking, per-step loss logging, and
-resumable checkpoints.
+mini-batches, per-step loss logging, and resumable checkpoints.
 
 The batch schedule and every dropout draw are pure functions of (seed, step,
 batch position), so resuming from a checkpoint reproduces an uninterrupted
@@ -19,7 +18,7 @@ import mmap
 import multiprocessing
 from collections import deque
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache, partial
 from typing import IO, Callable, Iterator, Sequence, get_type_hints
 
@@ -29,7 +28,6 @@ from . import autodiff as ad
 from .autodiff import Node
 from .checkpoint import Checkpoint
 from .corpus import Utterance
-from .features import AcousticFeatureSequence, BAP_DIM, MGC_DIM
 from .losses import LOSS_NAMES, LossWeights, loss_counts, loss_terms, \
     utterance_share
 from .model import ModelConfig, ModelParameters, forward_train, init_params
@@ -88,6 +86,7 @@ def validate_corpus(corpus: Sequence[Utterance]) -> list[str]:
         problems.append("corpus is empty")
     for utt in corpus:
         try:
+            replace(utt.features)   # the finiteness and shape checks of loading
             utt.tokens.validate()
             if utt.tokens.gt_phoneme_durations is None:
                 problems.append(f"{utt.utt_id}: missing ground-truth durations")
@@ -121,79 +120,38 @@ def batch_item_indices(step: int, n_items: int, batch_size: int,
     return picks
 
 
-@dataclass
-class Batch:
-    """One training batch, with ground truth padded to the batch maxima.
-
-    Losses read only the leading valid region of each padded row, so
-    perturbing padding never changes the loss.
-    """
-
-    items: list[Utterance]
-    gt_durations: np.ndarray   # B x Nmax, 0 on padding
-    mgc: np.ndarray            # B x Tmax x 60
-    bap: np.ndarray            # B x Tmax x 5
-    logf0: np.ndarray          # B x Tmax
-    vuv: np.ndarray            # B x Tmax
-    n_phonemes: np.ndarray     # B
-    n_frames: np.ndarray       # B
+def assemble_batch(items: Sequence[Utterance]) -> list[Utterance]:
+    """A training batch: its utterances, in batch order."""
+    return list(items)
 
 
-def assemble_batch(items: list[Utterance]) -> Batch:
-    b = len(items)
-    n_max = max(len(u.tokens) for u in items)
-    t_max = max(u.features.num_frames for u in items)
-    gt_durations = np.zeros((b, n_max), dtype=np.int64)
-    mgc = np.zeros((b, t_max, MGC_DIM))
-    bap = np.zeros((b, t_max, BAP_DIM))
-    logf0 = np.zeros((b, t_max))
-    vuv = np.zeros((b, t_max))
-    n_phonemes = np.zeros(b, dtype=np.int64)
-    n_frames = np.zeros(b, dtype=np.int64)
-    for i, utt in enumerate(items):
-        n, t = len(utt.tokens), utt.features.num_frames
-        gt_durations[i, :n] = utt.tokens.gt_phoneme_durations
-        mgc[i, :t] = utt.features.mgc
-        bap[i, :t] = utt.features.bap
-        logf0[i, :t] = utt.features.logf0
-        vuv[i, :t] = utt.features.vuv
-        n_phonemes[i] = n
-        n_frames[i] = t
-    return Batch(items=list(items), gt_durations=gt_durations, mgc=mgc, bap=bap,
-                 logf0=logf0, vuv=vuv, n_phonemes=n_phonemes, n_frames=n_frames)
-
-
-def _ground_truth(batch: Batch, i: int):
-    """Utterance i's ground truth, read from the valid region of its padded
-    rows: (durations, syllable spans, features, frame non-rest mask)."""
-    tokens = batch.items[i].tokens
-    n, t = int(batch.n_phonemes[i]), int(batch.n_frames[i])
-    gt = AcousticFeatureSequence(
-        mgc=batch.mgc[i, :t], bap=batch.bap[i, :t],
-        logf0=batch.logf0[i, :t], vuv=batch.vuv[i, :t],
-    )
+def _ground_truth(utt: Utterance):
+    """An utterance's ground truth, as checked when it was loaded:
+    (durations, syllable spans, features, frame non-rest mask)."""
+    tokens = utt.tokens
     _, nonrest = frame_pitch_arrays(tokens, tokens.gt_phoneme_durations)
-    return batch.gt_durations[i, :n], tokens.syllable_spans, gt, nonrest
+    return (tokens.gt_phoneme_durations, tokens.syllable_spans, utt.features,
+            nonrest)
 
 
-def batch_counts(batch: Batch) -> dict[str, int]:
+def batch_counts(batch: Sequence[Utterance]) -> dict[str, int]:
     """Each loss component's element count N_c over the whole batch."""
     counts = dict.fromkeys(LOSS_NAMES, 0)
-    for i in range(len(batch.items)):
-        for name, count in loss_counts(*_ground_truth(batch, i)).items():
+    for utt in batch:
+        for name, count in loss_counts(*_ground_truth(utt)).items():
             counts[name] += count
     return counts
 
 
-def utterance_loss(params: ModelParameters, batch: Batch, i: int,
+def utterance_loss(params: ModelParameters, utt: Utterance,
                    counts: dict[str, int], config: ModelConfig,
                    weights: LossWeights, rng: np.random.Generator | None = None
                    ) -> tuple[Node, dict[str, Node]]:
-    """Utterance i's share L_i = sum_c w_c * sum_{c,i} / N_c of the batch
+    """The utterance's share L_i = sum_c w_c * sum_{c,i} / N_c of the batch
     objective (``counts`` from :func:`batch_counts`), in a graph of its own;
     ``rng`` drives its dropout, and without one there is none."""
-    gt_durations, spans, gt, nonrest = _ground_truth(batch, i)
-    fwd = forward_train(batch.items[i].tokens, gt, params, config, rng)
+    gt_durations, spans, gt, nonrest = _ground_truth(utt)
+    fwd = forward_train(utt.tokens, gt, params, config, rng)
     return utterance_share(loss_terms(fwd, gt_durations, spans, gt, nonrest),
                            counts, weights)
 
@@ -207,8 +165,8 @@ def dropout_rngs(seed: int, step: int, n: int) -> list[np.random.Generator]:
     return [dropout_rng(seed, step, i) for i in range(n)]
 
 
-def batch_loss(params: ModelParameters, batch: Batch, config: ModelConfig,
-               weights: LossWeights, train: bool = True,
+def batch_loss(params: ModelParameters, batch: Sequence[Utterance],
+               config: ModelConfig, weights: LossWeights, train: bool = True,
                rngs: Sequence[np.random.Generator] | None = None
                ) -> tuple[Node, dict[str, Node]]:
     """The training objective: the sum over utterances, in batch order, of
@@ -219,8 +177,8 @@ def batch_loss(params: ModelParameters, batch: Batch, config: ModelConfig,
         raise ValueError("training-mode batch_loss needs rngs for dropout")
     counts = batch_counts(batch)
     total, comps = None, None
-    for i in range(len(batch.items)):
-        loss, parts = utterance_loss(params, batch, i, counts, config, weights,
+    for i, utt in enumerate(batch):
+        loss, parts = utterance_loss(params, utt, counts, config, weights,
                                      rngs[i] if train and rngs is not None else None)
         if total is None:
             total, comps = loss, parts
@@ -274,18 +232,18 @@ class GradientExchange:
             self.grads[row, where] = 0.0 if grad is None else grad.reshape(-1)
 
 
-def utterance_gradient(params: ModelParameters, batch: Batch, i: int,
+def utterance_gradient(params: ModelParameters, utt: Utterance,
                        counts: dict[str, int], config: ModelConfig,
                        weights: LossWeights, exchange: GradientExchange,
                        row: int, rng: np.random.Generator | None = None
                        ) -> tuple[float, dict[str, float]]:
-    """Differentiate :func:`utterance_loss` of batch position i from zero
-    and store its gradient in ``exchange`` row ``row``; ``rng`` drives its
+    """Differentiate the utterance's :func:`utterance_loss` from zero and
+    store its gradient in ``exchange`` row ``row``; ``rng`` drives its
     dropout. Returns L_i and its component values; a non-finite L_i is not
     differentiated (its row is zero), as that step is abandoned."""
     for node in params.values():
         node.grad = None
-    loss, comps = utterance_loss(params, batch, i, counts, config, weights, rng)
+    loss, comps = utterance_loss(params, utt, counts, config, weights, rng)
     value = loss.item()
     if math.isfinite(value):
         ad.backward(loss)
@@ -311,27 +269,21 @@ def longest_first(frames: Sequence[int]) -> list[int]:
 
 @dataclass
 class _Replica:
-    """What one process needs to differentiate a batch position. Workers
+    """What one process needs to differentiate a corpus item. Workers
     inherit the parent's at fork, with the corpus and the shared exchange,
-    and keep the batch of the step they last worked on."""
+    and keep the step whose parameters they last loaded."""
     params: ModelParameters
     exchange: GradientExchange
     corpus: Sequence[Utterance]
     config: TrainConfig
     step: int = 0
-    batch: Batch | None = None
 
-    def batch_of(self, step: int) -> Batch:
-        if step != self.step:
-            picks = batch_item_indices(step, len(self.corpus),
-                                       self.config.batch_size, self.config.seed)
-            self.step = step
-            self.batch = assemble_batch([self.corpus[i] for i in picks])
-        return self.batch
-
-    def gradient(self, step: int, counts: dict[str, int], i: int, row: int):
+    def gradient(self, step: int, counts: dict[str, int], i: int, j: int,
+                 row: int):
+        """Corpus item j's gradient at batch position i, whose dropout
+        stream it draws."""
         return utterance_gradient(
-            self.params, self.batch_of(step), i, counts, self.config.model,
+            self.params, self.corpus[j], counts, self.config.model,
             self.config.loss_weights, self.exchange, row,
             dropout_rng(self.config.seed, step, i))
 
@@ -344,13 +296,14 @@ def _start_worker(replica: _Replica) -> None:
     _WORKER_REPLICA = replica
 
 
-def _worker_gradient(step: int, counts: dict[str, int], i: int, row: int):
-    """A pool task. The first task of a step loads that step's parameters;
-    a worker forked during a step inherits them with its batch."""
+def _worker_gradient(step: int, counts: dict[str, int], i: int, j: int,
+                     row: int):
+    """A pool task. The first task of a step loads that step's parameters."""
     replica = _WORKER_REPLICA
     if replica.step != step:
         replica.exchange.load(replica.params)
-    return replica.gradient(step, counts, i, row)
+        replica.step = step
+    return replica.gradient(step, counts, i, j, row)
 
 
 class _Inline(Executor):
@@ -511,19 +464,21 @@ def _train_step(step: int, replica: _Replica,
     k mod R of the exchange, and the parent adds the rows in that same order
     as they finish, so at most R positions are in flight and the bits do
     not depend on who computes them.
-    ``submit(step, counts, i, row)`` runs one position, in a worker or in
-    this process. Leaves the summed gradient in the parameters' ``.grad``;
-    raises TrainingDiverged, before any update, on a non-finite loss."""
-    config, exchange = replica.config, replica.exchange
-    batch = replica.batch_of(step)
-    counts = batch_counts(batch)
+    ``submit(step, counts, i, j, row)`` runs batch position i, corpus item
+    j, in a worker or in this process. Leaves the summed gradient in the
+    parameters' ``.grad``; raises TrainingDiverged, before any update, on a
+    non-finite loss."""
+    config, exchange, corpus = replica.config, replica.exchange, replica.corpus
+    picks = batch_item_indices(step, len(corpus), config.batch_size, config.seed)
+    counts = batch_counts([corpus[j] for j in picks])
     if exchange.values is not None:
         exchange.publish(replica.params)
     rows = len(exchange.grads)
-    tasks = [(step, counts, i, k % rows)
-             for k, i in enumerate(longest_first(batch.n_frames))]
+    order = longest_first([corpus[j].features.num_frames for j in picks])
+    tasks = [(step, counts, i, picks[i], k % rows) for k, i in enumerate(order)]
     results, gradient = [None] * len(tasks), None
-    for (_, _, i, row), future in zip(tasks, _in_claim_order(submit, tasks, rows)):
+    claimed = _in_claim_order(submit, tasks, rows)
+    for (_, _, i, _, row), future in zip(tasks, claimed):
         results[i] = future.result()
         if gradient is None:
             gradient = exchange.grads[row].copy()

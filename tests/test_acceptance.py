@@ -147,14 +147,14 @@ def _full_model_gradient_check():
     for node in params.values():
         node.grad = None
     for i in range(len(corpus)):
-        share, _ = utterance_loss(params, batch, i, counts, GRAD_CHECK_MODEL,
+        share, _ = utterance_loss(params, batch[i], counts, GRAD_CHECK_MODEL,
                                   weights)
         ad.backward(share)
     accumulated = {name: node.grad for name, node in params.items()}
     exchange = GradientExchange(params, 1)
     summed = None
     for i in range(len(corpus)):
-        utterance_gradient(params, batch, i, counts, GRAD_CHECK_MODEL, weights,
+        utterance_gradient(params, batch[i], counts, GRAD_CHECK_MODEL, weights,
                            exchange, 0)
         summed = exchange.grads[0].copy() if summed is None \
             else summed + exchange.grads[0]
@@ -278,19 +278,14 @@ def test_criterion_4_loss_composition_and_masking():
         expected_total += weight_of[key] * comp.item()
     assert total.item() == pytest.approx(expected_total, rel=1e-12, abs=1e-12)
 
-    # masking: padding frames and unvoiced ground-truth logF0 are invisible
-    t_short = int(batch.n_frames.min())
-    short = int(batch.n_frames.argmin())
-    batch.mgc[short, t_short:] += 77.0
-    batch.bap[short, t_short:] -= 11.0
-    batch.logf0[short, t_short:] = 3.21
-    batch.vuv[short, t_short:] = 1.0
-    batch.gt_durations[short, batch.n_phonemes[short]:] = 9
-    for i in range(len(corpus)):
-        t = int(batch.n_frames[i])
-        unvoiced = batch.vuv[i, :t] == 0.0
-        batch.logf0[i, :t][unvoiced] = -8.75
-    perturbed, _ = batch_loss(params, batch, config, weights, train=False)
+    # masking: unvoiced ground-truth logF0 is invisible
+    scribbled = []
+    for utt in corpus:
+        feats = utt.features
+        logf0 = np.where(feats.vuv == 0.0, -8.75, feats.logf0)
+        scribbled.append(dataclasses.replace(
+            utt, features=dataclasses.replace(feats, logf0=logf0)))
+    perturbed, _ = batch_loss(params, scribbled, config, weights, train=False)
     assert perturbed.item() == total.item()  # bit-unchanged
     report(4, "loss composition and masking")
 

@@ -141,25 +141,18 @@ def test_batch_schedule_is_pure_function_of_step():
 def test_loss_ignores_padding_and_unvoiced_logf0():
     corpus = [make_utterance(0), make_utterance(1, "tempo 140\nso 67 1.0\n")]
     params = init_params(TINY_MODEL, np.random.default_rng(0))
-    batch = assemble_batch(corpus)
-    total_a, _ = batch_loss(params, batch, TINY_MODEL, LossWeights(), train=False)
+    total_a, _ = batch_loss(params, corpus, TINY_MODEL, LossWeights(), train=False)
 
-    # scribble over padding frames of the shorter utterance
-    t0 = batch.n_frames.min()
-    short = int(batch.n_frames.argmin())
-    batch.mgc[short, t0:] += 123.0
-    batch.bap[short, t0:] -= 77.0
-    batch.logf0[short, t0:] = 9.9
-    batch.vuv[short, t0:] = 1.0
-    batch.gt_durations[short, batch.n_phonemes[short]:] = 42
+    # scribble over ground-truth logf0 wherever the ground truth is unvoiced
+    scribbled = []
+    for utt in corpus:
+        feats = utt.features
+        logf0 = np.where(feats.vuv == 0.0, -4.56, feats.logf0)
+        scribbled.append(dataclasses.replace(
+            utt, features=dataclasses.replace(feats, logf0=logf0)))
 
-    # and over ground-truth logf0 wherever the ground truth is unvoiced
-    for i, utt in enumerate(corpus):
-        t = int(batch.n_frames[i])
-        unvoiced = batch.vuv[i, :t] == 0.0
-        batch.logf0[i, :t][unvoiced] = -4.56
-
-    total_b, _ = batch_loss(params, batch, TINY_MODEL, LossWeights(), train=False)
+    total_b, _ = batch_loss(params, scribbled, TINY_MODEL, LossWeights(),
+                            train=False)
     assert total_a.item() == total_b.item()  # bit-identical
 
 
@@ -179,14 +172,17 @@ def test_training_mode_batch_loss_needs_rngs_when_the_model_drops_out():
 # --- the loop -----------------------------------------------------------------
 
 def test_validate_corpus_reports_each_bad_utterance():
-    corpus = make_corpus(3)
+    corpus = make_corpus(4)
     corpus[1].tokens.gt_phoneme_durations[0] += 1
     corpus[2].tokens.gt_phoneme_durations = None
+    # features edited after loading are checked again, once per run
+    corpus[3].features.logf0[7] = np.nan
     problems = validate_corpus(corpus)
-    assert len(problems) == 2
+    assert len(problems) == 3
     assert any("utt1" in p for p in problems)
     assert any("utt2" in p for p in problems)
-    with pytest.raises(CorpusValidationError):
+    assert "utt3: logf0 is not finite at frame 7" in problems
+    with pytest.raises(CorpusValidationError, match="utt3: logf0 .* frame 7"):
         train(desk_config(), corpus)
 
 
@@ -487,14 +483,27 @@ def test_applied_gradient_is_backward_accumulated_longest_first(monkeypatch):
     batch = assemble_batch([corpus[i] for i in picks])
     counts = training.batch_counts(batch)
     rngs = dropout_rngs(config.seed, 1, len(picks))
-    order = longest_first(batch.n_frames)
+    order = longest_first([utt.features.num_frames for utt in batch])
     assert order != sorted(order)
     for i in order:
-        share, _ = training.utterance_loss(params, batch, i, counts, TINY_MODEL,
+        share, _ = training.utterance_loss(params, batch[i], counts, TINY_MODEL,
                                            weights, rng=rngs[i])
         ad.backward(share)
     for name, node in params.items():
         assert applied[0][name].tobytes() == node.grad.tobytes(), name
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_training_step_assembles_no_batch(monkeypatch, workers):
+    # the step dispatches corpus indices, so neither the parent nor a
+    # worker builds a batch
+    def refuse(items):
+        raise AssertionError("assemble_batch called by a training step")
+
+    monkeypatch.setattr(training, "assemble_batch", refuse)
+    _, result = run_with_workers(monkeypatch, workers,
+                                 desk_config(total_steps=2), make_corpus(3))
+    assert [record.step for record in result.records] == [1, 2]
 
 
 def test_worker_exception_fails_train_with_its_message(monkeypatch):
