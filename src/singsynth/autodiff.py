@@ -37,7 +37,6 @@ import numpy as np
 
 from . import BLAS_ONE_THREAD
 
-_CHECK_FINITE = False
 _GRAD_ENABLED = True
 # scores per attention tile (512 KB), so that the backward's two tiles,
 # exponentials and score gradients, fit in a core's 2 MB L2 with operands
@@ -59,12 +58,6 @@ _ATTENTION_UNSHIFTED_REACH = 300.0
 _LAYER_NORM_EPS = 1e-12
 # hands every new Node its creation number
 _CREATED = itertools.count(1)
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle NaN/Inf checking on every op output (slow; for debugging)."""
-    global _CHECK_FINITE
-    _CHECK_FINITE = bool(enabled)
 
 
 @contextlib.contextmanager
@@ -113,8 +106,6 @@ class Node:
 
     def __init__(self, value, parents=(), requires_grad: bool = False):
         self.value = _tensor(value)
-        if _CHECK_FINITE and not np.all(np.isfinite(self.value)):
-            raise FloatingPointError("non-finite value produced in forward pass")
         parents = tuple(parents)
         self.requires_grad = bool(requires_grad) or (_GRAD_ENABLED and any(
             p.requires_grad for p, _ in parents

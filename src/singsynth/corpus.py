@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .features import AcousticFeatureSequence, BAP_DIM, FRAME_SHIFT_S, MGC_DIM, 
     load_features, save_features
 from .score import VOWELS, MusicalScore, NoteEvent, PhonemeLexicon, \
     PhonemeTokenSequence, beats_to_frames, event_phonemes, frame_pitch_arrays, \
-    round_half_up, score_to_tokens, serialize_score
+    round_half_up, score_to_tokens, serialize_score, syllable_spans
 
 VOICED_BAP_DB = -60.0
 UNVOICED_BAP_DB = 0.0
@@ -100,8 +100,7 @@ def oracle_sing(score: MusicalScore, lexicon: PhonemeLexicon,
         phonemes = event_phonemes(ev, lexicon)
         durations.extend(split_note_frames(phonemes, frames, config))
         phoneme_names.extend(phonemes)
-    tokens.gt_phoneme_durations = durations
-    tokens.validate()
+    tokens = replace(tokens, gt_phoneme_durations=durations)
 
     dur_arr = np.asarray(durations, dtype=np.int64)
     total = int(dur_arr.sum())
@@ -239,17 +238,11 @@ def load_token_sidecar(path) -> PhonemeTokenSequence:
     if not rows:
         raise ValueError(f"empty token sidecar {path}")
     columns = list(zip(*rows))
-    syllable_index = columns[4]
-    spans = []
-    start = 0
-    for i in range(1, len(rows) + 1):
-        if i == len(rows) or syllable_index[i] != syllable_index[i - 1]:
-            spans.append((start, i))
-            start = i
     try:
         return PhonemeTokenSequence(
             phoneme_ids=list(columns[0]), pitch_ids=list(columns[1]),
-            note_frame_counts=list(columns[2]), syllable_spans=spans,
+            note_frame_counts=list(columns[2]),
+            syllable_spans=syllable_spans(columns[4]),
             gt_phoneme_durations=list(columns[3]),
         )
     except ValueError as exc:

@@ -108,10 +108,6 @@ class PhonemeLexicon:
     def ids(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.phoneme_vocab)}
 
-    @property
-    def silence_id(self) -> int:
-        return 1
-
     def phonemes_for(self, syllable: str) -> tuple[str, ...]:
         try:
             return self.syllables[syllable]
@@ -280,9 +276,6 @@ class PhonemeTokenSequence:
     gt_phoneme_durations: list[int] | None = None
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         n = len(self.phoneme_ids)
         if n < 1:
             raise ValueError("token sequence is empty")
@@ -329,49 +322,47 @@ def event_phonemes(event: NoteEvent, lexicon: PhonemeLexicon) -> tuple[str, ...]
     return lexicon.phonemes_for(event.syllable)
 
 
+def syllable_spans(numbers) -> list[tuple[int, int]]:
+    """The syllable spans of phonemes numbered by syllable: each run of
+    equal numbers, as a half-open range of phoneme positions."""
+    spans, start = [], 0
+    for i in range(1, len(numbers) + 1):
+        if i == len(numbers) or numbers[i] != numbers[i - 1]:
+            spans.append((start, i))
+            start = i
+    return spans
+
+
 def score_to_tokens(score: MusicalScore, lexicon: PhonemeLexicon,
                     frame_shift_s: float = FRAME_SHIFT_S) -> PhonemeTokenSequence:
     """Expand a score to phoneme level.
 
     Each note's pitch ID and frame count are duplicated onto every phoneme it
     carries; rests become one silence phoneme with pitch ID 0; a melisma's
-    notes all land in one syllable span.
+    notes all land in one syllable span. A continuing note with no sung note
+    right before it raises ValueError.
     """
     ids = lexicon.ids()
     phoneme_ids: list[int] = []
     pitch_ids: list[int] = []
     frame_counts: list[int] = []
-    spans: list[tuple[int, int]] = []
-    span_start: int | None = None
-
-    def close_span():
-        nonlocal span_start
-        if span_start is not None:
-            spans.append((span_start, len(phoneme_ids)))
-            span_start = None
-
-    for ev in score.events:
+    numbers: list[int] = []   # each phoneme's syllable: its first note's index
+    for k, ev in enumerate(score.events):
         frames = beats_to_frames(ev.beat_length, score.tempo_bpm, frame_shift_s)
-        if ev.is_rest:
-            close_span()
-            phoneme_ids.append(lexicon.silence_id)
-            pitch_ids.append(0)
-            frame_counts.append(frames)
-            spans.append((len(phoneme_ids) - 1, len(phoneme_ids)))
-            continue
-        if not ev.continues:
-            close_span()
-            span_start = len(phoneme_ids)
+        if ev.is_rest or not ev.continues:
+            number = k
+        elif not pitch_ids or pitch_ids[-1] == 0:
+            raise ValueError(f"continuing note {k} has no sung note before it")
         for ph in event_phonemes(ev, lexicon):
             phoneme_ids.append(ids[ph])
             pitch_ids.append(ev.midi_pitch)
             frame_counts.append(frames)
-    close_span()
+            numbers.append(number)
     return PhonemeTokenSequence(
         phoneme_ids=phoneme_ids,
         pitch_ids=pitch_ids,
         note_frame_counts=frame_counts,
-        syllable_spans=spans,
+        syllable_spans=syllable_spans(numbers),
     )
 
 

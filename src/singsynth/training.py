@@ -6,9 +6,11 @@ batch position), so resuming from a checkpoint reproduces an uninterrupted
 run bit for bit. Each step is data-parallel: a pool of one process per CPU
 differentiates each utterance's share of the objective on its own, while the
 parent dispatches the positions longest first and adds their gradients in
-that order, so the bits do not depend on the process count. At most four
-gradient rows per process are in flight: on 2 CPUs the shared mapping is
-4.1 MB at desk size and 3.7 GB at the full-size configuration (batch 32).
+that order, so the bits do not depend on the process count. The workers read
+the parameters from a shared mapping that the parent's optimizer updates in
+place, so no step copies them. At most four gradient rows per process are in
+flight: on 2 CPUs the shared mappings, parameters included, are 4.1 MB at desk
+size and 3.7 GB at the full-size configuration (batch 32).
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def validate_corpus(corpus: Sequence[Utterance]) -> list[str]:
     for utt in corpus:
         try:
             replace(utt.features)   # the finiteness and shape checks of loading
-            utt.tokens.validate()
+            replace(utt.tokens)     # and the token checks
             if utt.tokens.gt_phoneme_durations is None:
                 problems.append(f"{utt.utt_id}: missing ground-truth durations")
             elif utt.tokens.total_frames != utt.features.num_frames:
@@ -161,10 +163,6 @@ def dropout_rng(seed: int, step: int, i: int) -> np.random.Generator:
     return np.random.default_rng([seed, 2, step, i])
 
 
-def dropout_rngs(seed: int, step: int, n: int) -> list[np.random.Generator]:
-    return [dropout_rng(seed, step, i) for i in range(n)]
-
-
 def batch_loss(params: ModelParameters, batch: Sequence[Utterance],
                config: ModelConfig, weights: LossWeights, train: bool = True,
                rngs: Sequence[np.random.Generator] | None = None
@@ -192,11 +190,11 @@ def batch_loss(params: ModelParameters, batch: Sequence[Utterance],
 # per-utterance gradients and the processes that compute them
 
 class GradientExchange:
-    """``rows`` flat gradient rows, and once :meth:`share_values` has run a
-    row of the parameters, as float64 views of anonymous shared mappings.
-    Made before the workers fork, so they read the parent's parameters and
-    write their gradients without pickling either. One process reads its
-    own parameters, so it maps no parameter row."""
+    """``rows`` flat gradient rows, as float64 views of an anonymous shared
+    mapping. Made before the workers fork, so they write their gradients
+    without pickling them. With workers, :meth:`share_params` moves the
+    parameters into a shared row of their own; one process keeps its
+    parameters where they are."""
 
     def __init__(self, params: ModelParameters, rows: int):
         self.layout, offset = [], 0
@@ -206,24 +204,21 @@ class GradientExchange:
             offset += size
         self.grads = np.frombuffer(mmap.mmap(-1, 8 * offset * rows)).reshape(
             rows, offset)
-        self.values: np.ndarray | None = None
-
-    def share_values(self) -> None:
-        """Map the row that :meth:`publish` writes and :meth:`load` reads."""
-        self.values = np.frombuffer(mmap.mmap(-1, self.grads[0].nbytes))
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Each parameter's part of a flat row, in its own shape."""
         return {name: flat[where].reshape(shape)
                 for name, where, shape in self.layout}
 
-    def publish(self, params: ModelParameters) -> None:
-        for name, where, _ in self.layout:
-            self.values[where] = params[name].value.reshape(-1)
-
-    def load(self, params: ModelParameters) -> None:
-        for name, value in self.views(self.values).items():
-            params[name].value[...] = value
+    def share_params(self, params: ModelParameters) -> None:
+        """Copy each parameter's value into its part of a newly mapped row
+        and make that view its ``value``. Run before the workers fork: the
+        optimizer updates values in place, so each worker reads the
+        parent's latest parameters with no copy per step."""
+        row = np.frombuffer(mmap.mmap(-1, self.grads[0].nbytes))
+        for name, view in self.views(row).items():
+            view[...] = params[name].value
+            params[name].value = view
 
     def store(self, row: int, params: ModelParameters) -> None:
         """Gradient row ``row`` := the parameters' gradients, 0 for none."""
@@ -270,13 +265,12 @@ def longest_first(frames: Sequence[int]) -> list[int]:
 @dataclass
 class _Replica:
     """What one process needs to differentiate a corpus item. Workers
-    inherit the parent's at fork, with the corpus and the shared exchange,
-    and keep the step whose parameters they last loaded."""
+    inherit the parent's at fork, with the corpus, the shared exchange and
+    the parameters, whose values the parent updates in place."""
     params: ModelParameters
     exchange: GradientExchange
     corpus: Sequence[Utterance]
     config: TrainConfig
-    step: int = 0
 
     def gradient(self, step: int, counts: dict[str, int], i: int, j: int,
                  row: int):
@@ -298,12 +292,8 @@ def _start_worker(replica: _Replica) -> None:
 
 def _worker_gradient(step: int, counts: dict[str, int], i: int, j: int,
                      row: int):
-    """A pool task. The first task of a step loads that step's parameters."""
-    replica = _WORKER_REPLICA
-    if replica.step != step:
-        replica.exchange.load(replica.params)
-        replica.step = step
-    return replica.gradient(step, counts, i, j, row)
+    """A pool task: :meth:`_Replica.gradient` in this worker."""
+    return _WORKER_REPLICA.gradient(step, counts, i, j, row)
 
 
 class _Inline(Executor):
@@ -427,9 +417,9 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
     if workers == 1:
         pool, task = _Inline(), replica.gradient
     else:
-        replica.exchange.share_values()
-        # forked once the exchange exists, so workers share its mappings and
-        # inherit the corpus copy-on-write
+        replica.exchange.share_params(params)
+        # forked once the exchange exists, so workers share its mappings,
+        # parameters included, and inherit the corpus copy-on-write
         pool = ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_start_worker, initargs=(replica,))
@@ -458,21 +448,19 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
 
 def _train_step(step: int, replica: _Replica,
                 submit: Callable[..., Future]) -> LogRecord:
-    """One step's objective and gradient. The parent publishes the
-    parameters when workers read them from the exchange, and dispatches the
-    batch positions longest first; the k-th writes its gradient into row
+    """One step's objective and gradient. The parent dispatches the batch
+    positions longest first; the k-th writes its gradient into row
     k mod R of the exchange, and the parent adds the rows in that same order
     as they finish, so at most R positions are in flight and the bits do
     not depend on who computes them.
     ``submit(step, counts, i, j, row)`` runs batch position i, corpus item
-    j, in a worker or in this process. Leaves the summed gradient in the
-    parameters' ``.grad``; raises TrainingDiverged, before any update, on a
-    non-finite loss."""
+    j, in a worker or in this process. Returns only once every task has
+    finished, so the update that follows changes no parameter a worker is
+    reading. Leaves the summed gradient in the parameters' ``.grad``; raises
+    TrainingDiverged, before any update, on a non-finite loss."""
     config, exchange, corpus = replica.config, replica.exchange, replica.corpus
     picks = batch_item_indices(step, len(corpus), config.batch_size, config.seed)
     counts = batch_counts([corpus[j] for j in picks])
-    if exchange.values is not None:
-        exchange.publish(replica.params)
     rows = len(exchange.grads)
     order = longest_first([corpus[j].features.num_frames for j in picks])
     tasks = [(step, counts, i, picks[i], k % rows) for k, i in enumerate(order)]

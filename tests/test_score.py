@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from singsynth.score import (
     NOTE_LOGF0,
+    SILENCE_PHONEME,
     LexiconError,
     MusicalScore,
     NoteEvent,
@@ -146,7 +147,7 @@ def test_score_to_tokens_duplicates_note_attributes(lexicon):
 def test_score_to_tokens_rest(lexicon):
     score = parse_score("tempo 100\n- 0 0.5\n")
     tokens = score_to_tokens(score, lexicon)
-    assert tokens.phoneme_ids == [lexicon.silence_id]
+    assert tokens.phoneme_ids == [lexicon.ids()[SILENCE_PHONEME]]
     assert tokens.pitch_ids == [0]
     assert tokens.note_frame_counts == [20]
 
@@ -169,6 +170,15 @@ def test_score_to_tokens_melisma_extension_uses_final_vowel(lexicon):
     ids = lexicon.ids()
     assert tokens.phoneme_ids == [ids["l"], ids["a"], ids["n"], ids["a"]]
     assert tokens.syllable_spans == [(0, 4)]
+
+
+@pytest.mark.parametrize("events", [
+    (NoteEvent("la", 69, 1.0, continues=True),),
+    (NoteEvent("-", 0, 1.0), NoteEvent("la", 69, 1.0, continues=True)),
+])
+def test_score_to_tokens_rejects_continuation_without_sung_note(lexicon, events):
+    with pytest.raises(ValueError, match="has no sung note before it"):
+        score_to_tokens(MusicalScore(120.0, events), lexicon)
 
 
 def test_score_to_tokens_unknown_syllable_names_it(lexicon):
@@ -252,9 +262,8 @@ def test_score_round_trip(score):
 def test_tokens_satisfy_invariants(score):
     lexicon = demo_lexicon()
     tokens = score_to_tokens(score, lexicon)
-    tokens.validate()
     n = len(tokens)
     assert sum(end - start for start, end in tokens.syllable_spans) == n
     for pid, pitch in zip(tokens.phoneme_ids, tokens.pitch_ids):
-        assert (pitch == 0) == (pid == lexicon.silence_id)
+        assert (pitch == 0) == (pid == lexicon.ids()[SILENCE_PHONEME])
     assert all(c >= 1 for c in tokens.note_frame_counts)

@@ -25,7 +25,6 @@ from singsynth.training import (
     assemble_batch,
     batch_item_indices,
     batch_loss,
-    dropout_rngs,
     init_params,
     longest_first,
     lr_schedule,
@@ -457,7 +456,8 @@ def test_logged_loss_is_batch_loss():
     picks = batch_item_indices(1, len(corpus), config.batch_size, config.seed)
     total, comps = batch_loss(
         params, assemble_batch([corpus[i] for i in picks]), config.model,
-        config.loss_weights, rngs=dropout_rngs(config.seed, 1, len(picks)))
+        config.loss_weights,
+        rngs=[training.dropout_rng(config.seed, 1, i) for i in range(len(picks))])
     assert record.total == total.item()
     assert record.components == {k: comps[k].item() for k in comps}
 
@@ -482,7 +482,7 @@ def test_applied_gradient_is_backward_accumulated_longest_first(monkeypatch):
     picks = batch_item_indices(1, len(corpus), config.batch_size, config.seed)
     batch = assemble_batch([corpus[i] for i in picks])
     counts = training.batch_counts(batch)
-    rngs = dropout_rngs(config.seed, 1, len(picks))
+    rngs = [training.dropout_rng(config.seed, 1, i) for i in range(len(picks))]
     order = longest_first([utt.features.num_frames for utt in batch])
     assert order != sorted(order)
     for i in order:
@@ -579,22 +579,18 @@ def test_exchange_holds_four_gradient_rows_per_process(monkeypatch):
     assert [len(exchange.grads) for exchange in made] == [min(32, 4 * 2)]
 
 
-def test_one_process_train_never_publishes(monkeypatch):
-    # one process reads its own parameters: no parameter row to map or fill
-    made, published = [], []
+def test_train_shares_params_once_per_run_and_only_with_workers(monkeypatch):
+    # one process keeps its parameters where they are; workers read them
+    # from one shared row, mapped once per run, not once per step
+    shared = []
 
     class Recorded(training.GradientExchange):
-        def __init__(self, params, rows):
-            super().__init__(params, rows)
-            made.append(self)
-
-        def publish(self, params):
-            published.append(1)
-            super().publish(params)
+        def share_params(self, params):
+            shared.append(1)
+            super().share_params(params)
 
     monkeypatch.setattr(training, "GradientExchange", Recorded)
     run_with_workers(monkeypatch, 1, desk_config(total_steps=2), make_corpus(2))
-    assert published == []
-    assert [exchange.values for exchange in made] == [None]
+    assert shared == []
     run_with_workers(monkeypatch, 2, desk_config(total_steps=2), make_corpus(2))
-    assert len(published) == 2
+    assert shared == [1]
