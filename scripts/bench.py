@@ -16,7 +16,12 @@ With ``--parent CHECKOUT`` each run of the measured checkout is paired with
 the same run of CHECKOUT, the two back to back and the side that goes first
 switching from one run to the next, traced runs included, so machine drift
 over the session falls on both sides alike. CHECKOUT's file is
-BENCH_<label>_parent.json.
+BENCH_<label>_parent.json. The measured checkout's file then also holds,
+under ``paired`` for each workload and its traced runs, each metric's
+per-seed ratio measured/CHECKOUT, that ratio's median and quartiles, the
+runs where the measured side was better (``wins``, by the metric's
+``better`` in BENCHMARK.json), worse and tied, and the two-sided sign-test
+p-value of the wins against the losses (ties left out).
 
     python3 scripts/bench.py --label baseline --seeds 11 12 13 14 15
     python3 scripts/bench.py --label change --checkout ../other-copy --seconds 30
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -64,6 +70,36 @@ def summary(values: list[float]) -> dict:
         q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3,
             "values": values}
+
+
+def sign_test_p(wins: int, losses: int) -> float:
+    """Two-sided sign-test p-value of ``wins`` against ``losses``: twice the
+    binomial(n, 1/2) tail at the smaller count, at most 1."""
+    n = wins + losses
+    tail = sum(math.comb(n, i) for i in range(min(wins, losses) + 1))
+    return min(1.0, 2.0 * tail / 2 ** n)
+
+
+def paired_summaries(parent: list, change: list, better: dict) -> dict:
+    """Each metric's paired statistics over runs matched by position (by
+    seed): ratio change/parent (pairs whose parent value is 0 left out),
+    wins, losses, ties and the sign test's p; with no known direction,
+    ratios only."""
+    out = {}
+    for name in change[0][1]["metrics"]:
+        pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
+                 for (_, p), (_, c) in zip(parent, change)]
+        ratios = [c / p for p, c in pairs if p]
+        record = {"ratio": summary(ratios) if ratios else None}
+        if better.get(name) in ("lower", "higher"):
+            sign = 1 if better[name] == "higher" else -1
+            wins = sum(sign * (c - p) > 0 for p, c in pairs)
+            losses = sum(sign * (c - p) < 0 for p, c in pairs)
+            record.update(better=better[name], wins=wins, losses=losses,
+                          ties=len(pairs) - wins - losses,
+                          sign_test_p=sign_test_p(wins, losses))
+        out[name] = record
+    return out
 
 
 def git_state(checkout: Path) -> tuple[str, bool]:
@@ -150,6 +186,9 @@ def main(argv=None) -> int:
     labels = {args.label: args.checkout.resolve()}
     if args.parent is not None:
         labels = {f"{args.label}_parent": args.parent.resolve(), **labels}
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"]
+              for m in declared["end_to_end"] + declared["per_layer"]}
     records = {}
     for label, path in labels.items():
         commit, dirty = git_state(path)
@@ -163,6 +202,12 @@ def main(argv=None) -> int:
         for label, (runs, traced) in zip(labels, sides):
             records[label]["workloads"][workload] = workload_record(
                 runs, traced, args.seeds[:TRACED_SEEDS])
+        if args.parent is not None:
+            (parent_runs, parent_traced), (runs, traced) = sides
+            record = records[args.label]["workloads"][workload]
+            record["paired"] = paired_summaries(parent_runs, runs, better)
+            record["trace"]["paired"] = paired_summaries(parent_traced, traced,
+                                                         better)
     for label, record in records.items():
         out = ROOT / f"BENCH_{label}.json"
         out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -154,13 +154,6 @@ def add(a, b) -> Node:
     return Node(a.value + b.value, parents=[(a, lambda g: g), (b, lambda g: g)])
 
 
-def sub(a, b) -> Node:
-    a, b = as_node(a), as_node(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
-    return Node(a.value - b.value, parents=[(a, lambda g: g), (b, lambda g: -g)])
-
-
 def mul(a, b) -> Node:
     a, b = as_node(a), as_node(b)
     if a.shape != b.shape:
@@ -171,28 +164,23 @@ def mul(a, b) -> Node:
     )
 
 
-def scale(a, c: float) -> Node:
-    """Multiply by a python scalar constant."""
-    a = as_node(a)
-    c = float(c)
-    return Node(a.value * c, parents=[(a, lambda g: g * c)])
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
 def matmul(a, b, bias=None) -> Node:
-    """``a @ b``, plus ``bias`` on every row if one is given: the bits of
-    numpy's ``a @ b + bias`` in one node and one buffer."""
+    """``a @ b`` for a matrix or vector ``b``, plus ``bias`` on every row if
+    one is given: the bits of numpy's ``a @ b + bias`` in one node and buffer."""
     a, b = as_node(a), as_node(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.ndim != 2 or b.ndim not in (1, 2) or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     out = a.value @ b.value
-    parents = [(a, lambda g: g @ b.value.T), (b, lambda g: a.value.T @ g)]
+    parents = [(a, lambda g: np.outer(g, b.value) if b.ndim == 1
+                else g @ b.value.T), (b, lambda g: a.value.T @ g)]
     if bias is not None:
         bias = as_node(bias)
         if bias.shape != b.shape[1:]:
-            raise ShapeError(f"matmul: bias {bias.shape} for width {b.shape[1]}")
+            raise ShapeError(f"matmul: bias {bias.shape} for width "
+                             f"{math.prod(b.shape[1:])}")
         out += bias.value
         parents.append((bias, lambda g: g.sum(axis=0)))
     return Node(out, parents=parents)
@@ -281,20 +269,6 @@ def sigmoid(a) -> Node:
     e = np.exp(-np.abs(v))
     out = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return Node(out, parents=[(a, lambda g: g * out * (1.0 - out))])
-
-
-def absolute(a) -> Node:
-    # subgradient at 0 is defined as 0
-    a = as_node(a)
-    sign = np.sign(a.value)
-    return Node(np.abs(a.value), parents=[(a, lambda g: g * sign)])
-
-
-def log(a) -> Node:
-    a = as_node(a)
-    if np.any(a.value <= 0.0):
-        raise ValueError("log: input must be strictly positive")
-    return Node(np.log(a.value), parents=[(a, lambda g: g / a.value)])
 
 
 def exp(a) -> Node:
@@ -437,6 +411,49 @@ def reduce_sum(a) -> Node:
         np.asarray(a.value.sum()),
         parents=[(a, lambda g: np.full(a.shape, g.item()))],
     )
+
+
+def l1_sum(pred, target, mask=None) -> Node:
+    """``sum(|pred - target| * mask)``, with no product when ``mask`` is None,
+    for arrays ``target`` and ``mask`` of ``pred``'s shape. The pullback is
+    ``(g * mask) * sign(pred - target)``, 0 at a tie. A mask with no nonzero
+    gives a constant 0 with no parent."""
+    pred, target = as_node(pred), _tensor(target)
+    mask = None if mask is None else _tensor(mask)
+    if target.shape != pred.shape or mask is not None and mask.shape != pred.shape:
+        raise ShapeError(f"l1_sum: target {target.shape} or mask for {pred.shape}")
+    if mask is not None and not mask.any():
+        return Node(np.asarray(0.0))
+    diff = pred.value - target
+    terms = np.abs(diff) if mask is None else np.abs(diff) * mask
+    return Node(np.asarray(terms.sum()), parents=[(pred, lambda g: (
+        g if mask is None else g * mask) * np.sign(diff))])
+
+
+def bce_logits_sum(z, y) -> Node:
+    """Binary cross entropy of logits ``z`` against an array ``y`` of its
+    shape, summed: ``(max(z, 0) - z y) + log(e + 1)`` with ``e = exp(-|z|)``,
+    which never overflows. The pullback is its exact derivative
+    ``(sign(z) * -(g / (e + 1) * e) + -g y) + g [z > 0]``."""
+    z, y = as_node(z), _tensor(y)
+    if y.shape != z.shape:
+        raise ShapeError(f"bce_logits_sum: targets {y.shape} for logits {z.shape}")
+    e = np.exp(-np.abs(z.value))
+    out = (np.where(z.value > 0.0, z.value, 0.0) - z.value * y) + np.log(e + 1.0)
+    return Node(np.asarray(out.sum()), parents=[(z, lambda g: (
+        np.sign(z.value) * -(g / (e + 1.0) * e) + -g * y) + g * (z.value > 0.0))])
+
+
+def weighted_sum(terms, scales, weights) -> tuple[Node, list[np.ndarray]]:
+    """``sum_i (terms[i] * scales[i]) * weights[i]`` of scalar nodes, added
+    in order (a constant 0 for no terms), and each ``terms[i] * scales[i]``
+    as a 0-d array. Term i's pullback is ``(g * weights[i]) * scales[i]``."""
+    terms = [as_node(t) for t in terms]
+    means = [np.asarray(t.item() * s) for t, s in zip(terms, scales)]
+    products = [m * w for m, w in zip(means, weights)]
+    total = sum(products[1:], products[0]) if products else 0.0
+    return Node(total, parents=[(t, lambda g, s=s, w=w: g * w * s)
+                                for t, s, w in zip(terms, scales, weights)]), means
 
 
 # ---------------------------------------------------------------------------

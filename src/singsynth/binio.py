@@ -43,7 +43,7 @@ def read_u32(fh: BinaryIO) -> int:
 
 
 def write_named_tensor(fh: BinaryIO, name: str, array: np.ndarray) -> None:
-    data = np.ascontiguousarray(array, dtype="<f8")
+    data = np.asarray(array, dtype="<f8")  # keeps a 0-d shape
     encoded = name.encode("utf-8")
     write_u32(fh, len(encoded))
     fh.write(encoded)

@@ -23,13 +23,24 @@ class Checkpoint:
     config: dict = field(default_factory=dict)  # opaque config echo
 
 
+def check_finite(named) -> None:
+    """Raise ContainerError naming the first non-finite tensor and flat index."""
+    for name, array in named:
+        finite = np.isfinite(array)
+        if not finite.all():
+            raise ContainerError(f"checkpoint tensor {name} is not finite at "
+                                 f"flat index {finite.argmin()}")
+
+
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    """Write a checkpoint atomically, after the :func:`check_finite` of loading."""
     config_blob = json.dumps(ckpt.config, sort_keys=True,
                              separators=(",", ":")).encode("utf-8")
     named: list[tuple[str, np.ndarray]] = [("step", np.array([float(ckpt.step)]))]
     named += sorted((f"param.{k}", v) for k, v in ckpt.params.items())
     named += sorted((f"adam_m.{k}", v) for k, v in ckpt.adam_m.items())
     named += sorted((f"adam_v.{k}", v) for k, v in ckpt.adam_v.items())
+    check_finite(named)
     with atomic_open(path) as fh:
         write_magic(fh, CHECKPOINT_MAGIC)
         write_u32(fh, len(config_blob))
@@ -66,10 +77,7 @@ def load_checkpoint(path) -> Checkpoint:
         group, _, rest = name.partition(".")
         if group not in groups or not rest:
             raise ContainerError(f"unexpected tensor {name!r} in checkpoint")
-        finite = np.isfinite(array)
-        if not finite.all():
-            raise ContainerError(f"checkpoint tensor {name} is not finite at "
-                                 f"flat index {finite.argmin()}")
+        check_finite([(name, array)])
         groups[group][rest] = array
     return Checkpoint(
         step=int(step[0]),

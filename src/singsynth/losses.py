@@ -1,9 +1,9 @@
-"""Training objectives: phoneme and syllable duration losses, L1 spectral
-losses, masked log-F0 loss, and binary cross-entropy voicing loss, each
-written once as a per-utterance sum. A batch's objective is the sum of
-per-utterance shares, each dividing its sums by the batch's element counts,
-which ground truth alone fixes, so every utterance can be differentiated on
-its own."""
+"""Training objectives: phoneme and syllable duration L1, spectral L1,
+masked log-F0 L1 and voicing cross entropy, each a per-utterance sum made by
+one op (``autodiff.l1_sum`` or ``bce_logits_sum``). A batch's objective is
+the sum of per-utterance shares (``autodiff.weighted_sum``), each dividing its
+sums by the batch's element counts, which ground truth alone fixes, so every
+utterance can be differentiated on its own."""
 
 from __future__ import annotations
 
@@ -35,36 +35,6 @@ class LossWeights:
             raise ValueError("loss weights must be nonnegative")
         if all(w == 0 for w in values):
             raise ValueError("at least one loss weight must be positive")
-
-
-def _zero() -> Node:
-    return ad.constant(np.asarray(0.0))
-
-
-def _abs_error_sum(pred: Node, target: np.ndarray) -> Node:
-    return ad.reduce_sum(ad.absolute(ad.sub(pred, ad.constant(target))))
-
-
-def masked_abs_error(pred: Node, target: np.ndarray, mask: np.ndarray) -> Node:
-    """Sum of |pred - target| over mask==1; an empty mask gives a 0 sum."""
-    mask = np.asarray(mask, dtype=np.float64)
-    if not mask.any():
-        return _zero()
-    return ad.reduce_sum(
-        ad.mul(ad.absolute(ad.sub(pred, ad.constant(target))), ad.constant(mask))
-    )
-
-
-def bce_with_logits(logits: Node, targets: np.ndarray) -> Node:
-    """Per-element binary cross entropy, numerically stable in the logit
-    domain: max(z, 0) - z*y + log(1 + exp(-|z|))."""
-    targets = np.asarray(targets, dtype=np.float64)
-    hinge = ad.sub(ad.relu(logits), ad.mul(logits, ad.constant(targets)))
-    softplus = ad.log(
-        ad.add(ad.exp(ad.scale(ad.absolute(logits), -1.0)),
-               ad.constant(np.ones(targets.shape)))
-    )
-    return ad.add(hinge, softplus)
 
 
 def syllable_indicator(syllable_spans, n: int) -> np.ndarray:
@@ -119,40 +89,32 @@ def loss_terms(fwd: TrainForward, gt_durations, syllable_spans,
             f"do not match {n} ground-truth durations and {t} reference frames"
         )
     indicator = syllable_indicator(syllable_spans, n)
-    pd = _abs_error_sum(fwd.log_durations, np.log(gt_durs + 1.0))
-    linear = ad.sub(ad.exp(fwd.log_durations), ad.constant(np.ones(n)))
-    syl_pred = ad.reshape(
-        ad.matmul(ad.constant(indicator), ad.reshape(linear, (n, 1))),
-        (indicator.shape[0],),
-    )
+    # exp(d) + -1 has the bits of exp(d) - 1
+    linear = ad.add(ad.exp(fwd.log_durations), ad.constant(-np.ones(n)))
     return {
-        "L_pd": pd,
-        "L_sd": _abs_error_sum(syl_pred, indicator @ gt_durs),
-        "L_m": _abs_error_sum(dec.mgc, gt.mgc),
-        "L_b": _abs_error_sum(dec.bap, gt.bap),
-        "L_f": masked_abs_error(dec.logf0, gt.logf0, gt.vuv * frame_nonrest_mask),
-        "L_u": ad.reduce_sum(bce_with_logits(dec.vuv_logit, gt.vuv)),
+        "L_pd": ad.l1_sum(fwd.log_durations, np.log(gt_durs + 1.0)),
+        "L_sd": ad.l1_sum(ad.matmul(ad.constant(indicator), linear),
+                          indicator @ gt_durs),
+        "L_m": ad.l1_sum(dec.mgc, gt.mgc),
+        "L_b": ad.l1_sum(dec.bap, gt.bap),
+        "L_f": ad.l1_sum(dec.logf0, gt.logf0, gt.vuv * frame_nonrest_mask),
+        "L_u": ad.bce_logits_sum(dec.vuv_logit, gt.vuv),
     }
 
 
 def utterance_share(sums: dict[str, Node], batch_counts: dict[str, int],
-                    weights: LossWeights) -> tuple[Node, dict[str, Node]]:
-    """One utterance's share of its batch's objective.
+                    weights: LossWeights) -> tuple[Node, dict[str, np.ndarray]]:
+    """One utterance's share of its batch's objective, one
+    :func:`autodiff.weighted_sum` node, and its component shares as 0-d arrays.
 
     Component c's share is sum_c / N_c, where N_c is the batch's count for c
-    (the sum of every utterance's :func:`loss_counts`); the share of the
-    total is the weighted sum of those, L_xy weighted by w_xy. A component
-    the batch has no elements for contributes 0. Summing the shares of
-    every utterance gives each component's mean over every valid element of
-    the batch, and their weighted sum.
+    (the sum of every utterance's :func:`loss_counts`), or 0 when N_c is 0;
+    the total's is their sum weighted by w_c. Summed over the batch, these
+    are each component's mean over every valid element and their weighted sum.
     """
-    comps: dict[str, Node] = {}
-    total = None
-    for name in LOSS_NAMES:
-        if batch_counts[name] == 0:
-            comps[name] = _zero()
-            continue
-        comps[name] = ad.scale(sums[name], 1.0 / batch_counts[name])
-        term = ad.scale(comps[name], getattr(weights, "w_" + name[2:]))
-        total = term if total is None else ad.add(total, term)
-    return (_zero() if total is None else total), comps
+    names = [name for name in LOSS_NAMES if batch_counts[name]]
+    total, means = ad.weighted_sum(
+        [sums[name] for name in names], [1.0 / batch_counts[name] for name in names],
+        [getattr(weights, "w_" + name[2:]) for name in names])
+    comps = dict(zip(names, means))
+    return total, {name: comps.get(name, np.asarray(0.0)) for name in LOSS_NAMES}

@@ -38,6 +38,15 @@ class ScoreParseError(ValueError):
         self.line_no = line_no
 
 
+class ScoreError(ValueError):
+    """A score breaks a rule of :class:`MusicalScore`: its tempo when
+    ``event`` is None, else the continuation rules at that event index."""
+
+    def __init__(self, message: str, event: int | None = None):
+        super().__init__(message)
+        self.event = event
+
+
 class LexiconError(ValueError):
     pass
 
@@ -50,6 +59,8 @@ class NoteEvent:
     continues: bool = False  # same-syllable continuation (melisma)
 
     def __post_init__(self):
+        if self.syllable.split() != [self.syllable] or "#" in self.syllable:
+            raise ValueError(f"syllable {self.syllable!r} must be one word without '#'")
         if not 0 <= self.midi_pitch <= 127:
             raise ValueError(f"midi_pitch must be in [0, 127], got {self.midi_pitch}")
         if (self.midi_pitch == 0) != (self.syllable == REST_SYLLABLE):
@@ -73,10 +84,20 @@ class MusicalScore:
 
     def __post_init__(self):
         if not 0 < self.tempo_bpm < math.inf:
-            raise ValueError(
+            raise ScoreError(
                 f"tempo must be positive and finite, got {self.tempo_bpm}")
         if not self.events:
             raise ValueError("score has no events")
+        for k, (prev, ev) in enumerate(zip((None, *self.events), self.events)):
+            broken = ev.continues and (
+                "rests cannot continue a syllable" if ev.is_rest
+                else "no syllable to continue" if prev is None
+                else "cannot continue a rest" if prev.is_rest
+                else f"continuation syllable {ev.syllable!r} differs from "
+                f"previous {prev.syllable!r}" if ev.syllable != prev.syllable
+                else None)
+            if broken:
+                raise ScoreError(broken, k)
 
 
 @dataclass(frozen=True)
@@ -159,8 +180,11 @@ def demo_lexicon() -> PhonemeLexicon:
 # score parsing / serialization
 
 def parse_score(text: str) -> MusicalScore:
+    """The score a text holds. A rule of the score types that it breaks
+    raises ScoreParseError at the tempo's or event's line (line 1 if none)."""
     tempo: float | None = None
     events: list[NoteEvent] = []
+    lines: list[int] = []   # the tempo's line, then each event's
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -173,17 +197,13 @@ def parse_score(text: str) -> MusicalScore:
                 tempo = float(fields[1])
             except ValueError:
                 raise ScoreParseError(line_no, f"bad tempo value {fields[1]!r}") from None
-            if not 0 < tempo < math.inf:
-                raise ScoreParseError(line_no, "tempo must be positive and finite")
+            lines.append(line_no)
             continue
-        continues = False
-        if fields[-1] == "~":
-            continues = True
-            fields = fields[:-1]
+        continues = fields[-1] == "~"
+        fields = fields[:-1] if continues else fields
         if len(fields) != 3:
-            raise ScoreParseError(
-                line_no, "expected '<syllable> <midi_pitch> <beat_length> [~]'"
-            )
+            raise ScoreParseError(line_no, "expected '<syllable> <midi_pitch> "
+                                           "<beat_length> [~]'")
         syllable, pitch_s, beats_s = fields
         try:
             pitch = int(pitch_s)
@@ -193,32 +213,20 @@ def parse_score(text: str) -> MusicalScore:
             beats = float(beats_s)
         except ValueError:
             raise ScoreParseError(line_no, f"bad beat length {beats_s!r}") from None
-        if continues:
-            if not events:
-                raise ScoreParseError(line_no, "no syllable to continue")
-            prev = events[-1]
-            if prev.is_rest:
-                raise ScoreParseError(line_no, "cannot continue a rest")
-            if syllable != prev.syllable:
-                raise ScoreParseError(
-                    line_no,
-                    f"continuation syllable {syllable!r} differs from previous "
-                    f"{prev.syllable!r}",
-                )
-            if syllable == REST_SYLLABLE or pitch == 0:
-                raise ScoreParseError(line_no, "rests cannot continue a syllable")
         try:
-            events.append(
-                NoteEvent(syllable=syllable, midi_pitch=pitch,
-                          beat_length=beats, continues=continues)
-            )
+            events.append(NoteEvent(syllable, pitch, beats, continues))
         except ValueError as exc:
             raise ScoreParseError(line_no, str(exc)) from None
+        lines.append(line_no)
     if tempo is None:
         raise ScoreParseError(1, "missing tempo line")
-    if not events:
-        raise ScoreParseError(1, "score has no events")
-    return MusicalScore(tempo_bpm=tempo, events=tuple(events))
+    try:
+        return MusicalScore(tempo_bpm=tempo, events=tuple(events))
+    except ScoreError as exc:
+        raise ScoreParseError(lines[0 if exc.event is None else exc.event + 1],
+                              str(exc)) from None
+    except ValueError as exc:
+        raise ScoreParseError(1, str(exc)) from None
 
 
 def serialize_score(score: MusicalScore) -> str:
@@ -339,8 +347,7 @@ def score_to_tokens(score: MusicalScore, lexicon: PhonemeLexicon,
 
     Each note's pitch ID and frame count are duplicated onto every phoneme it
     carries; rests become one silence phoneme with pitch ID 0; a melisma's
-    notes all land in one syllable span. A continuing note with no sung note
-    right before it raises ValueError.
+    notes all land in one syllable span.
     """
     ids = lexicon.ids()
     phoneme_ids: list[int] = []
@@ -349,10 +356,8 @@ def score_to_tokens(score: MusicalScore, lexicon: PhonemeLexicon,
     numbers: list[int] = []   # each phoneme's syllable: its first note's index
     for k, ev in enumerate(score.events):
         frames = beats_to_frames(ev.beat_length, score.tempo_bpm, frame_shift_s)
-        if ev.is_rest or not ev.continues:
+        if not ev.continues:
             number = k
-        elif not pitch_ids or pitch_ids[-1] == 0:
-            raise ValueError(f"continuing note {k} has no sung note before it")
         for ph in event_phonemes(ev, lexicon):
             phoneme_ids.append(ids[ph])
             pitch_ids.append(ev.midi_pitch)

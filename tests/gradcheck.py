@@ -39,8 +39,37 @@ def check_grad(build_loss, x, tol=1e-4, h=1e-5):
     return err
 
 
-# Graph ops that only tests build: the per-head attention reference and the
-# gradient checks of their own pullbacks.
+# Graph ops that only tests build: the per-head attention reference, the
+# composed references of the fused loss ops and the gradient checks of their
+# own pullbacks.
+
+def sub(a, b) -> ad.Node:
+    a, b = ad.as_node(a), ad.as_node(b)
+    if a.shape != b.shape:
+        raise ad.ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}")
+    return ad.Node(a.value - b.value, parents=[(a, lambda g: g), (b, lambda g: -g)])
+
+
+def scale(a, c: float) -> ad.Node:
+    """Multiply by a python scalar constant."""
+    a = ad.as_node(a)
+    c = float(c)
+    return ad.Node(a.value * c, parents=[(a, lambda g: g * c)])
+
+
+def absolute(a) -> ad.Node:
+    # subgradient at 0 is defined as 0
+    a = ad.as_node(a)
+    sign = np.sign(a.value)
+    return ad.Node(np.abs(a.value), parents=[(a, lambda g: g * sign)])
+
+
+def log(a) -> ad.Node:
+    a = ad.as_node(a)
+    if np.any(a.value <= 0.0):
+        raise ValueError("log: input must be strictly positive")
+    return ad.Node(np.log(a.value), parents=[(a, lambda g: g / a.value)])
+
 
 def transpose(a) -> ad.Node:
     a = ad.as_node(a)

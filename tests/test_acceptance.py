@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradcheck import check_grad, concat_last, transpose
+from gradcheck import absolute, check_grad, concat_last, log, scale, sub, \
+    transpose
 from singsynth import autodiff as ad
 from singsynth.checkpoint import load_checkpoint, save_checkpoint
 from singsynth.cli import main
@@ -69,6 +70,8 @@ def _op_gradient_battery():
     y = rng.uniform(-2, 2, size=(5, 4))
     m = rng.uniform(-2, 2, size=(4, 6))
     kinked = x + np.where(np.abs(x) < 0.05, 0.2, 0.0)
+    apart = y + np.where(np.abs(x - y) < 0.05, 0.2, 0.0)  # |x - apart| >= 0.05
+    vuv = (x > y).astype(float)
     pos = rng.uniform(0.5, 3.0, size=(5, 4))
     table = rng.uniform(-2, 2, size=(7, 4))
     ids = rng.integers(0, 7, size=6)
@@ -85,13 +88,17 @@ def _op_gradient_battery():
 
     cases = {
         "add": (lambda p: dot(ad.add(p, ad.constant(y)), probe), x),
-        "sub": (lambda p: dot(ad.sub(ad.constant(y), p), probe), x),
+        "sub": (lambda p: dot(sub(ad.constant(y), p), probe), x),
         "mul": (lambda p: dot(ad.mul(p, ad.constant(y)), probe), x),
-        "scale": (lambda p: dot(ad.scale(p, 1.37), probe), x),
+        "scale": (lambda p: dot(scale(p, 1.37), probe), x),
         "matmul": (lambda p: dot(ad.matmul(p, ad.constant(m)), probe6), x),
+        "matmul_vector": (lambda p: ad.reduce_sum(ad.exp(
+            ad.matmul(p, ad.constant(m[:, 0])))), x),
+        "matmul_vector_b": (lambda p: ad.reduce_sum(ad.exp(
+            ad.matmul(ad.constant(m.T), p))), m[:, 0]),
         "transpose": (lambda p: ad.reduce_sum(ad.matmul(transpose(p), p)), x),
         "embedding": (lambda p: ad.reduce_sum(
-            ad.exp(ad.scale(ad.embedding(p, ids), 0.3))), table),
+            ad.exp(scale(ad.embedding(p, ids), 0.3))), table),
         "conv1d": (lambda p: ad.reduce_sum(ad.conv1d(
             p, ad.constant(conv_w), ad.constant(conv_b))), x),
         "conv1d_w": (lambda p: ad.reduce_sum(ad.conv1d(
@@ -112,9 +119,14 @@ def _op_gradient_battery():
         "concat_split": (lambda p: dot(concat_last(
             list(reversed(ad.split_last(p, [1, 3])))), probe), x),
         "reduce_sum": (lambda p: ad.reduce_sum(ad.mul(p, p)), x),
-        "absolute": (lambda p: dot(ad.absolute(p), probe), kinked),
-        "log": (lambda p: dot(ad.log(p), ad.constant(pos)), pos),
+        "absolute": (lambda p: dot(absolute(p), probe), kinked),
+        "log": (lambda p: dot(log(p), ad.constant(pos)), pos),
         "exp": (lambda p: dot(ad.exp(p), probe), x),
+        "l1_sum": (lambda p: ad.l1_sum(p, apart, vuv), x),
+        "bce_logits_sum": (lambda p: ad.bce_logits_sum(p, vuv), 3.0 * x),
+        "weighted_sum": (lambda p: ad.weighted_sum(
+            [dot(p, probe), ad.reduce_sum(ad.mul(p, p))], [0.25, 0.5],
+            [1.3, 0.7])[0], x),
         "reshape": (lambda p: dot(ad.reshape(ad.reshape(p, (2, 10)), (5, 4)),
                                   probe), x),
         "repeat_rows": (lambda p: dot(ad.repeat_rows(p, counts), probe_rep), x),

@@ -2,6 +2,7 @@ import math
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -464,10 +465,15 @@ def test_eval_pair_with_a_nan_feature_file_fails_that_pair_only(
 
 def test_synth_refuses_a_checkpoint_with_a_nan_parameter(tmp_path, corpus_dir,
                                                          run_dir, capsys):
+    # save_checkpoint would refuse the NaN: write a marker, then overwrite it
     ckpt = load_checkpoint(run_dir / "checkpoint.bin")
-    ckpt.params["out.w"][0, 1] = np.nan
+    ckpt.params["out.w"][0, 1] = 12345.678
     bad = tmp_path / "nan.bin"
     save_checkpoint(bad, ckpt)
+    data = bad.read_bytes()
+    assert data.count(struct.pack("<d", 12345.678)) == 1
+    bad.write_bytes(data.replace(struct.pack("<d", 12345.678),
+                                 struct.pack("<d", np.nan)))
     out = tmp_path / "x.feat"
     assert main(["synth", "--score", str(corpus_dir / "scores" / "song_0000.score"),
                  "--checkpoint", str(bad), "--out", str(out)]) == 1

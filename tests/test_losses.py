@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from gradcheck import absolute, log, scale, sub
 from singsynth import autodiff as ad
 from singsynth.corpus import Utterance
 from singsynth.features import AcousticFeatureSequence
 from singsynth.losses import (
     LOSS_NAMES,
     LossWeights,
-    bce_with_logits,
     loss_counts,
     loss_terms,
     syllable_indicator,
@@ -276,9 +276,84 @@ def test_all_unvoiced_share_in_a_voiced_batch_keeps_its_total_bits(rng):
 
 def test_bce_with_logits_stable_at_extremes():
     z = ad.constant(np.array([-500.0, 500.0]))
-    out = bce_with_logits(z, np.array([1.0, 0.0])).value
-    assert np.all(np.isfinite(out))
-    np.testing.assert_allclose(out, [500.0, 500.0], rtol=1e-12)
+    out = ad.bce_logits_sum(z, np.array([1.0, 0.0])).value
+    assert np.isfinite(out)
+    np.testing.assert_allclose(out, 1000.0, rtol=1e-12)
+
+
+# --- the fused loss ops against the ops they replace, bit for bit ---------
+
+def _value_and_grads(build, *points):
+    """The value of build(*parameters) and each parameter's gradient, with
+    an upstream gradient other than 1."""
+    params = [ad.parameter(np.array(x, dtype=np.float64)) for x in points]
+    out = build(*params)
+    ad.backward(scale(out, 0.37))
+    return [out.value] + [p.grad for p in params]
+
+
+def _assert_same_bits(fused, composed):
+    for a, b in zip(fused, composed, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_l1_sum_has_the_bits_of_sub_absolute_mul_and_sum(rng, masked):
+    pred, target = rng.normal(size=(9, 5)), rng.normal(size=(9, 5))
+    target[::2, 1] = pred[::2, 1]   # ties
+    mask = (rng.random((9, 5)) > 0.4).astype(float) if masked else None
+
+    def composed(p):
+        error = absolute(sub(p, ad.constant(target)))
+        return ad.reduce_sum(error if mask is None
+                             else ad.mul(error, ad.constant(mask)))
+
+    fused = _value_and_grads(lambda p: ad.l1_sum(p, target, mask), pred)
+    _assert_same_bits(fused, _value_and_grads(composed, pred))
+    assert np.all(fused[1][::2, 1] == 0.0)   # a tie's subgradient is 0
+    if masked:
+        assert ad.l1_sum(ad.parameter(pred), target, 0 * mask).parents == ()
+
+
+def test_bce_logits_sum_has_the_bits_of_its_composed_form(rng):
+    z = np.concatenate([rng.normal(scale=20.0, size=60),
+                        [-500.0, 500.0, 0.0, -0.0, 1e-300, -37.5, 37.5]])
+    y = (rng.random(z.shape) > 0.5).astype(float)
+
+    def composed(p):
+        hinge = sub(ad.relu(p), ad.mul(p, ad.constant(y)))
+        softplus = log(ad.add(ad.exp(scale(absolute(p), -1.0)),
+                              ad.constant(np.ones(y.shape))))
+        return ad.reduce_sum(ad.add(hinge, softplus))
+
+    fused = _value_and_grads(lambda p: ad.bce_logits_sum(p, y), z)
+    _assert_same_bits(fused, _value_and_grads(composed, z))
+    assert np.all(np.isfinite(fused[1]))
+
+
+def test_weighted_sum_has_the_bits_of_scales_and_adds(rng):
+    sums = rng.normal(scale=300.0, size=5) ** 2
+    scales = [1.0 / n for n in (7, 3, 1100, 13, 9)]
+    weights = [0.9, 0.0, 1.3, 2.0, 0.5]
+    means = []
+
+    def composed(*terms):
+        total = None
+        for term, s, w in zip(terms, scales, weights):
+            means.append(scale(term, s))
+            part = scale(means[-1], w)
+            total = part if total is None else ad.add(total, part)
+        return total
+
+    fused = _value_and_grads(
+        lambda *terms: ad.weighted_sum(terms, scales, weights)[0], *sums)
+    _assert_same_bits(fused, _value_and_grads(composed, *sums))
+    _, fused_means = ad.weighted_sum([ad.constant(s) for s in sums], scales,
+                                     weights)
+    assert all(m.shape == () for m in fused_means)
+    _assert_same_bits([m.reshape(1) for m in fused_means],
+                      [m.value for m in means])
+    assert ad.weighted_sum([], [], [])[0].item() == 0.0
 
 
 def _training_setup(tiny_config, seed=3):
@@ -334,3 +409,16 @@ def test_encoder_gradient_flows_from_duration_loss_alone(tiny_config):
     ad.backward(total)
     grad = params["emb.phoneme"].grad
     assert grad is not None and np.any(grad != 0.0)
+
+
+def test_loss_assembly_builds_twelve_nodes(tiny_config):
+    tokens, gt, params, _ = _training_setup(tiny_config)
+    fwd = forward_train(tokens, gt, params, tiny_config)
+    _, nonrest = frame_pitch_arrays(tokens, tokens.gt_phoneme_durations)
+    truth = (tokens.gt_phoneme_durations, tokens.syllable_spans, gt, nonrest)
+    counts = loss_counts(*truth)
+    assert all(counts.values())
+    first = next(ad._CREATED)
+    total, comps = utterance_share(loss_terms(fwd, *truth), counts, LossWeights())
+    assert next(ad._CREATED) - first - 1 == 12
+    assert total.requires_grad and all(v.shape == () for v in comps.values())

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gradcheck import scale
 from singsynth import autodiff as ad
 from singsynth.features import AcousticFeatureSequence
 from singsynth.model import (
@@ -142,7 +143,7 @@ def test_fft_block_zeroed_projections_is_identity(tiny_config, rng):
 def test_attention_weight_rows_sum_to_one(rng):
     q = rng.normal(size=(6, 4))
     k = rng.normal(size=(6, 4))
-    weights = ad.softmax(ad.scale(ad.matmul(ad.constant(q), ad.constant(k.T)),
+    weights = ad.softmax(scale(ad.matmul(ad.constant(q), ad.constant(k.T)),
                                   1.0 / math.sqrt(4))).value
     np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 

@@ -5,12 +5,14 @@ MemoryError, and never allocates what the file cannot hold."""
 
 import io
 import math
+import re
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from singsynth.binio import ContainerError, read_named_tensor
 from singsynth.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
@@ -114,12 +116,17 @@ def test_checkpoint_rejects_step_that_is_not_a_count(tmp_path, step):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("group", ["param", "adam_v"])
 def test_checkpoint_rejects_non_finite_tensor_naming_it(tmp_path, group, value):
+    # save_checkpoint refuses such a tensor, so the file is written with a
+    # 7.0 in its place and that one value is overwritten
     tensors = {name: {"w": np.ones((2, 3))} for name in ("param", "adam_m", "adam_v")}
-    tensors[group]["w"][1, 1] = value
+    tensors[group]["w"][1, 1] = 7.0
     path = tmp_path / "bad.ckpt"
     save_checkpoint(path, Checkpoint(step=1, params=tensors["param"],
                                      adam_m=tensors["adam_m"],
                                      adam_v=tensors["adam_v"]))
+    data = path.read_bytes()
+    assert data.count(struct.pack("<d", 7.0)) == 1
+    path.write_bytes(data.replace(struct.pack("<d", 7.0), struct.pack("<d", value)))
     with pytest.raises(ContainerError,
                        match=rf"tensor {group}\.w is not finite at flat index 4$"):
         load_checkpoint(path)
@@ -131,6 +138,48 @@ def test_checkpoint_rejects_config_echo_that_is_not_a_json_object(tmp_path, blob
     path.write_bytes(b"SVSCKPT1" + u32(1) + u32(len(blob)) + blob + u32(0))
     with pytest.raises(ContainerError, match="config echo is not"):
         load_checkpoint(path)
+
+
+tensor_names = st.text(st.characters(codec="utf-8"), min_size=1, max_size=6)
+finite_tensors = st.dictionaries(tensor_names, hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=0, max_dims=3, max_side=3),
+    elements=st.floats(allow_nan=False, allow_infinity=False)), max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(step=st.integers(0, 2 ** 53), params=finite_tensors, adam_m=finite_tensors,
+       adam_v=finite_tensors, config=st.dictionaries(st.text(), st.integers()))
+def test_checkpoint_of_finite_tensors_saves_and_loads_back_equal(
+        fuzz_dir, step, params, adam_m, adam_v, config):
+    path = fuzz_dir / "round.ckpt"
+    save_checkpoint(path, Checkpoint(step, params, adam_m, adam_v, config))
+    loaded = load_checkpoint(path)
+    assert (loaded.step, loaded.config) == (step, config)
+    for saved, read in ((params, loaded.params), (adam_m, loaded.adam_m),
+                        (adam_v, loaded.adam_v)):
+        assert saved.keys() == read.keys()
+        for name, array in saved.items():
+            assert read[name].shape == array.shape
+            assert read[name].tobytes() == array.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=finite_tensors.filter(lambda d: any(a.size for a in d.values())),
+       group=st.sampled_from(["params", "adam_m", "adam_v"]), data=st.data())
+def test_checkpoint_with_a_non_finite_tensor_is_not_written(
+        tmp_path_factory, params, group, data):
+    folder = tmp_path_factory.mktemp("refused")
+    tensors = {"params": {}, "adam_m": {}, "adam_v": {}}
+    tensors[group] = {name: array.copy() for name, array in params.items()}
+    name = data.draw(st.sampled_from(sorted(n for n, a in params.items() if a.size)))
+    index = data.draw(st.integers(0, params[name].size - 1))
+    tensors[group][name].reshape(-1)[index] = data.draw(
+        st.sampled_from([math.nan, math.inf, -math.inf]))
+    prefix = {"params": "param", "adam_m": "adam_m", "adam_v": "adam_v"}[group]
+    with pytest.raises(ContainerError, match=re.escape(
+            f"tensor {prefix}.{name} is not finite at flat index {index}")):
+        save_checkpoint(folder / "bad.ckpt", Checkpoint(1, **tensors))
+    assert list(folder.iterdir()) == []
 
 
 def test_checkpoint_fixture_round_trips(tmp_path):

@@ -2,7 +2,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from singsynth.score import (
@@ -177,7 +177,10 @@ def test_score_to_tokens_melisma_extension_uses_final_vowel(lexicon):
     (NoteEvent("-", 0, 1.0), NoteEvent("la", 69, 1.0, continues=True)),
 ])
 def test_score_to_tokens_rejects_continuation_without_sung_note(lexicon, events):
-    with pytest.raises(ValueError, match="has no sung note before it"):
+    # MusicalScore refuses such a score, so it never reaches score_to_tokens
+    message = ("no syllable to continue" if len(events) == 1
+               else "cannot continue a rest")
+    with pytest.raises(ValueError, match=message):
         score_to_tokens(MusicalScore(120.0, events), lexicon)
 
 
@@ -267,3 +270,68 @@ def test_tokens_satisfy_invariants(score):
     for pid, pitch in zip(tokens.phoneme_ids, tokens.pitch_ids):
         assert (pitch == 0) == (pid == lexicon.ids()[SILENCE_PHONEME])
     assert all(c >= 1 for c in tokens.note_frame_counts)
+
+
+@st.composite
+def accepted_scores(draw):
+    """Scores of any text, pitch, beat length, tempo and continuation flags,
+    kept when the constructors accept them: the writer's whole domain."""
+    fields = draw(st.lists(st.tuples(
+        st.one_of(st.just("-"), st.sampled_from(["la", "a~"]),
+                  st.text(st.one_of(st.sampled_from("a#~- \t"), st.characters()),
+                          max_size=4)),
+        st.integers(0, 127),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        st.sampled_from([False, False, True])), min_size=1, max_size=6))
+    tempo = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    try:
+        return MusicalScore(tempo, tuple(
+            NoteEvent(syllable, 0 if syllable == "-" else max(pitch, 1), beats,
+                      continues)
+            for syllable, pitch, beats, continues in fields))
+    except ValueError:
+        reject()
+
+
+@settings(max_examples=200, deadline=None)
+@given(accepted_scores())
+def test_every_accepted_score_writes_and_reads_back_equal(score):
+    assert parse_score(serialize_score(score)) == score
+
+
+@pytest.mark.parametrize("syllable", ["", "a b", "x#y", " la", "la\n", "a\u2028b",
+                                      "a\u00a0b"])
+def test_note_event_refuses_a_syllable_its_file_cannot_hold(syllable):
+    with pytest.raises(ValueError, match="must be one word without '#'"):
+        NoteEvent(syllable, 69, 1.0)
+
+
+@pytest.mark.parametrize("events, line, message", [
+    ((NoteEvent("la", 69, 1), NoteEvent("mi", 71, 1, continues=True)), 3,
+     "continuation syllable 'mi' differs from previous 'la'"),
+    ((NoteEvent("la", 69, 1), NoteEvent("-", 0, 1, continues=True)), 3,
+     "rests cannot continue a syllable"),
+    ((NoteEvent("-", 0, 1), NoteEvent("la", 69, 1, continues=True)), 3,
+     "cannot continue a rest"),
+    ((NoteEvent("la", 69, 1, continues=True),), 2, "no syllable to continue"),
+])
+def test_score_refuses_what_its_file_cannot_hold_at_the_event_line(events, line,
+                                                                   message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        MusicalScore(120.0, events)
+    text = "tempo 120\n" + "".join(
+        f"{ev.syllable} {ev.midi_pitch} 1{' ~' if ev.continues else ''}\n"
+        for ev in events)
+    with pytest.raises(ScoreParseError, match=f"^line {line}: {message}$"):
+        parse_score(text)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("# head\n\ntempo -3\nla 69 1\n", 3, "tempo must be positive and finite"),
+    ("# head\ntempo 120\n", 1, "score has no events"),
+    ("# nothing\n", 1, "missing tempo line"),
+])
+def test_parse_maps_score_errors_to_the_tempo_line_or_line_one(text, line,
+                                                               message):
+    with pytest.raises(ScoreParseError, match=f"^line {line}: {message}"):
+        parse_score(text)
