@@ -11,6 +11,8 @@ from typing import BinaryIO
 
 import numpy as np
 
+MAX_RANK = 8   # the highest tensor rank a container holds
+
 
 class ContainerError(ValueError):
     pass
@@ -68,7 +70,7 @@ def read_named_tensor(fh: BinaryIO) -> tuple[str, np.ndarray]:
     name_len = read_u32(fh)
     name = read_exact(fh, name_len, "tensor name").decode("utf-8")
     rank = read_u32(fh)
-    if rank > 8:
+    if rank > MAX_RANK:
         raise ContainerError(f"implausible tensor rank {rank} for {name!r}")
     shape = tuple(read_u32(fh) for _ in range(rank))
     raw = read_exact(fh, math.prod(shape) * 8, f"tensor data for {name!r}")

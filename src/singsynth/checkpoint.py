@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binio import ContainerError, atomic_open, read_exact, read_magic, \
+from .binio import MAX_RANK, ContainerError, atomic_open, read_exact, read_magic, \
     read_named_tensor, read_u32, write_magic, write_named_tensor, write_u32
 
 CHECKPOINT_MAGIC = b"SVSCKPT1"
@@ -23,9 +23,13 @@ class Checkpoint:
     config: dict = field(default_factory=dict)  # opaque config echo
 
 
-def check_finite(named) -> None:
-    """Raise ContainerError naming the first non-finite tensor and flat index."""
+def check_tensors(named) -> None:
+    """Raise ContainerError naming the first tensor whose rank is above
+    MAX_RANK, or that is not finite (with the flat index)."""
     for name, array in named:
+        if np.ndim(array) > MAX_RANK:
+            raise ContainerError(
+                f"implausible tensor rank {np.ndim(array)} for {name!r}")
         finite = np.isfinite(array)
         if not finite.all():
             raise ContainerError(f"checkpoint tensor {name} is not finite at "
@@ -33,14 +37,14 @@ def check_finite(named) -> None:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Write a checkpoint atomically, after the :func:`check_finite` of loading."""
+    """Write a checkpoint atomically, after the :func:`check_tensors` of loading."""
     config_blob = json.dumps(ckpt.config, sort_keys=True,
                              separators=(",", ":")).encode("utf-8")
     named: list[tuple[str, np.ndarray]] = [("step", np.array([float(ckpt.step)]))]
     named += sorted((f"param.{k}", v) for k, v in ckpt.params.items())
     named += sorted((f"adam_m.{k}", v) for k, v in ckpt.adam_m.items())
     named += sorted((f"adam_v.{k}", v) for k, v in ckpt.adam_v.items())
-    check_finite(named)
+    check_tensors(named)
     with atomic_open(path) as fh:
         write_magic(fh, CHECKPOINT_MAGIC)
         write_u32(fh, len(config_blob))
@@ -77,7 +81,7 @@ def load_checkpoint(path) -> Checkpoint:
         group, _, rest = name.partition(".")
         if group not in groups or not rest:
             raise ContainerError(f"unexpected tensor {name!r} in checkpoint")
-        check_finite([(name, array)])
+        check_tensors([(name, array)])
         groups[group][rest] = array
     return Checkpoint(
         step=int(step[0]),

@@ -174,11 +174,19 @@ def random_score(lexicon: PhonemeLexicon, rng: np.random.Generator) -> MusicalSc
 
 @dataclass
 class Utterance:
-    """Score tokens with ground-truth durations, and their reference frames."""
+    """Score tokens with ground-truth durations that add up to the frame
+    count of their reference features, as length regulation needs."""
 
     utt_id: str
     tokens: PhonemeTokenSequence
     features: AcousticFeatureSequence
+
+    def __post_init__(self):
+        if self.tokens.gt_phoneme_durations is None:
+            raise ValueError("missing ground-truth durations")
+        if self.tokens.total_frames != self.features.num_frames:
+            raise ValueError(f"duration total {self.tokens.total_frames} != "
+                             f"feature frames {self.features.num_frames}")
 
 
 @dataclass(frozen=True)
@@ -314,14 +322,15 @@ def generate_corpus(n_songs: int, seed: int, config: OracleConfig, out_dir,
 
 def load_corpus_items(manifest: CorpusManifest,
                       split: str = "all") -> list[Utterance]:
-    """The utterances of a manifest split."""
+    """The utterances of a manifest split; an utterance that breaks a rule
+    of :class:`Utterance` raises ValueError naming its feature file."""
     items = []
     for entry in manifest.subset(split):
         feat_path = manifest.base_dir / entry.feature_path
         tokens = load_token_sidecar(sidecar_path(feat_path))
         feats = load_features(feat_path)
-        items.append(Utterance(
-            utt_id=Path(entry.feature_path).stem,
-            tokens=tokens, features=feats,
-        ))
+        try:
+            items.append(Utterance(Path(entry.feature_path).stem, tokens, feats))
+        except ValueError as exc:
+            raise ValueError(f"{feat_path}: {exc}") from None
     return items

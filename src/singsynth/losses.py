@@ -13,8 +13,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .features import AcousticFeatureSequence, BAP_DIM, MGC_DIM
+from .corpus import Utterance
+from .features import BAP_DIM, MGC_DIM
 from .model import TrainForward
+from .score import frame_pitch_arrays
 
 # loss components, in log and pooling order; "L_xy" is weighted by w_xy
 LOSS_NAMES = ("L_pd", "L_sd", "L_m", "L_b", "L_f", "L_u")
@@ -41,33 +43,34 @@ def syllable_indicator(syllable_spans, n: int) -> np.ndarray:
     """0/1 matrix with one row per syllable selecting its phoneme indices."""
     matrix = np.zeros((len(syllable_spans), n))
     for row, (start, end) in enumerate(syllable_spans):
-        if not 0 <= start < end <= n:
-            raise ValueError(f"syllable span ({start}, {end}) out of range [0, {n})")
         matrix[row, start:end] = 1.0
     return matrix
 
 
-def loss_counts(gt_durations, syllable_spans, gt: AcousticFeatureSequence,
-                frame_nonrest_mask: np.ndarray) -> dict[str, int]:
+def _f0_mask(utt: Utterance) -> np.ndarray:
+    """L_f's frames: voiced in the ground truth and not rests."""
+    _, nonrest = frame_pitch_arrays(utt.tokens, utt.tokens.gt_phoneme_durations)
+    return utt.features.vuv * nonrest
+
+
+def loss_counts(utt: Utterance) -> dict[str, int]:
     """How many elements each component of one utterance averages over.
     Ground truth alone fixes them, so they are known before any forward
     pass."""
-    t = gt.num_frames
+    t = utt.features.num_frames
     return {
-        "L_pd": len(gt_durations),
-        "L_sd": len(syllable_spans),
+        "L_pd": len(utt.tokens),
+        "L_sd": len(utt.tokens.syllable_spans),
         "L_m": t * MGC_DIM,
         "L_b": t * BAP_DIM,
-        "L_f": int((gt.vuv * np.asarray(frame_nonrest_mask, dtype=np.float64)).sum()),
+        "L_f": int(_f0_mask(utt).sum()),
         "L_u": t,
     }
 
 
-def loss_terms(fwd: TrainForward, gt_durations, syllable_spans,
-               gt: AcousticFeatureSequence, frame_nonrest_mask: np.ndarray
-               ) -> dict[str, Node]:
+def loss_terms(fwd: TrainForward, utt: Utterance) -> dict[str, Node]:
     """One utterance's sum for every loss component, over the elements
-    :func:`loss_counts` counts.
+    :func:`loss_counts` counts; the ops refuse predictions of another shape.
 
     - L_pd: phoneme-duration L1 in the log(frames + 1) domain;
     - L_sd: syllable-duration L1 between ground-truth syllable frames and
@@ -77,18 +80,9 @@ def loss_terms(fwd: TrainForward, gt_durations, syllable_spans,
       (an all-unvoiced utterance sums to a constant 0, not NaN);
     - L_u: voicing cross entropy over every frame.
     """
-    gt_durs = np.asarray(gt_durations, dtype=np.float64)
-    n, t = gt_durs.shape[0], gt.num_frames
-    dec = fwd.decoder
-    if (fwd.log_durations.shape != (n,) or dec.mgc.shape != gt.mgc.shape
-            or dec.bap.shape != gt.bap.shape or dec.logf0.shape != (t,)
-            or dec.vuv_logit.shape != (t,)):
-        raise ValueError(
-            f"prediction shapes (durations {fwd.log_durations.shape}, mgc "
-            f"{dec.mgc.shape}, bap {dec.bap.shape}, logf0 {dec.logf0.shape}) "
-            f"do not match {n} ground-truth durations and {t} reference frames"
-        )
-    indicator = syllable_indicator(syllable_spans, n)
+    gt, dec, n = utt.features, fwd.decoder, len(utt.tokens)
+    gt_durs = np.asarray(utt.tokens.gt_phoneme_durations, dtype=np.float64)
+    indicator = syllable_indicator(utt.tokens.syllable_spans, n)
     # exp(d) + -1 has the bits of exp(d) - 1
     linear = ad.add(ad.exp(fwd.log_durations), ad.constant(-np.ones(n)))
     return {
@@ -97,7 +91,7 @@ def loss_terms(fwd: TrainForward, gt_durations, syllable_spans,
                           indicator @ gt_durs),
         "L_m": ad.l1_sum(dec.mgc, gt.mgc),
         "L_b": ad.l1_sum(dec.bap, gt.bap),
-        "L_f": ad.l1_sum(dec.logf0, gt.logf0, gt.vuv * frame_nonrest_mask),
+        "L_f": ad.l1_sum(dec.logf0, gt.logf0, _f0_mask(utt)),
         "L_u": ad.bce_logits_sum(dec.vuv_logit, gt.vuv),
     }
 

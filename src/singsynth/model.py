@@ -11,6 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
+from .corpus import Utterance
 from .features import AcousticFeatureSequence, BAP_DIM, MGC_DIM
 from .score import PhonemeTokenSequence, frame_pitch_arrays
 
@@ -236,15 +237,9 @@ def decode(expanded: Node, frame_note_logf0: np.ndarray,
            config: ModelConfig,
            rng: np.random.Generator | None = None) -> DecoderOutput:
     """Run the decoder stack over frame-rate vectors and split the projection
-    into mgc / bap / log-F0 residual / voicing logit."""
+    into mgc / bap / log-F0 residual / voicing logit. Frame arrays whose
+    length is not the decoder's frame count raise the op's ShapeError."""
     t = expanded.shape[0]
-    frame_note_logf0 = np.asarray(frame_note_logf0, dtype=np.float64)
-    frame_nonrest_mask = np.asarray(frame_nonrest_mask, dtype=np.float64)
-    if frame_note_logf0.shape != (t,) or frame_nonrest_mask.shape != (t,):
-        raise ValueError(
-            f"frame array lengths {frame_note_logf0.shape} / "
-            f"{frame_nonrest_mask.shape} do not match {t} decoder frames"
-        )
     x = ad.add(expanded, ad.constant(positional_encoding(t, config.hidden_dim)))
     for i in range(config.decoder_blocks):
         x = fft_block(x, params, f"dec.{i}", config, rng)
@@ -264,20 +259,12 @@ class TrainForward:
     decoder: DecoderOutput
 
 
-def forward_train(tokens: PhonemeTokenSequence, gt_features: AcousticFeatureSequence,
-                  params: ModelParameters, config: ModelConfig,
+def forward_train(utt: Utterance, params: ModelParameters, config: ModelConfig,
                   rng: np.random.Generator | None = None) -> TrainForward:
     """Training-path forward pass, with dropout drawn from ``rng`` if one is
-    given: the length regulator runs on ground-truth durations so decoder
-    frames line up with the reference features."""
-    if tokens.gt_phoneme_durations is None:
-        raise ValueError("forward_train needs ground-truth phoneme durations")
-    total = tokens.total_frames
-    if total != gt_features.num_frames:
-        raise ValueError(
-            f"duration total {total} does not match feature frames "
-            f"{gt_features.num_frames}"
-        )
+    given: the length regulator runs on the utterance's ground-truth
+    durations, so decoder frames line up with its reference features."""
+    tokens = utt.tokens
     hidden = encode(tokens, params, config, rng)
     log_durs = predict_durations(hidden, params, config, rng)
     expanded = length_regulate(hidden, tokens.gt_phoneme_durations)

@@ -61,8 +61,10 @@ class NoteEvent:
     def __post_init__(self):
         if self.syllable.split() != [self.syllable] or "#" in self.syllable:
             raise ValueError(f"syllable {self.syllable!r} must be one word without '#'")
-        if not 0 <= self.midi_pitch <= 127:
-            raise ValueError(f"midi_pitch must be in [0, 127], got {self.midi_pitch}")
+        pitch = self.midi_pitch   # an int the file can hold, not a bool
+        if type(pitch) is bool or not isinstance(pitch, (int, np.integer)) \
+                or not 0 <= pitch <= 127:
+            raise ValueError(f"midi_pitch must be an integer in [0, 127], got {pitch}")
         if (self.midi_pitch == 0) != (self.syllable == REST_SYLLABLE):
             raise ValueError(
                 "pitch 0 is reserved for rests: "

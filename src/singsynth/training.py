@@ -33,7 +33,6 @@ from .corpus import Utterance
 from .losses import LOSS_NAMES, LossWeights, loss_counts, loss_terms, \
     utterance_share
 from .model import ModelConfig, ModelParameters, forward_train, init_params
-from .score import frame_pitch_arrays
 
 LOG_COLUMNS = ("step", "lr", "total") + LOSS_NAMES
 
@@ -83,20 +82,11 @@ def lr_schedule(step: int, hidden_dim: int, warmup_steps: int) -> float:
 
 
 def validate_corpus(corpus: Sequence[Utterance]) -> list[str]:
-    problems = []
-    if not corpus:
-        problems.append("corpus is empty")
+    """The corpus's problems: empty, or each bad utterance's, by its id."""
+    problems = [] if corpus else ["corpus is empty"]
     for utt in corpus:
         try:
-            replace(utt.features)   # the finiteness and shape checks of loading
-            replace(utt.tokens)     # and the token checks
-            if utt.tokens.gt_phoneme_durations is None:
-                problems.append(f"{utt.utt_id}: missing ground-truth durations")
-            elif utt.tokens.total_frames != utt.features.num_frames:
-                problems.append(
-                    f"{utt.utt_id}: duration total {utt.tokens.total_frames} != "
-                    f"feature frames {utt.features.num_frames}"
-                )
+            replace(utt, tokens=replace(utt.tokens), features=replace(utt.features))
         except ValueError as exc:
             problems.append(f"{utt.utt_id}: {exc}")
     return problems
@@ -127,20 +117,11 @@ def assemble_batch(items: Sequence[Utterance]) -> list[Utterance]:
     return list(items)
 
 
-def _ground_truth(utt: Utterance):
-    """An utterance's ground truth, as checked when it was loaded:
-    (durations, syllable spans, features, frame non-rest mask)."""
-    tokens = utt.tokens
-    _, nonrest = frame_pitch_arrays(tokens, tokens.gt_phoneme_durations)
-    return (tokens.gt_phoneme_durations, tokens.syllable_spans, utt.features,
-            nonrest)
-
-
 def batch_counts(batch: Sequence[Utterance]) -> dict[str, int]:
     """Each loss component's element count N_c over the whole batch."""
     counts = dict.fromkeys(LOSS_NAMES, 0)
     for utt in batch:
-        for name, count in loss_counts(*_ground_truth(utt)).items():
+        for name, count in loss_counts(utt).items():
             counts[name] += count
     return counts
 
@@ -152,10 +133,8 @@ def utterance_loss(params: ModelParameters, utt: Utterance,
     """The utterance's share L_i = sum_c w_c * sum_{c,i} / N_c of the batch
     objective (``counts`` from :func:`batch_counts`), in a graph of its own;
     ``rng`` drives its dropout, and without one there is none."""
-    gt_durations, spans, gt, nonrest = _ground_truth(utt)
-    fwd = forward_train(utt.tokens, gt, params, config, rng)
-    return utterance_share(loss_terms(fwd, gt_durations, spans, gt, nonrest),
-                           counts, weights)
+    fwd = forward_train(utt, params, config, rng)
+    return utterance_share(loss_terms(fwd, utt), counts, weights)
 
 
 def dropout_rng(seed: int, step: int, i: int) -> np.random.Generator:

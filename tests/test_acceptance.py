@@ -260,7 +260,7 @@ def test_criterion_4_loss_composition_and_masking():
     sums = {k: 0.0 for k in comps}
     counts = {k: 0 for k in comps}
     for utt in corpus:
-        fwd = forward_train(utt.tokens, utt.features, params, config)
+        fwd = forward_train(utt, params, config)
         gt_dur = np.asarray(utt.tokens.gt_phoneme_durations, float)
         sums["L_pd"] += np.abs(fwd.log_durations.value - np.log(gt_dur + 1)).sum()
         counts["L_pd"] += len(gt_dur)

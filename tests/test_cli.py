@@ -201,6 +201,30 @@ def test_train_rejects_out_of_range_sidecar_before_writing(tmp_path, corpus_dir,
     assert not run.exists()
 
 
+def test_train_and_eval_refuse_a_sidecar_that_disagrees_with_its_frames(
+        tmp_path, corpus_dir, run_dir, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    entries = [line.split("\t") for line in
+               (corpus / "manifest.tsv").read_text().splitlines()]
+    feat_path = corpus / next(feat for _, feat, split in entries if split == "train")
+    frames = load_features(feat_path).num_frames
+    sidecar = Path(f"{feat_path}.tokens.tsv")
+    rows = [line.split("\t") for line in sidecar.read_text().splitlines()]
+    rows[0][3] = str(int(rows[0][3]) + 1)
+    sidecar.write_text("".join("\t".join(row) + "\n" for row in rows))
+    message = f"error: {feat_path}: duration total {frames + 1} != feature frames {frames}"
+    run = tmp_path / "run"
+    assert main(["train", "--manifest", str(corpus / "manifest.tsv"),
+                 "--out", str(run), "--steps", "2"]) == 1
+    assert message in capsys.readouterr().err
+    assert not run.exists()
+    assert main(["eval", "--manifest", str(corpus / "manifest.tsv"), "--split", "all",
+                 "--checkpoint", str(run_dir / "checkpoint.bin"),
+                 "--out", str(tmp_path / "report")]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_train_resume_continues_step_counter(tmp_path, corpus_dir):
     first = tmp_path / "first"
     assert main(["train", "--manifest", str(corpus_dir / "manifest.tsv"),

@@ -7,6 +7,7 @@ import pytest
 
 from singsynth.corpus import (
     OracleConfig,
+    Utterance,
     generate_corpus,
     load_corpus_items,
     load_manifest,
@@ -88,6 +89,35 @@ def test_oracle_durations_match_feature_length(lexicon):
         score = random_score(demo_lexicon(), np.random.default_rng([11, 4, i]))
         tokens, feats = oracle_sing(score, lexicon, config)
         assert tokens.total_frames == feats.num_frames
+
+
+def test_utterance_refuses_missing_or_mismatched_durations(lexicon):
+    tokens, feats = oracle_sing(parse_score("tempo 120\nla 69 0.5\n- 0 0.5\n"),
+                                lexicon, OracleConfig())
+    assert Utterance("u", tokens, feats).features is feats
+    durations = tokens.gt_phoneme_durations
+    tokens.gt_phoneme_durations = None
+    with pytest.raises(ValueError, match="^missing ground-truth durations$"):
+        Utterance("u", tokens, feats)
+    tokens.gt_phoneme_durations = [durations[0] + 1] + durations[1:]
+    with pytest.raises(ValueError, match=f"^duration total {feats.num_frames + 1} "
+                                         f"!= feature frames {feats.num_frames}$"):
+        Utterance("u", tokens, feats)
+
+
+def test_load_corpus_items_names_the_feature_file_of_a_broken_utterance(
+        tmp_path, lexicon):
+    generate_corpus(3, seed=1, config=OracleConfig(seed=1), out_dir=tmp_path,
+                    lexicon=lexicon)
+    feat_path = tmp_path / "features" / "song_0001.feat"
+    frames = load_features(feat_path).num_frames
+    sidecar = Path(sidecar_path(feat_path))
+    rows = [line.split("\t") for line in sidecar.read_text().splitlines()]
+    rows[0][3] = str(int(rows[0][3]) + 1)   # one more frame than the features
+    sidecar.write_text("".join("\t".join(row) + "\n" for row in rows))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{feat_path}: duration total {frames + 1} != feature frames {frames}")):
+        load_corpus_items(load_manifest(tmp_path / "manifest.tsv"), split="all")
 
 
 def test_oracle_voiced_logf0_within_pitch_range(lexicon):

@@ -12,11 +12,10 @@ from singsynth.losses import (
     LossWeights,
     loss_counts,
     loss_terms,
-    syllable_indicator,
     utterance_share,
 )
 from singsynth.model import DecoderOutput, TrainForward, forward_train, init_params
-from singsynth.score import demo_lexicon, frame_pitch_arrays, parse_score, \
+from singsynth.score import PhonemeTokenSequence, demo_lexicon, parse_score, \
     score_to_tokens
 from singsynth.training import assemble_batch, batch_loss
 
@@ -55,13 +54,25 @@ def _fake_forward(rng, t, log_durations=(1.0, 2.0), logit_value=None):
                         decoder=_fake_decoder_output(rng, t, logit_value))
 
 
+def _utterance(rng, durations, spans, vuv=None, pitches=None):
+    """An utterance with these ground-truth durations and syllable spans and
+    random reference features. ``pitches`` (all sung by default) gives the
+    frame non-rest mask: a phoneme of pitch 0 is a rest."""
+    n = len(durations)
+    tokens = PhonemeTokenSequence(
+        phoneme_ids=[2] * n, pitch_ids=list(pitches or [60] * n),
+        note_frame_counts=list(durations), syllable_spans=spans,
+        gt_phoneme_durations=list(durations))
+    return Utterance("utt", tokens, _fake_gt(rng, sum(durations), vuv))
+
+
 def pooled(cases, weights):
     """Every utterance's share of the batch objective, summed in batch order
     as training.batch_loss sums them; a case holds the arguments of
-    loss_terms, (forward, durations, spans, ground truth, non-rest mask)."""
+    loss_terms, (forward, utterance)."""
     counts = dict.fromkeys(LOSS_NAMES, 0)
-    for _, *truth in cases:
-        for name, count in loss_counts(*truth).items():
+    for _, utt in cases:
+        for name, count in loss_counts(utt).items():
             counts[name] += count
     shares = [utterance_share(loss_terms(*case), counts, weights)
               for case in cases]
@@ -72,9 +83,9 @@ def pooled(cases, weights):
     return total, comps
 
 
-def utterance_loss(fwd, gt_durations, spans, gt, nonrest, weights):
+def utterance_loss(fwd, utt, weights):
     """One utterance's component means and weighted total."""
-    return pooled([(fwd, gt_durations, spans, gt, nonrest)], weights)
+    return pooled([(fwd, utt)], weights)
 
 
 def test_loss_weights_validation():
@@ -89,13 +100,12 @@ def test_duration_loss_syllable_term(rng):
     # syllable sums 7 vs 8 give L_sd = 1
     t = 8
     fwd = _fake_forward(rng, t, log_domain([3.0, 4.0]))
-    gt = _fake_gt(rng, t)
-    counts = loss_counts([3, 5], [(0, 2)], gt, np.ones(t))
+    utt = _utterance(rng, [3, 5], [(0, 2)])
+    counts = loss_counts(utt)
     assert counts["L_sd"] == 1 and counts["L_pd"] == 2
-    terms = loss_terms(fwd, [3, 5], [(0, 2)], gt, np.ones(t))
+    terms = loss_terms(fwd, utt)
     assert terms["L_sd"].item() == pytest.approx(1.0, rel=1e-12)
-    total, comps = utterance_loss(fwd, [3, 5], [(0, 2)], gt, np.ones(t),
-                                  LossWeights(**ONLY_DURATIONS))
+    total, comps = utterance_loss(fwd, utt, LossWeights(**ONLY_DURATIONS))
     assert comps["L_sd"].item() == pytest.approx(1.0, rel=1e-12)
     expected_pd = abs(math.log(5.0) - math.log(6.0)) / 2
     assert comps["L_pd"].item() == pytest.approx(expected_pd, rel=1e-12)
@@ -106,8 +116,7 @@ def test_duration_loss_syllable_term(rng):
 def test_duration_loss_exact_prediction_is_zero(rng):
     t = 15
     fwd = _fake_forward(rng, t, log_domain([3.0, 5.0, 7.0]))
-    total, comps = utterance_loss(fwd, [3, 5, 7], [(0, 2), (2, 3)],
-                                  _fake_gt(rng, t), np.ones(t),
+    total, comps = utterance_loss(fwd, _utterance(rng, [3, 5, 7], [(0, 2), (2, 3)]),
                                   LossWeights(**ONLY_DURATIONS))
     assert comps["L_pd"].item() == pytest.approx(0.0, abs=1e-12)
     assert comps["L_sd"].item() == pytest.approx(0.0, abs=1e-12)
@@ -118,85 +127,79 @@ def test_duration_loss_weight_algebra(rng):
     t = 8
     fwd = _fake_forward(rng, t, log_domain([3.0, 4.0]))
     weights = LossWeights(w_pd=1.0, w_sd=0.0, w_m=0.0, w_b=0.0, w_f=0.0, w_u=0.0)
-    total, comps = utterance_loss(fwd, [3, 5], [(0, 2)], _fake_gt(rng, t),
-                                  np.ones(t), weights)
+    total, comps = utterance_loss(fwd, _utterance(rng, [3, 5], [(0, 2)]), weights)
     assert comps["L_sd"].item() > 0.0
     assert total.item() == pytest.approx(comps["L_pd"].item(), rel=1e-12)
 
 
-def test_duration_loss_rejects_bad_span(rng):
-    t = 8
-    fwd = _fake_forward(rng, t, log_domain([3.0, 4.0]))
-    with pytest.raises(ValueError, match="out of range"):
-        loss_terms(fwd, [3, 5], [(0, 3)], _fake_gt(rng, t), np.ones(t))
-    with pytest.raises(ValueError, match="out of range"):
-        syllable_indicator([(1, 1)], 2)
+def test_token_sequence_refuses_spans_that_do_not_tile():
+    # the syllable-duration loss reads its spans from tokens that hold this
+    for spans, message in (([(0, 3)], "do not cover"), ([(1, 1)], "do not tile"),
+                           ([(0, 1), (1, 1)], "do not tile"),
+                           ([(0, 1)], "do not cover")):
+        with pytest.raises(ValueError, match=f"syllable spans {message} "):
+            PhonemeTokenSequence([2, 3], [60, 62], [4, 4], spans, [3, 5])
 
 
 def test_spectral_loss_values(rng):
     t = 7
     fwd = _fake_forward(rng, t)
-    gt = _fake_gt(rng, t)
+    utt = _utterance(rng, [3, 4], [(0, 2)])
+    gt = utt.features
     fwd.decoder.mgc = ad.constant(gt.mgc)
     fwd.decoder.bap = ad.constant(gt.bap)
-    total, comps = utterance_loss(fwd, [3, 4], [(0, 2)], gt, np.ones(t),
-                                  LossWeights(**ONLY_SPECTRA))
+    total, comps = utterance_loss(fwd, utt, LossWeights(**ONLY_SPECTRA))
     assert total.item() == 0.0
     assert comps["L_m"].item() == 0.0 and comps["L_b"].item() == 0.0
     fwd.decoder.mgc = ad.constant(gt.mgc + 0.5)
-    offset, comps = utterance_loss(fwd, [3, 4], [(0, 2)], gt, np.ones(t),
-                                   LossWeights(**ONLY_SPECTRA))
+    offset, comps = utterance_loss(fwd, utt, LossWeights(**ONLY_SPECTRA))
     assert offset.item() == pytest.approx(0.5, rel=1e-12)
     assert comps["L_m"].item() == pytest.approx(0.5, rel=1e-12)
-    double, _ = utterance_loss(fwd, [3, 4], [(0, 2)], gt, np.ones(t),
+    double, _ = utterance_loss(fwd, utt,
                                LossWeights(**dict(ONLY_SPECTRA, w_m=2.0, w_b=0.0)))
     assert double.item() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_spectral_loss_rejects_shape_mismatch(rng):
+    # the ops refuse each mismatch with a ShapeError, which is a ValueError
     t = 7
-    gt = _fake_gt(rng, t)
+    utt = _utterance(rng, [3, 4], [(0, 2)])
     short = _fake_forward(rng, t)
-    short.decoder.mgc = ad.constant(gt.mgc[:-1])
-    with pytest.raises(ValueError, match="do not match"):
-        loss_terms(short, [3, 4], [(0, 2)], gt, np.ones(t))
+    short.decoder.mgc = ad.constant(utt.features.mgc[:-1])
     three = _fake_forward(rng, t, log_durations=(1.0, 2.0, 3.0))
-    with pytest.raises(ValueError, match="do not match"):
-        loss_terms(three, [3, 4], [(0, 2)], gt, np.ones(t))
     long = _fake_forward(rng, t + 1)
-    with pytest.raises(ValueError, match="do not match"):
-        loss_terms(long, [3, 4], [(0, 2)], gt, np.ones(t))
+    for fwd in (short, three, long):
+        with pytest.raises(ValueError) as refused:
+            loss_terms(fwd, utt)
+        assert isinstance(refused.value, ad.ShapeError)
 
 
 def test_vuv_loss_at_maximum_entropy(rng):
     t = 11
     fwd = _fake_forward(rng, t, logit_value=0.0)  # probability 0.5
-    _, comps = utterance_loss(fwd, [5, 6], [(0, 2)], _fake_gt(rng, t),
-                              np.ones(t), LossWeights())
+    _, comps = utterance_loss(fwd, _utterance(rng, [5, 6], [(0, 2)]), LossWeights())
     assert comps["L_u"].item() == pytest.approx(math.log(2.0), rel=1e-12)
 
 
 def test_f0_loss_ignores_unvoiced_frames(rng):
     t = 10
     vuv = np.array([1.0] * 5 + [0.0] * 5)
-    gt = _fake_gt(rng, t, vuv=vuv)
+    utt = _utterance(rng, [5, 5], [(0, 2)], vuv=vuv)
     fwd = _fake_forward(rng, t)
     # match gt on voiced frames, garbage elsewhere
-    logf0 = gt.logf0.copy()
+    logf0 = utt.features.logf0.copy()
     logf0[5:] = 1e6
     fwd.decoder.logf0 = ad.constant(logf0)
-    assert loss_counts([5, 5], [(0, 2)], gt, np.ones(t))["L_f"] == 5
-    _, comps = utterance_loss(fwd, [5, 5], [(0, 2)], gt, np.ones(t),
-                              LossWeights())
+    assert loss_counts(utt)["L_f"] == 5
+    _, comps = utterance_loss(fwd, utt, LossWeights())
     assert comps["L_f"].item() == 0.0
 
 
 def test_f0_loss_defined_for_all_unvoiced(rng):
     t = 6
-    gt = _fake_gt(rng, t, vuv=np.zeros(t))
-    assert loss_counts([3, 3], [(0, 2)], gt, np.ones(t))["L_f"] == 0
-    total, comps = utterance_loss(_fake_forward(rng, t), [3, 3], [(0, 2)], gt,
-                                  np.ones(t), LossWeights())
+    utt = _utterance(rng, [3, 3], [(0, 2)], vuv=np.zeros(t))
+    assert loss_counts(utt)["L_f"] == 0
+    total, comps = utterance_loss(_fake_forward(rng, t), utt, LossWeights())
     assert comps["L_f"].item() == 0.0
     assert math.isfinite(total.item())
 
@@ -205,17 +208,21 @@ def test_decoder_loss_component_sum_oracle(rng):
     # two utterances, the second all unvoiced: every component is a mean over
     # the pooled valid elements, computed here with plain numpy
     weights = LossWeights(w_pd=0.9, w_sd=1.7, w_m=0.7, w_b=1.3, w_f=2.0, w_u=0.5)
+    # the first utterance's second phoneme is a rest
     cases = []
-    for t, durations, spans, vuv in ((9, [2, 3, 4], [(0, 2), (2, 3)], None),
-                                     (5, [1, 4], [(0, 2)], np.zeros(5))):
-        fwd = _fake_forward(rng, t, rng.normal(size=len(durations)))
-        cases.append((fwd, durations, spans, _fake_gt(rng, t, vuv=vuv),
-                      (rng.random(t) > 0.2).astype(float)))
+    for durations, spans, vuv, pitches in (
+            ([2, 3, 4], [(0, 2), (2, 3)], None, [60, 0, 64]),
+            ([1, 4], [(0, 2)], np.zeros(5), None)):
+        fwd = _fake_forward(rng, sum(durations), rng.normal(size=len(durations)))
+        cases.append((fwd, _utterance(rng, durations, spans, vuv, pitches)))
     total, comps = pooled(cases, weights)
 
     sums = dict.fromkeys(LOSS_NAMES, 0.0)
     counts = dict.fromkeys(LOSS_NAMES, 0)
-    for fwd, durations, spans, gt, nonrest in cases:
+    for fwd, utt in cases:
+        durations, spans, gt = (utt.tokens.gt_phoneme_durations,
+                                utt.tokens.syllable_spans, utt.features)
+        nonrest = np.repeat(np.asarray(utt.tokens.pitch_ids) > 0, durations)
         dec, gt_dur = fwd.decoder, np.asarray(durations, float)
         log_pred = fwd.log_durations.value
         sums["L_pd"] += np.abs(log_pred - np.log(gt_dur + 1.0)).sum()
@@ -244,13 +251,13 @@ def test_decoder_loss_component_sum_oracle(rng):
 
 def test_loss_counts_come_from_ground_truth_alone(rng):
     t = 9
-    gt = _fake_gt(rng, t, vuv=np.array([1, 1, 0, 1, 0, 0, 1, 1, 1.0]))
-    nonrest = np.array([1, 1, 1, 0, 1, 1, 1, 1, 0.0])
-    counts = loss_counts([2, 3, 4], [(0, 2), (2, 3)], gt, nonrest)
+    # the first phoneme, frames 0 and 1, is a rest
+    utt = _utterance(rng, [2, 3, 4], [(0, 2), (2, 3)],
+                     vuv=np.array([1, 1, 0, 1, 0, 0, 1, 1, 1.0]), pitches=[0, 60, 62])
+    counts = loss_counts(utt)
     assert counts == {"L_pd": 3, "L_sd": 2, "L_m": 540, "L_b": 45, "L_f": 4,
                       "L_u": 9}
-    terms = loss_terms(_fake_forward(rng, t, rng.normal(size=3)), [2, 3, 4],
-                       [(0, 2), (2, 3)], gt, nonrest)
+    terms = loss_terms(_fake_forward(rng, t, rng.normal(size=3)), utt)
     assert tuple(terms) == LOSS_NAMES
 
 
@@ -258,14 +265,13 @@ def test_all_unvoiced_share_in_a_voiced_batch_keeps_its_total_bits(rng):
     # the unvoiced utterance's L_f sum is a constant 0 that its share adds as
     # w_f * 0.0, so its total has the bits of its other five terms
     weights = LossWeights(w_pd=0.9, w_sd=1.7, w_m=0.7, w_b=1.3, w_f=2.0, w_u=0.5)
-    voiced = (_fake_forward(rng, 9, rng.normal(size=3)), [2, 3, 4],
-              [(0, 2), (2, 3)], _fake_gt(rng, 9, vuv=np.ones(9)), np.ones(9))
-    unvoiced = (_fake_forward(rng, 5), [1, 4], [(0, 2)],
-                _fake_gt(rng, 5, vuv=np.zeros(5)), np.ones(5))
-    counts = {name: loss_counts(*voiced[1:])[name] + loss_counts(*unvoiced[1:])[name]
+    voiced = _utterance(rng, [2, 3, 4], [(0, 2), (2, 3)], vuv=np.ones(9))
+    unvoiced = _utterance(rng, [1, 4], [(0, 2)], vuv=np.zeros(5))
+    counts = {name: loss_counts(voiced)[name] + loss_counts(unvoiced)[name]
               for name in LOSS_NAMES}
-    assert counts["L_f"] > 0 and loss_counts(*unvoiced[1:])["L_f"] == 0
-    total, comps = utterance_share(loss_terms(*unvoiced), counts, weights)
+    assert counts["L_f"] > 0 and loss_counts(unvoiced)["L_f"] == 0
+    total, comps = utterance_share(loss_terms(_fake_forward(rng, 5), unvoiced),
+                                   counts, weights)
     assert comps["L_f"].item() == 0.0
     expected = 0.0
     for name in LOSS_NAMES:
@@ -368,11 +374,11 @@ def _training_setup(tiny_config, seed=3):
     )
     params = init_params(tiny_config, rng)
     batch = assemble_batch([Utterance("utt", tokens, gt)])
-    return tokens, gt, params, batch
+    return params, batch
 
 
 def test_total_loss_additivity(tiny_config):
-    _, _, params, batch = _training_setup(tiny_config)
+    params, batch = _training_setup(tiny_config)
     weights = LossWeights(w_pd=0.9, w_sd=1.7, w_m=0.3, w_b=2.0, w_f=1.1, w_u=0.6)
     total, comps = batch_loss(params, batch, tiny_config, weights, train=False)
     expected = sum(getattr(weights, "w_" + name[2:]) * comps[name].item()
@@ -381,27 +387,25 @@ def test_total_loss_additivity(tiny_config):
 
 
 def test_total_loss_zero_when_all_components_zero(tiny_config):
-    tokens, gt, params, _ = _training_setup(tiny_config)
-    fwd = forward_train(tokens, gt, params, tiny_config)
+    params, [utt] = _training_setup(tiny_config)
+    fwd = forward_train(utt, params, tiny_config)
     perfect = TrainForward(
-        log_durations=ad.constant(log_domain(tokens.gt_phoneme_durations)),
+        log_durations=ad.constant(log_domain(utt.tokens.gt_phoneme_durations)),
         decoder=fwd.decoder,
     )
     # build a ground truth equal to the prediction so every term vanishes
     matched = AcousticFeatureSequence(
         mgc=fwd.decoder.mgc.value.copy(), bap=fwd.decoder.bap.value.copy(),
         logf0=fwd.decoder.logf0.value.copy(),
-        vuv=np.zeros(gt.num_frames),
+        vuv=np.zeros(utt.features.num_frames),
     )
-    _, nonrest = frame_pitch_arrays(tokens, tokens.gt_phoneme_durations)
-    total, _ = utterance_loss(perfect, tokens.gt_phoneme_durations,
-                              tokens.syllable_spans, matched, nonrest,
+    total, _ = utterance_loss(perfect, Utterance("utt", utt.tokens, matched),
                               LossWeights(w_u=0.0))
     assert total.item() == pytest.approx(0.0, abs=1e-9)
 
 
 def test_encoder_gradient_flows_from_duration_loss_alone(tiny_config):
-    _, _, params, batch = _training_setup(tiny_config)
+    params, batch = _training_setup(tiny_config)
     weights = LossWeights(w_pd=1.0, w_sd=1.0, w_m=0.0, w_b=0.0, w_f=0.0, w_u=0.0)
     total, _ = batch_loss(params, batch, tiny_config, weights, train=False)
     for node in params.values():
@@ -412,13 +416,11 @@ def test_encoder_gradient_flows_from_duration_loss_alone(tiny_config):
 
 
 def test_loss_assembly_builds_twelve_nodes(tiny_config):
-    tokens, gt, params, _ = _training_setup(tiny_config)
-    fwd = forward_train(tokens, gt, params, tiny_config)
-    _, nonrest = frame_pitch_arrays(tokens, tokens.gt_phoneme_durations)
-    truth = (tokens.gt_phoneme_durations, tokens.syllable_spans, gt, nonrest)
-    counts = loss_counts(*truth)
+    params, [utt] = _training_setup(tiny_config)
+    fwd = forward_train(utt, params, tiny_config)
+    counts = loss_counts(utt)
     assert all(counts.values())
     first = next(ad._CREATED)
-    total, comps = utterance_share(loss_terms(fwd, *truth), counts, LossWeights())
+    total, comps = utterance_share(loss_terms(fwd, utt), counts, LossWeights())
     assert next(ad._CREATED) - first - 1 == 12
     assert total.requires_grad and all(v.shape == () for v in comps.values())

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from singsynth.binio import ContainerError, read_named_tensor
+from singsynth.binio import MAX_RANK, ContainerError, read_named_tensor
 from singsynth.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from singsynth.cli import CONFIG_DEFAULTS, read_config
 from singsynth.corpus import load_manifest, load_token_sidecar
@@ -180,6 +180,24 @@ def test_checkpoint_with_a_non_finite_tensor_is_not_written(
             f"tensor {prefix}.{name} is not finite at flat index {index}")):
         save_checkpoint(folder / "bad.ckpt", Checkpoint(1, **tensors))
     assert list(folder.iterdir()) == []
+
+
+@pytest.mark.parametrize("group, prefix", [("params", "param"), ("adam_m", "adam_m"),
+                                           ("adam_v", "adam_v")])
+def test_checkpoint_with_a_tensor_above_the_rank_bound_is_not_written(
+        tmp_path, group, prefix):
+    # the reader's bound: rank MAX_RANK round-trips, one more is refused
+    tensors = {"params": {"deep": np.ones((1,) * MAX_RANK)}, "adam_m": {},
+               "adam_v": {}}
+    path = tmp_path / "deep.ckpt"
+    save_checkpoint(path, Checkpoint(1, **tensors))
+    assert load_checkpoint(path).params["deep"].shape == (1,) * MAX_RANK
+    path.unlink()
+    tensors[group]["w"] = np.ones((1,) * (MAX_RANK + 1))
+    with pytest.raises(ContainerError, match=re.escape(
+            f"implausible tensor rank {MAX_RANK + 1} for '{prefix}.w'")):
+        save_checkpoint(path, Checkpoint(1, **tensors))
+    assert list(tmp_path.iterdir()) == []   # neither the file nor its .tmp
 
 
 def test_checkpoint_fixture_round_trips(tmp_path):

@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
@@ -280,7 +281,7 @@ def accepted_scores(draw):
         st.one_of(st.just("-"), st.sampled_from(["la", "a~"]),
                   st.text(st.one_of(st.sampled_from("a#~- \t"), st.characters()),
                           max_size=4)),
-        st.integers(0, 127),
+        st.one_of(st.integers(0, 127), st.integers(0, 127).map(np.int64)),
         st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
         st.sampled_from([False, False, True])), min_size=1, max_size=6))
     tempo = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
@@ -297,6 +298,14 @@ def accepted_scores(draw):
 @given(accepted_scores())
 def test_every_accepted_score_writes_and_reads_back_equal(score):
     assert parse_score(serialize_score(score)) == score
+
+
+@pytest.mark.parametrize("pitch", [69.5, 69.0, np.float64(69.0), True, False,
+                                   np.True_])
+def test_note_event_refuses_a_pitch_its_file_cannot_hold(pitch):
+    # serialize_score would write '69.5' or 'True', which parse_score refuses
+    with pytest.raises(ValueError, match="midi_pitch must be an integer"):
+        NoteEvent("la" if pitch else "-", pitch, 1.0)
 
 
 @pytest.mark.parametrize("syllable", ["", "a b", "x#y", " la", "la\n", "a\u2028b",
