@@ -82,7 +82,7 @@ def lr_schedule(step: int, hidden_dim: int, warmup_steps: int) -> float:
 
 
 def validate_corpus(corpus: Sequence[Utterance]) -> list[str]:
-    """The corpus's problems: empty, or each bad utterance's, by its id."""
+    """What stops training: an empty corpus, or each bad utterance, by id."""
     problems = [] if corpus else ["corpus is empty"]
     for utt in corpus:
         try:

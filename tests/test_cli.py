@@ -213,7 +213,8 @@ def test_train_and_eval_refuse_a_sidecar_that_disagrees_with_its_frames(
     rows = [line.split("\t") for line in sidecar.read_text().splitlines()]
     rows[0][3] = str(int(rows[0][3]) + 1)
     sidecar.write_text("".join("\t".join(row) + "\n" for row in rows))
-    message = f"error: {feat_path}: duration total {frames + 1} != feature frames {frames}"
+    message = (f"error: {feat_path}: duration total {frames + 1} != "
+               f"feature frames {frames}")
     run = tmp_path / "run"
     assert main(["train", "--manifest", str(corpus / "manifest.tsv"),
                  "--out", str(run), "--steps", "2"]) == 1
