@@ -21,16 +21,21 @@ class ContainerError(ValueError):
 @contextmanager
 def atomic_open(path, mode: str = "wb", encoding: str | None = None):
     """Write ``path`` through a temporary sibling renamed over it at the end
-    of the block; a missing directory raises FileNotFoundError naming it."""
+    of the block; a missing directory raises FileNotFoundError naming it. A
+    block that raises removes the sibling and leaves ``path`` as it was."""
     path = os.fspath(path)
     tmp = path + ".tmp"
     try:
         fh = open(tmp, mode, encoding=encoding)
     except FileNotFoundError:
         raise FileNotFoundError(f"no such directory: {os.path.dirname(path)}") from None
-    with fh:
-        yield fh
-    os.replace(tmp, path)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def write_u32(fh: BinaryIO, value: int) -> None:

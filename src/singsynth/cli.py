@@ -185,11 +185,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[tuple] = []   # (utt_id, pred, gt, dur_pred, dur_gt)
     notes: list[str] = []
-    failures: list[str] = []
 
     if args.manifest:
         if not args.checkpoint:
@@ -218,11 +215,9 @@ def cmd_eval(args) -> int:
                         f"frame counts differ: {pred.num_frames} vs {gt.num_frames}"
                     )
             except (OSError, ValueError) as exc:
-                failures.append(f"{pred_path} vs {gt_path}: {exc}")
+                print(f"error: {pred_path} vs {gt_path}: {exc}", file=sys.stderr)
                 continue
             rows.append((Path(pred_path).stem, pred, gt, None, None))
-        for failure in failures:
-            print(f"error: {failure}", file=sys.stderr)
         if not rows:
             raise CliError("every feature pair failed to evaluate")
     else:
@@ -239,6 +234,8 @@ def cmd_eval(args) -> int:
     pooled = metric_values(concatenate_features(preds),
                            concatenate_features(gts), *durations)
     report = EvalReport(values=pooled, header_notes=notes)
+    out_dir = Path(args.out)   # made once every input has loaded
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "eval_report.txt").write_text(report.format(), encoding="utf-8")
     (out_dir / "per_utterance.tsv").write_text(
         format_per_utterance_table(table_rows), encoding="utf-8")

@@ -45,6 +45,9 @@ class OracleConfig:
             raise ValueError("consonant_fraction must be in (0, 1)")
         if self.transition_frames < 0:
             raise ValueError("transition_frames must be >= 0")
+        for name in ("vibrato_rate_hz", "vibrato_depth_log"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} {getattr(self, name)!r} must be finite")
 
 
 def mgc_templates(lexicon: PhonemeLexicon, config: OracleConfig) -> np.ndarray:
@@ -191,9 +194,16 @@ class Utterance:
 
 @dataclass(frozen=True)
 class ManifestEntry:
+    """One manifest line, each of whose fields reads back as written."""
     score_path: str    # relative to the manifest's directory
     feature_path: str
     split: str
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not value or value != value.strip() or set("\t\n\r") & set(value):
+                raise ValueError(f"manifest {name} {value!r} is empty, padded "
+                                 "or holds a tab or line break")
 
 
 @dataclass
@@ -213,18 +223,15 @@ def sidecar_path(feature_path) -> str:
 
 
 def save_token_sidecar(path, tokens: PhonemeTokenSequence) -> None:
-    syllable_index = np.zeros(len(tokens), dtype=np.int64)
-    for row, (start, end) in enumerate(tokens.syllable_spans):
-        syllable_index[start:end] = row
-    lines = []
-    for i in range(len(tokens)):
-        lines.append("\t".join(map(str, (
-            tokens.phoneme_ids[i], tokens.pitch_ids[i],
-            tokens.note_frame_counts[i], tokens.gt_phoneme_durations[i],
-            int(syllable_index[i]),
-        ))))
+    """One line per phoneme: its ids, note frames, duration and syllable."""
+    if tokens.gt_phoneme_durations is None:
+        raise ValueError("a token sidecar needs ground-truth durations")
+    syllables = [row for row, (start, end) in enumerate(tokens.syllable_spans)
+                 for _ in range(start, end)]
+    rows = zip(tokens.phoneme_ids, tokens.pitch_ids, tokens.note_frame_counts,
+               tokens.gt_phoneme_durations, syllables)
     with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join("\t".join(map(str, row)) + "\n" for row in rows))
 
 
 def load_token_sidecar(path) -> PhonemeTokenSequence:
@@ -273,9 +280,12 @@ def load_manifest(path) -> CorpusManifest:
             if not line:
                 continue
             parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{line_no}: expected 3 tab-separated fields")
-            entries.append(ManifestEntry(*parts))
+            try:
+                if len(parts) != 3:
+                    raise ValueError("expected 3 tab-separated fields")
+                entries.append(ManifestEntry(*parts))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
     manifest = CorpusManifest(base_dir=path.parent, entries=entries)
     missing = [
         rel for e in entries for rel in (e.score_path, e.feature_path)

@@ -32,10 +32,10 @@ class LossWeights:
     w_u: float = 1.0    # voicing
 
     def __post_init__(self):
-        values = (self.w_pd, self.w_sd, self.w_m, self.w_b, self.w_f, self.w_u)
-        if any(w < 0 for w in values):
-            raise ValueError("loss weights must be nonnegative")
-        if all(w == 0 for w in values):
+        for name, w in vars(self).items():
+            if not 0.0 <= w < float("inf"):
+                raise ValueError(f"{name} {w!r} must be finite and nonnegative")
+        if not any(vars(self).values()):
             raise ValueError("at least one loss weight must be positive")
 
 

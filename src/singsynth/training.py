@@ -64,6 +64,11 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.batch_size, self.total_steps, self.warmup_steps) < 1:
             raise ValueError("batch_size, total_steps, warmup_steps must be >= 1")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} {getattr(self, name)!r} must be in [0, 1)")
+        if not 0.0 < self.adam_epsilon < math.inf:
+            raise ValueError("adam_epsilon must be positive and finite")
 
     @classmethod
     def desk(cls, **overrides) -> "TrainConfig":
@@ -241,38 +246,20 @@ def longest_first(frames: Sequence[int]) -> list[int]:
     return sorted(range(len(frames)), key=lambda i: (-int(frames[i]), i))
 
 
-@dataclass
-class _Replica:
-    """What one process needs to differentiate a corpus item. Workers
-    inherit the parent's at fork, with the corpus, the shared exchange and
-    the parameters, whose values the parent updates in place."""
-    params: ModelParameters
-    exchange: GradientExchange
-    corpus: Sequence[Utterance]
-    config: TrainConfig
-
-    def gradient(self, step: int, counts: dict[str, int], i: int, j: int,
-                 row: int):
-        """Corpus item j's gradient at batch position i, whose dropout
-        stream it draws."""
-        return utterance_gradient(
-            self.params, self.corpus[j], counts, self.config.model,
-            self.config.loss_weights, self.exchange, row,
-            dropout_rng(self.config.seed, step, i))
+# The run being trained, (params, exchange, corpus, config): set by ``train``
+# before it makes its pool, restored when it returns or raises. That fork pool
+# starts every worker on its first ``submit`` (Python 3.11), while the run is
+# set, so each worker inherits the run of the ``train`` call that made it.
+_RUN: tuple | None = None
 
 
-_WORKER_REPLICA: _Replica | None = None   # set in each worker process
-
-
-def _start_worker(replica: _Replica) -> None:
-    global _WORKER_REPLICA
-    _WORKER_REPLICA = replica
-
-
-def _worker_gradient(step: int, counts: dict[str, int], i: int, j: int,
-                     row: int):
-    """A pool task: :meth:`_Replica.gradient` in this worker."""
-    return _WORKER_REPLICA.gradient(step, counts, i, j, row)
+def _gradient(step: int, counts: dict[str, int], i: int, j: int, row: int):
+    """A step's task: corpus item j's gradient at batch position i, whose
+    dropout stream it draws, in this process's run."""
+    params, exchange, corpus, config = _RUN
+    return utterance_gradient(params, corpus[j], counts, config.model,
+                              config.loss_weights, exchange, row,
+                              dropout_rng(config.seed, step, i))
 
 
 class _Inline(Executor):
@@ -369,6 +356,7 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
     ``BrokenProcessPool``. Logs and checkpoints do not depend on the number
     of processes.
     """
+    global _RUN
     problems = validate_corpus(corpus)
     if problems:
         raise CorpusValidationError(problems)
@@ -391,22 +379,19 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
 
     workers = worker_count(config.batch_size)
     # four gradient rows per process keep each one busy while the parent adds
-    rows = 1 if workers == 1 else min(config.batch_size, 4 * workers)
-    replica = _Replica(params, GradientExchange(params, rows), corpus, config)
-    if workers == 1:
-        pool, task = _Inline(), replica.gradient
-    else:
-        replica.exchange.share_params(params)
-        # forked once the exchange exists, so workers share its mappings,
-        # parameters included, and inherit the corpus copy-on-write
-        pool = ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_worker, initargs=(replica,))
-        task = _worker_gradient
-    records: list[LogRecord] = []
+    exchange = GradientExchange(
+        params, 1 if workers == 1 else min(config.batch_size, 4 * workers))
+    previous, _RUN = _RUN, (params, exchange, corpus, config)
+    pool, records = _Inline(), []
     try:
+        if workers > 1:
+            exchange.share_params(params)
+            # forked once the exchange exists, so workers share its mappings,
+            # parameters included, and inherit the corpus copy-on-write
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"))
         for step in range(start_step, config.total_steps + 1):
-            record = _train_step(step, replica, partial(pool.submit, task))
+            record = _train_step(step, partial(pool.submit, _gradient))
             adam.update(params, record.lr, config)
             records.append(record)
             if log_stream is not None:
@@ -414,6 +399,7 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
                 log_stream.flush()
     finally:
         pool.shutdown(cancel_futures=True)
+        _RUN = previous
 
     final = Checkpoint(
         step=max(config.total_steps, start_step - 1),
@@ -425,8 +411,7 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
     return TrainResult(checkpoint=final, records=records)
 
 
-def _train_step(step: int, replica: _Replica,
-                submit: Callable[..., Future]) -> LogRecord:
+def _train_step(step: int, submit: Callable[..., Future]) -> LogRecord:
     """One step's objective and gradient. The parent dispatches the batch
     positions longest first; the k-th writes its gradient into row
     k mod R of the exchange, and the parent adds the rows in that same order
@@ -437,7 +422,7 @@ def _train_step(step: int, replica: _Replica,
     finished, so the update that follows changes no parameter a worker is
     reading. Leaves the summed gradient in the parameters' ``.grad``; raises
     TrainingDiverged, before any update, on a non-finite loss."""
-    config, exchange, corpus = replica.config, replica.exchange, replica.corpus
+    params, exchange, corpus, config = _RUN
     picks = batch_item_indices(step, len(corpus), config.batch_size, config.seed)
     counts = batch_counts([corpus[j] for j in picks])
     rows = len(exchange.grads)
@@ -459,7 +444,7 @@ def _train_step(step: int, replica: _Replica,
     if not math.isfinite(total):
         raise TrainingDiverged(f"non-finite loss at step {step}")
     for name, grad in exchange.views(gradient).items():
-        replica.params[name].grad = grad
+        params[name].grad = grad
     return LogRecord(step=step, lr=lr_schedule(step, config.model.hidden_dim,
                                                config.warmup_steps),
                      total=total, components=comps)

@@ -171,6 +171,22 @@ def test_gen_data_rejects_invalid_model_config(tmp_path, capsys):
     assert not (out / "config.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "gen-data"])
+@pytest.mark.parametrize("key, value", [
+    ("w_pd", "nan"), ("w_u", "inf"), ("adam_beta1", "nan"), ("adam_beta1", "1.0"),
+    ("adam_beta2", "-0.5"), ("adam_beta2", "inf"), ("adam_epsilon", "0.0"),
+    ("adam_epsilon", "inf"), ("vibrato_rate_hz", "nan"),
+    ("vibrato_depth_log", "inf")])
+def test_config_value_that_can_only_diverge_is_refused_before_writing(
+        tmp_path, corpus_dir, capsys, command, key, value):
+    out = tmp_path / "out"
+    args = (["train", "--manifest", str(corpus_dir / "manifest.tsv"), "--steps", "2"]
+            if command == "train" else ["gen-data", "--songs", "2"])
+    assert main(args + ["--out", str(out), "--set", key, value]) == 1
+    assert f"error: {key} " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_rejects_mismatched_lexicon(tmp_path, corpus_dir, run_dir, capsys):
     other = tmp_path / "other_lexicon.tsv"
     other.write_text("la\tl a\nda\td a\n")
@@ -509,6 +525,17 @@ def test_synth_refuses_a_checkpoint_with_a_nan_parameter(tmp_path, corpus_dir,
 def test_eval_without_inputs_is_runtime_error(tmp_path, capsys):
     assert main(["eval", "--out", str(tmp_path / "e")]) == 1
     assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
+def test_eval_of_a_manifest_that_fails_to_load_makes_no_report_dir(
+        tmp_path, run_dir, capsys):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("scores/a.score\tfeatures/a.feat\n")
+    assert main(["eval", "--out", str(tmp_path / "e"), "--manifest", str(manifest),
+                 "--checkpoint", str(run_dir / "checkpoint.bin")]) == 1
+    assert f"{manifest}:1: expected 3 tab-separated fields" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
 
 
 def test_eval_manifest_without_checkpoint_fails(tmp_path, corpus_dir, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from singsynth.corpus import (
+    ManifestEntry,
     OracleConfig,
     Utterance,
     generate_corpus,
@@ -20,7 +21,8 @@ from singsynth.corpus import (
     split_note_frames,
 )
 from singsynth.features import load_features
-from singsynth.score import demo_lexicon, midi_to_hz, parse_score
+from singsynth.score import demo_lexicon, midi_to_hz, parse_score, \
+    score_to_tokens
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -219,6 +221,32 @@ def test_manifest_rejects_missing_files(tmp_path, lexicon):
         (tmp_path / rel).unlink()
         with pytest.raises(FileNotFoundError, match=f"first: {rel}$"):
             load_manifest(tmp_path / "manifest.tsv")
+
+
+@pytest.mark.parametrize("fields, name", [
+    (("a\tb", "f", "train"), "score_path"), (("f", "f", ""), "split"),
+    ((" f", "f", "train"), "score_path"), (("f", "f\r", "train"), "feature_path"),
+    (("f", "a\nb", "train"), "feature_path"), (("f", "f", "train "), "split")])
+def test_manifest_entry_refuses_a_field_that_would_not_read_back(tmp_path,
+                                                                 fields, name):
+    with pytest.raises(ValueError, match=f"manifest {name} "):
+        ManifestEntry(*fields)
+
+
+def test_manifest_reader_names_the_line_of_a_refused_entry(tmp_path):
+    path = tmp_path / "manifest.tsv"
+    path.write_text("a\tb\ttrain\n\na\t\tholdout\n")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:3: manifest feature_path '' is empty")):
+        load_manifest(path)
+
+
+def test_token_sidecar_needs_durations_before_it_opens_the_file(tmp_path,
+                                                                lexicon):
+    tokens = score_to_tokens(parse_score("tempo 120\nla 69 0.5\n"), lexicon)
+    with pytest.raises(ValueError, match="ground-truth durations"):
+        save_token_sidecar(tmp_path / "x.feat.tokens.tsv", tokens)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _sidecar_with(tmp_path, lexicon, column, value):

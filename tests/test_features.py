@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from singsynth.binio import ContainerError, write_magic, write_named_tensor, \
-    write_u32
+from singsynth.binio import ContainerError, atomic_open, write_magic, \
+    write_named_tensor, write_u32
 from singsynth.features import FEATURE_MAGIC, AcousticFeatureSequence, \
     load_features, save_features
 
@@ -114,3 +114,17 @@ def test_voiced_mask_threshold(rng):
     feats.vuv[:] = [0.0, 0.49, 0.5, 1.0]
     np.testing.assert_array_equal(feats.voiced_mask(),
                                   [False, False, True, True])
+
+
+@pytest.mark.parametrize("old", [None, b"old bytes"])
+def test_atomic_open_leaves_the_path_as_it_was_when_its_block_raises(tmp_path,
+                                                                     old):
+    path = tmp_path / "x.bin"
+    if old is not None:
+        path.write_bytes(old)
+    with pytest.raises(RuntimeError, match="midway"):
+        with atomic_open(path) as fh:
+            fh.write(b"new")
+            raise RuntimeError("midway")
+    assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["x.bin"])
+    assert old is None or path.read_bytes() == old

@@ -4,6 +4,7 @@ ContainerError, or FileNotFoundError), never IndexError, OverflowError or
 MemoryError, and never allocates what the file cannot hold."""
 
 import io
+import itertools
 import math
 import re
 import struct
@@ -17,11 +18,12 @@ from hypothesis.extra import numpy as hnp
 from singsynth.binio import MAX_RANK, ContainerError, read_named_tensor
 from singsynth.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from singsynth.cli import CONFIG_DEFAULTS, read_config
-from singsynth.corpus import load_manifest, load_token_sidecar
+from singsynth.corpus import CorpusManifest, ManifestEntry, load_manifest, \
+    load_token_sidecar, save_manifest, save_token_sidecar
 from singsynth.features import AcousticFeatureSequence, load_features, \
     save_features
-from singsynth.score import demo_lexicon, load_lexicon, parse_score, \
-    score_to_tokens
+from singsynth.score import PhonemeTokenSequence, demo_lexicon, load_lexicon, \
+    parse_score, score_to_tokens, syllable_spans
 
 DOCUMENTED = (ValueError, FileNotFoundError)
 
@@ -180,6 +182,68 @@ def test_checkpoint_with_a_non_finite_tensor_is_not_written(
             f"tensor {prefix}.{name} is not finite at flat index {index}")):
         save_checkpoint(folder / "bad.ckpt", Checkpoint(1, **tensors))
     assert list(folder.iterdir()) == []
+
+
+# per phoneme: phoneme id, pitch id, note frames, duration, starts a syllable
+token_rows = st.lists(st.tuples(
+    st.integers(0, 2 ** 40), st.integers(0, 127), st.integers(1, 2 ** 40),
+    st.integers(1, 2 ** 40), st.booleans()), min_size=1, max_size=8)
+
+
+def tokens_of(rows, durations=True):
+    phonemes, pitches, frames, lengths, starts = map(list, zip(*rows))
+    return PhonemeTokenSequence(
+        phonemes, pitches, frames, syllable_spans(list(itertools.accumulate(starts))),
+        lengths if durations else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=token_rows)
+def test_token_sidecar_of_tokens_with_durations_saves_and_loads_back_equal(
+        fuzz_dir, rows):
+    path = fuzz_dir / "round.tokens.tsv"
+    save_token_sidecar(path, tokens_of(rows))
+    assert load_token_sidecar(path) == tokens_of(rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=token_rows)
+def test_token_sidecar_without_durations_is_not_written(tmp_path_factory, rows):
+    folder = tmp_path_factory.mktemp("refused")
+    with pytest.raises(ValueError, match="needs ground-truth durations"):
+        save_token_sidecar(folder / "x.tokens.tsv", tokens_of(rows, durations=False))
+    assert list(folder.iterdir()) == []
+
+
+# manifest fields that hold, between two other characters, whitespace and
+# separators that str.splitlines would break a line at; a path is a file
+# name under the manifest's directory or under sub/
+field_char = st.characters(blacklist_characters="/\x00")
+field_edge = field_char.filter(lambda c: not c.isspace())
+field_text = st.one_of(field_edge, st.tuples(field_edge, st.text(st.one_of(
+    st.sampled_from(" \x0b\x0c\x1c\x85\u2028"), field_char), max_size=8),
+    field_edge).map("".join))
+manifest_paths = st.tuples(st.sampled_from(["", "sub/"]), field_text.filter(
+    lambda name: name not in (".", "..", "sub"))).map("".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields=st.lists(st.tuples(manifest_paths, manifest_paths, field_text),
+                       min_size=1, max_size=4))
+def test_manifest_of_accepted_entries_saves_and_loads_back_equal(
+        tmp_path_factory, fields):
+    try:
+        entries = [ManifestEntry(*row) for row in fields]
+    except ValueError:
+        return   # refused before any manifest can hold it
+    folder = tmp_path_factory.mktemp("manifest")
+    for entry in entries:
+        for rel in (entry.score_path, entry.feature_path):
+            (folder / rel).parent.mkdir(exist_ok=True)
+            (folder / rel).touch()
+    manifest = CorpusManifest(folder, entries)
+    save_manifest(folder / "manifest.tsv", manifest)
+    assert load_manifest(folder / "manifest.tsv") == manifest
 
 
 @pytest.mark.parametrize("group, prefix", [("params", "param"), ("adam_m", "adam_m"),

@@ -594,3 +594,29 @@ def test_train_shares_params_once_per_run_and_only_with_workers(monkeypatch):
     assert shared == []
     run_with_workers(monkeypatch, 2, desk_config(total_steps=2), make_corpus(2))
     assert shared == [1]
+
+
+def test_train_leaves_no_run_behind(monkeypatch):
+    # the run is set for one train call only, so the parent keeps no
+    # reference to its corpus or parameters once train returns or raises
+    corpus = make_corpus(2)
+    ckpt = run_with_workers(monkeypatch, 2, desk_config(total_steps=2),
+                            corpus)[1].checkpoint
+    assert training._RUN is None
+    ckpt.params["out.w"][0, 0] = np.nan
+    with pytest.raises(TrainingDiverged):
+        run_with_workers(monkeypatch, 2, desk_config(total_steps=3), corpus,
+                         resume_from=ckpt)
+    assert training._RUN is None
+    parent = os.getpid()
+    forward = training.forward_train
+
+    def fail_in_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            raise RuntimeError("forward failed inside a worker")
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward_train", fail_in_worker)
+    with pytest.raises(RuntimeError, match="inside a worker"):
+        run_with_workers(monkeypatch, 2, desk_config(total_steps=3), corpus)
+    assert training._RUN is None
