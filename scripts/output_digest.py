@@ -12,7 +12,8 @@ first's), ``train`` on one CPU, ``train`` on every CPU, a 3-step ``train``
 resumed for 3 more, ``synth`` of one score, ``synth`` of a long score (that
 score's notes sung 8 times, long enough for threaded attention) on every
 CPU and on one, and ``eval`` over the manifest and in ``--pair`` mode. The
-two long ``synth`` files must have the same hash. The report gives each
+two long ``synth`` files must have the same hash: after the report the
+script exits 1, naming both, if they do not. The report gives each
 command's exit code and stdout, with OUT_DIR replaced by ``<OUT>``, then one
 ``sha256  path`` line per file under OUT_DIR, sorted by path relative to
 it. OUT_DIR must be empty or not exist. The commands run without the BLAS
@@ -36,6 +37,8 @@ LONG_REPEATS = 8
 # Left out of each command's environment, so that the report shows the BLAS
 # thread setting the package makes itself and not the calling shell's.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# synth of the long score on every CPU and on one, which must be equal
+LONG_SYNTH_FILES = ("long_song_synth.feat", "long_song_synth_one_cpu.feat")
 
 # Each command runs in a fresh interpreter that puts this checkout's src
 # first on sys.path, restricts itself to the CPUs in argv[2] (a comma list,
@@ -67,6 +70,18 @@ def digest(root: Path) -> list[str]:
     return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
             f"{path.relative_to(root).as_posix()}"
             for path in sorted(root.rglob("*")) if path.is_file()]
+
+
+def long_synth_mismatch(digest_lines: list[str]) -> str | None:
+    """Why the ``sha256  path`` lines break the rule that both long synth
+    files exist and have the same hash, or None if they keep it."""
+    hashes = {path: sha for sha, path in
+              (line.split("  ", 1) for line in digest_lines)}
+    first, second = (hashes.get(name) for name in LONG_SYNTH_FILES)
+    if first is None or first != second:
+        return (f"{' and '.join(LONG_SYNTH_FILES)} differ: "
+                f"{first or 'missing'} vs {second or 'missing'}")
+    return None
 
 
 def main():
@@ -113,8 +128,11 @@ def main():
     lines += run(["eval", "--out", str(out / "eval_pair"), "--pair",
                   str(out / "corpus_vibrato" / "features" / f"{song}.feat"),
                   str(corpus / "features" / f"{song}.feat")], out)
-    lines += digest(out)
-    print("\n".join(lines))
+    files = digest(out)
+    print("\n".join(lines + files))
+    problem = long_synth_mismatch(files)
+    if problem:
+        sys.exit(problem)
 
 
 if __name__ == "__main__":

@@ -20,13 +20,13 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import OracleConfig, generate_corpus, load_corpus_items, \
     load_manifest
 from .features import concatenate_features, load_features, save_features
-from .metrics import EvalReport, REPORT_KEYS, UtteranceEval, format_gv_table, \
+from .metrics import format_eval_report, format_gv_table, \
     format_per_utterance_table, gv, metric_values
 from .model import synthesize
 from .score import PhonemeLexicon, demo_lexicon, load_lexicon, parse_score, \
     score_to_tokens
-from .training import CorpusValidationError, TrainConfig, train, \
-    params_from_checkpoint, trained_model_config
+from .training import TrainConfig, train, params_from_checkpoint, \
+    trained_model_config
 
 
 class CliError(RuntimeError):
@@ -101,16 +101,20 @@ def _load_lexicon(args) -> PhonemeLexicon:
     return load_lexicon(args.lexicon) if args.lexicon else demo_lexicon()
 
 
-def _trained_model(path, lexicon: PhonemeLexicon):
-    """The parameters and model config of the checkpoint at ``path``, which
-    must have been trained with ``lexicon``'s phoneme vocabulary."""
+def _checkpoint_for(path, lexicon: PhonemeLexicon):
+    """The checkpoint at ``path``, which must have been trained with
+    ``lexicon``'s phoneme vocabulary if it echoes one."""
     ckpt = load_checkpoint(path)
     stored = ckpt.config.get("phoneme_vocab")
     if stored is not None and tuple(stored) != lexicon.phoneme_vocab:
-        raise CliError(
-            "checkpoint was trained with a different phoneme vocabulary than "
-            "the supplied lexicon"
-        )
+        raise CliError("checkpoint was trained with a different phoneme "
+                       "vocabulary than the supplied lexicon")
+    return ckpt
+
+
+def _trained_model(path, lexicon: PhonemeLexicon):
+    """The parameters and model config of the checkpoint at ``path``."""
+    ckpt = _checkpoint_for(path, lexicon)
     model = trained_model_config(ckpt)
     return params_from_checkpoint(ckpt, model), model
 
@@ -147,7 +151,7 @@ def cmd_train(args) -> int:
     if not corpus:
         raise CliError("manifest has no utterances tagged 'train'")
 
-    resume = load_checkpoint(args.resume) if args.resume else None
+    resume = _checkpoint_for(args.resume, lexicon) if args.resume else None
     run_dir = Path(args.out)
     run_dir.mkdir(parents=True, exist_ok=True)
 
@@ -223,28 +227,23 @@ def cmd_eval(args) -> int:
     else:
         raise CliError("eval needs --manifest or at least one --pair")
 
-    table_rows = [
-        UtteranceEval(utt_id=utt_id, num_frames=gt.num_frames,
-                      values=metric_values(pred, gt, dur_pred, dur_gt))
-        for utt_id, pred, gt, dur_pred, dur_gt in rows
-    ]
+    table_rows = [(utt_id, gt.num_frames, metric_values(pred, gt, dur_pred, dur_gt))
+                  for utt_id, pred, gt, dur_pred, dur_gt in rows]
     _, preds, gts, dur_preds, dur_gts = zip(*rows)
     durations = ((np.concatenate(dur_preds), np.concatenate(dur_gts))
                  if args.manifest else ())
     pooled = metric_values(concatenate_features(preds),
                            concatenate_features(gts), *durations)
-    report = EvalReport(values=pooled, header_notes=notes)
     out_dir = Path(args.out)   # made once every input has loaded
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "eval_report.txt").write_text(report.format(), encoding="utf-8")
+    (out_dir / "eval_report.txt").write_text(format_eval_report(pooled, notes),
+                                             encoding="utf-8")
     (out_dir / "per_utterance.tsv").write_text(
         format_per_utterance_table(table_rows), encoding="utf-8")
     gv_values = gv([pred.mgc for pred in preds])
     (out_dir / "gv.tsv").write_text(format_gv_table(gv_values), encoding="utf-8")
     print(out_dir / "eval_report.txt")
-    for key in REPORT_KEYS:
-        value = report.values[key]
-        print(f"{key}\t{'NA' if value is None else value}")
+    print(format_eval_report(pooled, []), end="")
     return 0
 
 
@@ -312,10 +311,7 @@ def main(argv=None) -> int:
     except Exception as exc:
         if args.verbose:
             traceback.print_exc()
-        problems = (exc.problems if isinstance(exc, CorpusValidationError)
-                    else [exc])
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

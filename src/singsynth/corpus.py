@@ -45,6 +45,8 @@ class OracleConfig:
             raise ValueError("consonant_fraction must be in (0, 1)")
         if self.transition_frames < 0:
             raise ValueError("transition_frames must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be >= 0")
         for name in ("vibrato_rate_hz", "vibrato_depth_log"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} {getattr(self, name)!r} must be finite")
@@ -204,6 +206,10 @@ class ManifestEntry:
             if not value or value != value.strip() or set("\t\n\r") & set(value):
                 raise ValueError(f"manifest {name} {value!r} is empty, padded "
                                  "or holds a tab or line break")
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"manifest {name} {value!r} is not UTF-8") from None
 
 
 @dataclass

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,11 +112,27 @@ def gv(mgc_per_utterance: list[np.ndarray]) -> np.ndarray:
     return np.mean(variances, axis=0)
 
 
+def check_ranges(values: dict[str, float | None]) -> dict[str, float | None]:
+    """``values``, once each correlation is in [-1, 1], the V/UV error in
+    [0, 100] and every other metric nonnegative."""
+    for key, value in values.items():
+        if value is None:
+            continue
+        # rounding can push an exact correlation one ulp past +-1
+        if key in ("Dur CORR", "F0 CORR") and not abs(value) <= 1.0 + 1e-12:
+            raise ValueError(f"{key} out of [-1, 1]: {value}")
+        if key == "V/UV Error (%)" and not 0.0 <= value <= 100.0:
+            raise ValueError(f"{key} out of [0, 100]: {value}")
+        if key in ("Dur RMSE", "F0 RMSE (Hz)", "MCD (dB)", "BAPD (dB)") and value < 0:
+            raise ValueError(f"{key} negative: {value}")
+    return values
+
+
 def metric_values(pred: AcousticFeatureSequence, gt: AcousticFeatureSequence,
                   dur_pred=None, dur_gt=None) -> dict[str, float | None]:
-    """Every report metric for one prediction/reference pair. The pair is one
-    utterance, or a whole corpus with its utterances concatenated (frames and
-    phonemes pooled); without durations the duration metrics are None."""
+    """Every report metric for one prediction/reference pair, range-checked:
+    one utterance, or a corpus with its utterances concatenated (frames and
+    phonemes pooled). Without durations the duration metrics are None."""
     values: dict[str, float | None] = {key: None for key in REPORT_KEYS}
     values["MCD (dB)"] = mcd(pred.mgc, gt.mgc)
     values["BAPD (dB)"] = bapd(pred.bap, gt.bap)
@@ -126,61 +141,29 @@ def metric_values(pred: AcousticFeatureSequence, gt: AcousticFeatureSequence,
     if dur_pred is not None:
         values["Dur RMSE"], values["Dur CORR"] = rmse_corr(
             np.asarray(dur_pred, float), np.asarray(dur_gt, float))
-    return values
+    return check_ranges(values)
 
 
 # ---------------------------------------------------------------------------
-# corpus-level report
+# report files
 
-@dataclass
-class UtteranceEval:
-    utt_id: str
-    num_frames: int
-    values: dict[str, float | None]
+def _cell(value: float | None) -> str:
+    return NA if value is None else repr(value)
 
 
-@dataclass
-class EvalReport:
-    """Corpus-level metrics (frames and phonemes pooled across utterances)."""
-
-    values: dict[str, float | None]
-    header_notes: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        for key in self.values:
-            if key not in REPORT_KEYS:
-                raise ValueError(f"unknown report key {key!r}")
-        corr_keys = ("Dur CORR", "F0 CORR")
-        for key, value in self.values.items():
-            if value is None:
-                continue
-            # rounding can push an exact correlation one ulp past +-1
-            if key in corr_keys and not abs(value) <= 1.0 + 1e-12:
-                raise ValueError(f"{key} out of [-1, 1]: {value}")
-            if key == "V/UV Error (%)" and not 0.0 <= value <= 100.0:
-                raise ValueError(f"{key} out of [0, 100]: {value}")
-            if key in ("Dur RMSE", "F0 RMSE (Hz)", "MCD (dB)", "BAPD (dB)") \
-                    and value < 0.0:
-                raise ValueError(f"{key} negative: {value}")
-
-    def format(self) -> str:
-        lines = [f"# {note}" for note in self.header_notes]
-        for key in REPORT_KEYS:
-            value = self.values.get(key)
-            cell = NA if value is None else repr(value)
-            lines.append(f"{key}\t{cell}")
-        return "\n".join(lines) + "\n"
+def format_eval_report(values: dict[str, float | None], notes: list[str]) -> str:
+    """The pooled report: one ``# note`` line per note, then each metric."""
+    lines = [f"# {note}" for note in notes]
+    lines += [f"{key}\t{_cell(values.get(key))}" for key in REPORT_KEYS]
+    return "\n".join(lines) + "\n"
 
 
-def format_per_utterance_table(rows: list[UtteranceEval]) -> str:
-    header = ["utt_id", "frames"] + list(REPORT_KEYS)
-    lines = ["\t".join(header)]
-    for row in rows:
-        cells = [row.utt_id, str(row.num_frames)]
-        for key in REPORT_KEYS:
-            value = row.values.get(key)
-            cells.append(NA if value is None else repr(value))
-        lines.append("\t".join(cells))
+def format_per_utterance_table(rows) -> str:
+    """One line per ``(utt_id, frames, values)`` row, under a header."""
+    lines = ["\t".join(["utt_id", "frames", *REPORT_KEYS])]
+    lines += ["\t".join([utt_id, str(frames)]
+                        + [_cell(values.get(key)) for key in REPORT_KEYS])
+              for utt_id, frames, values in rows]
     return "\n".join(lines) + "\n"
 
 

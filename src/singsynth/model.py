@@ -32,6 +32,11 @@ class ModelConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
+        if min(self.hidden_dim, self.encoder_blocks, self.decoder_blocks,
+               self.attention_heads, self.conv_kernel_size, self.conv_filter_dim,
+               self.phoneme_vocab_size, self.pitch_vocab_size,
+               self.max_note_frames) < 1:
+            raise ValueError("all model dimensions must be positive")
         if self.hidden_dim % self.attention_heads != 0:
             raise ValueError(
                 f"hidden_dim {self.hidden_dim} not divisible by "
@@ -39,11 +44,6 @@ class ModelConfig:
             )
         if self.conv_kernel_size % 2 != 1:
             raise ValueError("conv_kernel_size must be odd")
-        if min(self.hidden_dim, self.encoder_blocks, self.decoder_blocks,
-               self.attention_heads, self.conv_filter_dim,
-               self.phoneme_vocab_size, self.pitch_vocab_size,
-               self.max_note_frames) < 1:
-            raise ValueError("all model dimensions must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 

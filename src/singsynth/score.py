@@ -291,6 +291,13 @@ class PhonemeTokenSequence:
             raise ValueError("token sequence is empty")
         if len(self.pitch_ids) != n or len(self.note_frame_counts) != n:
             raise ValueError("parallel token lists have different lengths")
+        for name in ("phoneme_ids", "pitch_ids", "note_frame_counts",
+                     "gt_phoneme_durations"):
+            values = getattr(self, name)
+            # integers a sidecar can hold, so not bools or floats
+            for kind in set(map(type, [] if values is None else values)):
+                if kind is bool or not issubclass(kind, (int, np.integer)):
+                    raise ValueError(f"{name} holds a {kind.__name__}, not an integer")
         if min(self.phoneme_ids) < 0:
             raise ValueError(f"phoneme id {min(self.phoneme_ids)} is negative")
         for pitch in self.pitch_ids:

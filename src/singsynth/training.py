@@ -41,14 +41,6 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-class CorpusValidationError(ValueError):
-    def __init__(self, problems: list[str]):
-        super().__init__(
-            "corpus validation failed:\n" + "\n".join(problems)
-        )
-        self.problems = problems
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 32
@@ -64,6 +56,8 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.batch_size, self.total_steps, self.warmup_steps) < 1:
             raise ValueError("batch_size, total_steps, warmup_steps must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be >= 0")
         for name in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} {getattr(self, name)!r} must be in [0, 1)")
@@ -343,11 +337,10 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
           on_start: Callable[[], None] | None = None) -> TrainResult:
     """Run Adam updates until config.total_steps, logging one record per step.
 
-    Aborts with :class:`TrainingDiverged` on a non-finite loss and with
-    :class:`CorpusValidationError` before step one if the corpus is broken;
-    a ``resume_from`` checkpoint that does not match ``config.model`` raises
-    ``ValueError``, also before step one. ``on_start()`` runs once both are
-    accepted.
+    Aborts with :class:`TrainingDiverged` on a non-finite loss. A broken
+    corpus raises ``ValueError`` naming each bad utterance before step one,
+    as does a ``resume_from`` checkpoint that does not match
+    ``config.model``. ``on_start()`` runs once both are accepted.
 
     Each step's positions run in a pool of :func:`worker_count` processes,
     forked once both checks pass and shut down on return, while this one
@@ -359,7 +352,7 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
     global _RUN
     problems = validate_corpus(corpus)
     if problems:
-        raise CorpusValidationError(problems)
+        raise ValueError("corpus validation failed:\n" + "\n".join(problems))
 
     if resume_from is not None:
         params = params_from_checkpoint(resume_from, config.model)

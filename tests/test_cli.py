@@ -176,7 +176,7 @@ def test_gen_data_rejects_invalid_model_config(tmp_path, capsys):
     ("w_pd", "nan"), ("w_u", "inf"), ("adam_beta1", "nan"), ("adam_beta1", "1.0"),
     ("adam_beta2", "-0.5"), ("adam_beta2", "inf"), ("adam_epsilon", "0.0"),
     ("adam_epsilon", "inf"), ("vibrato_rate_hz", "nan"),
-    ("vibrato_depth_log", "inf")])
+    ("vibrato_depth_log", "inf"), ("seed", "-1")])
 def test_config_value_that_can_only_diverge_is_refused_before_writing(
         tmp_path, corpus_dir, capsys, command, key, value):
     out = tmp_path / "out"
@@ -187,17 +187,25 @@ def test_config_value_that_can_only_diverge_is_refused_before_writing(
     assert not out.exists()
 
 
-def test_synth_rejects_mismatched_lexicon(tmp_path, corpus_dir, run_dir, capsys):
+@pytest.mark.parametrize("command", ["synth", "train --resume"])
+def test_synth_rejects_mismatched_lexicon(tmp_path, corpus_dir, run_dir, capsys,
+                                          command):
     other = tmp_path / "other_lexicon.tsv"
     other.write_text("la\tl a\nda\td a\n")
     score = tmp_path / "tune.score"
     score.write_text("tempo 120\nla 69 1.0\n")
-    code = main(["synth", "--score", str(score),
-                 "--checkpoint", str(run_dir / "checkpoint.bin"),
-                 "--lexicon", str(other),
-                 "--out", str(tmp_path / "x.feat")])
+    out = tmp_path / "out"
+    ckpt = str(run_dir / "checkpoint.bin")
+    args = (["synth", "--score", str(score), "--checkpoint", ckpt]
+            if command == "synth" else
+            ["train", "--manifest", str(corpus_dir / "manifest.tsv"),
+             "--steps", "10", "--resume", ckpt])
+    code = main(args + ["--lexicon", str(other), "--out", str(out)])
     assert code == 1
-    assert "vocabulary" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: checkpoint was trained with a different phoneme vocabulary "
+        "than the supplied lexicon\n")
+    assert not out.exists()   # no feature file, or no run directory
 
 
 def test_train_rejects_out_of_range_sidecar_before_writing(tmp_path, corpus_dir,

@@ -226,7 +226,8 @@ def test_manifest_rejects_missing_files(tmp_path, lexicon):
 @pytest.mark.parametrize("fields, name", [
     (("a\tb", "f", "train"), "score_path"), (("f", "f", ""), "split"),
     ((" f", "f", "train"), "score_path"), (("f", "f\r", "train"), "feature_path"),
-    (("f", "a\nb", "train"), "feature_path"), (("f", "f", "train "), "split")])
+    (("f", "a\nb", "train"), "feature_path"), (("f", "f", "train "), "split"),
+    (("a\ud800", "f", "train"), "score_path")])
 def test_manifest_entry_refuses_a_field_that_would_not_read_back(tmp_path,
                                                                  fields, name):
     with pytest.raises(ValueError, match=f"manifest {name} "):

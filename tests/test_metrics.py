@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singsynth.features import AcousticFeatureSequence
+from singsynth import metrics
 from singsynth.metrics import (
     REPORT_KEYS,
-    EvalReport,
     bapd,
+    check_ranges,
     f0_metrics,
+    format_eval_report,
     format_gv_table,
     gv,
     mcd,
@@ -192,25 +194,31 @@ def test_gv_table_has_sixty_rows(rng):
 
 def test_eval_report_validates_ranges():
     with pytest.raises(ValueError):
-        EvalReport(values={"Dur CORR": 1.5})
+        check_ranges({"Dur CORR": 1.5})
     with pytest.raises(ValueError):
-        EvalReport(values={"MCD (dB)": -0.1})
-    with pytest.raises(ValueError):
-        EvalReport(values={"Sharpness": 1.0})
+        check_ranges({"MCD (dB)": -0.1})
 
 
 @pytest.mark.parametrize("key", ["Dur CORR", "F0 CORR"])
 def test_eval_report_accepts_correlation_rounded_one_ulp_past_bound(key):
     # rmse_corr of exactly (anti-)correlated data can land one ulp outside
     for value in (-1.0000000000000002, 1.0000000000000002):
-        assert EvalReport(values={key: value}).values[key] == value
+        assert check_ranges({key: value})[key] == value
     for value in (-1.5, 1.5):
         with pytest.raises(ValueError, match="out of"):
-            EvalReport(values={key: value})
+            check_ranges({key: value})
 
 
 def test_eval_report_format_lists_all_keys():
-    report = EvalReport(values={k: None for k in REPORT_KEYS})
-    text = report.format()
+    text = format_eval_report({k: None for k in REPORT_KEYS}, [])
     for key in REPORT_KEYS:
         assert f"{key}\tNA" in text
+
+
+def test_metric_values_checks_the_range_of_every_dict_it_returns(monkeypatch):
+    # any metric_values dict, an utterance row or a pooled report, is checked
+    feats = AcousticFeatureSequence(mgc=np.zeros((3, 60)), bap=np.zeros((3, 5)),
+                                    logf0=np.zeros(3), vuv=np.zeros(3))
+    monkeypatch.setattr(metrics, "mcd", lambda pred, gt: -0.1)
+    with pytest.raises(ValueError, match=r"MCD \(dB\) negative: -0.1"):
+        metrics.metric_values(feats, feats)

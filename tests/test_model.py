@@ -56,6 +56,11 @@ def test_model_config_validation():
         ModelConfig(conv_kernel_size=4)
     with pytest.raises(TypeError):   # the output width is fixed, not a setting
         ModelConfig(output_dim=67)
+    # not a ZeroDivisionError from the head split, nor an odd negative kernel
+    # that init_params cannot shape
+    for dims in (dict(attention_heads=0), dict(conv_kernel_size=-1)):
+        with pytest.raises(ValueError, match="all model dimensions must be positive"):
+            ModelConfig(**dims)
 
 
 def test_encode_shape_and_finite_default_config(lexicon):

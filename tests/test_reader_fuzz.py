@@ -3,6 +3,7 @@ its documented errors (ValueError and its subclasses, such as
 ContainerError, or FileNotFoundError), never IndexError, OverflowError or
 MemoryError, and never allocates what the file cannot hold."""
 
+import argparse
 import io
 import itertools
 import math
@@ -17,7 +18,8 @@ from hypothesis.extra import numpy as hnp
 
 from singsynth.binio import MAX_RANK, ContainerError, read_named_tensor
 from singsynth.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from singsynth.cli import CONFIG_DEFAULTS, read_config
+from singsynth.cli import CONFIG_DEFAULTS, CONFIG_TYPES, _load_run_config, \
+    format_config, main, read_config
 from singsynth.corpus import CorpusManifest, ManifestEntry, load_manifest, \
     load_token_sidecar, save_manifest, save_token_sidecar
 from singsynth.features import AcousticFeatureSequence, load_features, \
@@ -215,6 +217,27 @@ def test_token_sidecar_without_durations_is_not_written(tmp_path_factory, rows):
     assert list(folder.iterdir()) == []
 
 
+TOKEN_LISTS = ("phoneme_ids", "pitch_ids", "note_frame_counts",
+               "gt_phoneme_durations")
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=token_rows, data=st.data())
+def test_token_sidecar_of_bool_or_float_ids_is_not_written(tmp_path_factory,
+                                                          rows, data):
+    # True would be written as "True" and 2.0 as "2.0", which the reader
+    # refuses; an encoder cast would train 2.5 as id 2
+    columns = [list(column) for column in zip(*rows)]
+    column = data.draw(st.integers(0, len(TOKEN_LISTS) - 1))
+    position = data.draw(st.integers(0, len(rows) - 1))
+    columns[column][position] = data.draw(st.one_of(
+        st.booleans(), st.floats(-1e3, 1e3), st.sampled_from([np.True_, np.float64(2)])))
+    folder = tmp_path_factory.mktemp("refused")
+    with pytest.raises(ValueError, match=f"{TOKEN_LISTS[column]} holds a"):
+        save_token_sidecar(folder / "x.tokens.tsv", tokens_of(list(zip(*columns))))
+    assert list(folder.iterdir()) == []
+
+
 # manifest fields that hold, between two other characters, whitespace and
 # separators that str.splitlines would break a line at; a path is a file
 # name under the manifest's directory or under sub/
@@ -323,6 +346,36 @@ def test_config_reader_raises_only_documented_errors(fuzz_dir, text):
     path = fuzz_dir / "fuzz.cfg"
     path.write_bytes(text.encode("utf-8", "surrogatepass"))
     only_documented_errors(read_config, path)
+
+
+config_value = {int: st.integers(-2, 2 ** 70), float: st.floats()}
+config_overrides = st.lists(st.sampled_from(sorted(CONFIG_TYPES)).flatmap(
+    lambda key: st.tuples(st.just(key), config_value[CONFIG_TYPES[key]])),
+    max_size=4).map(dict)
+
+
+@settings(max_examples=100, deadline=None)
+@given(overrides=config_overrides)
+@example(overrides={"attention_heads": 0})
+@example(overrides={"seed": -1})
+def test_config_of_accepted_values_writes_and_reads_back_equal(tmp_path_factory,
+                                                               overrides):
+    folder = tmp_path_factory.mktemp("config")
+    path = folder / "config.txt"
+    values = dict(CONFIG_DEFAULTS, **overrides)
+    path.write_text(format_config(values), encoding="utf-8")
+    try:
+        accepted, _, _ = _load_run_config(
+            argparse.Namespace(config=path, overrides=None), {})
+    except ValueError:
+        # refused by a constructor: neither command writes anything
+        for command in (["gen-data", "--songs", "1"],
+                        ["train", "--manifest", str(folder / "manifest.tsv")]):
+            assert main(command + ["--config", str(path),
+                                   "--out", str(folder / "out")]) == 1
+        assert [p.name for p in folder.iterdir()] == ["config.txt"]
+        return
+    assert read_config(path) == accepted == values
 
 
 # --- text readers ----------------------------------------------------------

@@ -18,7 +18,6 @@ from singsynth.score import demo_lexicon, parse_score, score_to_tokens
 from singsynth import autodiff as ad, training
 from singsynth.training import (
     AdamState,
-    CorpusValidationError,
     TrainConfig,
     TrainingDiverged,
     Utterance,
@@ -181,7 +180,7 @@ def test_validate_corpus_reports_each_bad_utterance():
     assert any("utt1" in p for p in problems)
     assert any("utt2" in p for p in problems)
     assert "utt3: logf0 is not finite at frame 7" in problems
-    with pytest.raises(CorpusValidationError, match="utt3: logf0 .* frame 7"):
+    with pytest.raises(ValueError, match="utt3: logf0 .* frame 7"):
         train(desk_config(), corpus)
 
 
