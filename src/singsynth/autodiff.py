@@ -2,9 +2,9 @@
 
 Tensor values live in contiguous row-major numpy float64 buffers. Every
 operation returns a :class:`Node` that records its parents together with a
-pullback closure; calling :func:`backward` on a scalar loss accumulates
-gradients on every reachable node that requires them. Inside
-:func:`no_grad` no op records a graph.
+pullback closure; :func:`backward` walks a scalar loss's graph once, freeing
+each node's parents as it goes, and adds the gradients into the ``.grad`` of
+the parameters it reaches. Inside :func:`no_grad` no op records a graph.
 
 Each node takes a creation number from one module counter, larger than its
 parents' numbers, so :func:`backward` walks the graph in decreasing number
@@ -98,8 +98,9 @@ class Node:
 
     ``parents`` is a tuple of ``(parent_node, pullback)`` pairs where
     ``pullback(out_grad)`` returns that parent's gradient contribution. A
-    node that does not require grad keeps no parents. ``number`` is the
-    node's creation number, larger than each of its parents'.
+    node that does not require grad keeps no parents, nor does one that
+    :func:`backward` has walked; only parameters get a ``grad``. ``number``
+    is the node's creation number, larger than each of its parents'.
     """
 
     __slots__ = ("value", "grad", "parents", "requires_grad", "number")
@@ -479,10 +480,10 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
     its own row max, and the block rescales its sums to the larger max as
     its tiles add up (online softmax), keeping each row's max m.
 
-    A recorded call runs on one thread and keeps s, m, c q, [v | 1] and one
-    tile. The first of its q, k and v pullbacks in a backward pass walks the
-    tiles from (0, 0), recomputing each tile's exponentials (the forward's
-    bits) unless the buffer holds them. The score gradient is one matmul of
+    A recorded call runs on one thread and keeps s, m, c q, [v | 1] and the
+    tile (0, 0) its forward leaves in the buffer. The first of its q, k and
+    v pullbacks walks the tiles from (0, 0), recomputing every other tile's
+    exponentials (the forward's bits). The score gradient is one matmul of
     [c g / s | -c rowsum(g / s * out)] by [v | 1]^T times the exponentials;
     dQ rows add up over key tiles and dK and dV rows over query blocks, so
     the walk makes seven passes, two of them the recomputation. Graph-free
@@ -593,8 +594,8 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
         _ATTENTION_MAX_THREADS)
     flat = buffers[0]
     if threads <= 1:
-        # the tile flat holds: its first query row, first key and row maxes
-        held = [0, 0, attend(*buffers)]
+        # flat ends holding tile (0, 0); these are its row maxes
+        first_top = attend(*buffers)
     else:
         with ThreadPoolExecutor(threads - 1) as pool:
             # a copied context carries the caller's np.errstate to a helper
@@ -629,11 +630,10 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
             hi = min(lo + rows, t)
             for c0 in col_starts:
                 tile, dst = tile_of(flat, lo, hi, c0), tile_of(ds, lo, hi, c0)
-                if held[:2] != [lo, c0]:
-                    held[:] = lo, c0, exp_scores(tile, lo, c0)
+                top = exp_scores(tile, lo, c0) if lo or c0 else first_top
                 gct, gst = gc[:, lo:hi], gs[:, lo:hi]
                 if shift:  # the tile holds exp(score - its own row max)
-                    scale_rows = np.exp(held[2] - maxes[:, lo:hi])
+                    scale_rows = np.exp(top - maxes[:, lo:hi])
                     gct, gst = gct * scale_rows, gst * scale_rows
                 np.matmul(gct, vo[:, c0 : c0 + cols].transpose(0, 2, 1), out=dst)
                 dst *= tile
@@ -646,19 +646,13 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
                      gst, parts[2])
         return grads
 
-    # one walk's gradients, made by the first of the q, k and v pullbacks of
-    # a backward pass and dropped by the last one that needs them
-    walked: dict = {}
+    # the q, k and v gradients, from the walk their first pullback runs
+    walked: list[np.ndarray] = []
 
     def gradient(i: int, g: np.ndarray) -> np.ndarray:
-        if walked.get("g") is not g:
-            walked.update(enumerate(walk(g)), g=g, users=q.requires_grad
-                          + k.requires_grad + v.requires_grad)
-        walked["users"] -= 1
-        grad = walked.pop(i)
-        if walked["users"] == 0:
-            walked.clear()
-        return grad
+        if not walked:
+            walked.extend(walk(g))
+        return walked[i]
 
     return Node(
         out,
@@ -671,23 +665,26 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
 # backward pass
 
 def backward(loss: Node) -> None:
-    """Accumulate d(loss)/d(node) into .grad for every reachable node.
-
-    Repeated calls without zeroing grads add their contributions, and a node
-    used several times in the graph receives the sum of all path gradients,
-    added in decreasing creation number of its consumers.
+    """Add d(loss)/d(p) into ``p.grad`` for every parameter p in the graph,
+    which the walk consumes: each node's parents become ``()`` once their
+    pullbacks have run, and a second call on the same loss raises
+    RuntimeError. A node used several times receives the sum of all path
+    gradients, added in decreasing creation number of its consumers.
     """
     if loss.value.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     if not loss.requires_grad:
         return
+    if not loss.parents:
+        raise RuntimeError("backward: the loss has no graph left to walk")
     # a node pops only after every consumer, since each has a larger number
     flowing: dict[int, np.ndarray] = {loss.number: np.ones_like(loss.value)}
     heap = [(-loss.number, loss)]
     while heap:
         _, node = heapq.heappop(heap)
         g = flowing.pop(node.number)
-        node.grad = g if node.grad is None else node.grad + g
+        if not node.parents:
+            node.grad = g if node.grad is None else node.grad + g
         for parent, pull in node.parents:
             if not parent.requires_grad:
                 continue
@@ -695,3 +692,4 @@ def backward(loss: Node) -> None:
             if held is None:
                 heapq.heappush(heap, (-parent.number, parent))
             flowing[parent.number] = contrib if held is None else held + contrib
+        node.parents = ()

@@ -394,13 +394,11 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
         pool.shutdown(cancel_futures=True)
         _RUN = previous
 
+    # the run's own arrays, uncopied: nothing updates them any more
     final = Checkpoint(
         step=max(config.total_steps, start_step - 1),
-        params={k: node.value.copy() for k, node in params.items()},
-        adam_m={k: v.copy() for k, v in adam.m.items()},
-        adam_v={k: v.copy() for k, v in adam.v.items()},
-        config={"train": asdict(config)},
-    )
+        params={k: node.value for k, node in params.items()},
+        adam_m=adam.m, adam_v=adam.v, config={"train": asdict(config)})
     return TrainResult(checkpoint=final, records=records)
 
 
@@ -414,7 +412,7 @@ def _train_step(step: int, submit: Callable[..., Future]) -> LogRecord:
     j, in a worker or in this process. Returns only once every task has
     finished, so the update that follows changes no parameter a worker is
     reading. Leaves the summed gradient in the parameters' ``.grad``; raises
-    TrainingDiverged, before any update, on a non-finite loss."""
+    TrainingDiverged before any update on a non-finite loss, with its cause."""
     params, exchange, corpus, config = _RUN
     picks = batch_item_indices(step, len(corpus), config.batch_size, config.seed)
     counts = batch_counts([corpus[j] for j in picks])
@@ -435,7 +433,10 @@ def _train_step(step: int, submit: Callable[..., Future]) -> LogRecord:
         for k in LOSS_NAMES:
             comps[k] += parts[k]
     if not math.isfinite(total):
-        raise TrainingDiverged(f"non-finite loss at step {step}")
+        bad = "; ".join(" ".join([corpus[picks[i]].utt_id] + [
+            f"{k}={v!r}" for k, v in parts.items() if not math.isfinite(v)])
+            for i, (value, parts) in enumerate(results) if not math.isfinite(value))
+        raise TrainingDiverged(f"non-finite loss at step {step}: {bad}")
     for name, grad in exchange.views(gradient).items():
         params[name].grad = grad
     return LogRecord(step=step, lr=lr_schedule(step, config.model.hidden_dim,

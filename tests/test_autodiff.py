@@ -59,11 +59,36 @@ def test_backward_requires_scalar():
 
 
 def test_backward_accumulates_without_reset():
+    # two graphs over one parameter add up in its grad; a walked graph is gone
     x = ad.parameter([1.0, 2.0])
     loss = ad.reduce_sum(ad.mul(x, x))
     ad.backward(loss)
-    ad.backward(loss)
+    ad.backward(ad.reduce_sum(ad.mul(x, x)))
     np.testing.assert_array_equal(x.grad, [4.0, 8.0])
+    with pytest.raises(RuntimeError, match="no graph"):
+        ad.backward(loss)
+    np.testing.assert_array_equal(x.grad, [4.0, 8.0])
+
+
+def test_backward_frees_the_graph_and_leaves_grad_only_on_parameters(rng):
+    x = ad.parameter(rng.normal(size=(9, 4)))
+    params = [ad.parameter(rng.normal(size=shape))
+              for shape in ((3, 4, 4), (4,), (4, 4), (4, 4))]
+    w, b, wk, wv = params
+    h = ad.relu(ad.conv1d(x, w, b))
+    out = ad.scaled_dot_attention(h, ad.matmul(h, wk), ad.matmul(h, wv), 2)
+    loss = ad.reduce_sum(ad.mul(out, ad.constant(rng.normal(size=(9, 4)))))
+    reached, stack = [], [loss]
+    while stack:
+        node = stack.pop()
+        if node not in reached:
+            reached.append(node)
+            stack.extend(parent for parent, _ in node.parents)
+    ad.backward(loss)
+    assert len(reached) == 13
+    for node in reached:
+        assert node.parents == ()
+        assert (node.grad is not None) == (node is x or node in params)
 
 
 def test_shape_error_names_op_and_shapes():
@@ -411,8 +436,8 @@ def test_backward_sums_three_consumers_made_out_of_their_listed_order():
     ad.backward(ad.reduce_sum(ad.add(ad.add(b, a), c)))
     # h passes its gradient on once, after all three consumers added theirs
     assert len(pulled) == 1
-    np.testing.assert_array_equal(h.grad, 2.0 * h.value + 3.0 + w)
-    np.testing.assert_array_equal(x.grad, 2.0 * h.grad)
+    np.testing.assert_array_equal(pulled[0], 2.0 * h.value + 3.0 + w)
+    np.testing.assert_array_equal(x.grad, 2.0 * pulled[0])
 
 
 def test_backward_walks_a_20k_node_chain():
@@ -571,17 +596,17 @@ def test_blocked_attention_gradients_match_per_head_composition(
 
 
 def test_attention_backward_twice_gives_the_same_gradients(monkeypatch):
-    # the first backward leaves the buffer holding the last block, not the
-    # block 0 that the forward left there
+    # each backward walks a graph of its own, from the block 0 that its
+    # forward left in the buffer
     monkeypatch.setattr(ad, "_ATTENTION_BLOCK_ELEMENTS", 300)
     rng = np.random.default_rng(5)
     nodes = [ad.parameter(rng.normal(size=shape))
              for shape in ((37, 8), (23, 8), (23, 6))]
-    out = ad.scaled_dot_attention(*nodes, heads=2)
-    loss = ad.reduce_sum(ad.mul(out, ad.constant(rng.normal(size=(37, 6)))))
+    probe = ad.constant(rng.normal(size=(37, 6)))
     grads = []
     for _ in range(2):
-        ad.backward(loss)
+        out = ad.scaled_dot_attention(*nodes, heads=2)
+        ad.backward(ad.reduce_sum(ad.mul(out, probe)))
         grads.append([node.grad.tobytes() for node in nodes])
         for node in nodes:
             node.grad = None
@@ -651,17 +676,17 @@ def test_shifted_attention_with_each_rows_max_in_any_key_tile(monkeypatch):
 
 @pytest.mark.parametrize("scale", [1, 100])
 def test_attention_backward_twice_over_several_key_tiles(monkeypatch, scale):
-    # the first backward leaves the buffer holding the last tile, and at
-    # scale 100 its row maxes, not the tile (0, 0) the forward left there
+    # each backward walks a graph of its own, from the tile (0, 0), and at
+    # scale 100 its row maxes, that its forward left in the buffer
     small_tiles(monkeypatch)
     rng = np.random.default_rng(6)
     nodes = [ad.parameter(scale * rng.normal(size=shape))
              for shape in ((23, 8), (17, 8), (17, 6))]
-    out = ad.scaled_dot_attention(*nodes, heads=2)
-    loss = ad.reduce_sum(ad.mul(out, ad.constant(rng.normal(size=(23, 6)))))
+    probe = ad.constant(rng.normal(size=(23, 6)))
     grads = []
     for _ in range(2):
-        ad.backward(loss)
+        out = ad.scaled_dot_attention(*nodes, heads=2)
+        ad.backward(ad.reduce_sum(ad.mul(out, probe)))
         grads.append([node.grad.tobytes() for node in nodes])
         for node in nodes:
             node.grad = None

@@ -219,9 +219,12 @@ def test_nan_loss_aborts_with_step_number():
     config = desk_config(total_steps=4)
     result = train(desk_config(total_steps=2), corpus)
     ckpt = result.checkpoint
+    # out.w column 0 makes mgc column 0, so only L_m is not finite
     ckpt.params["out.w"][0, 0] = np.nan
-    with pytest.raises(TrainingDiverged, match="step 3"):
+    with pytest.raises(TrainingDiverged, match="step 3") as raised:
         train(config, corpus, resume_from=ckpt)
+    assert "utt0 L_m=nan" in str(raised.value)
+    assert "L_b" not in str(raised.value)
 
 
 def test_checkpoint_round_trip_is_byte_identical(tmp_path):
