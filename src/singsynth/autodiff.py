@@ -58,6 +58,8 @@ _ATTENTION_UNSHIFTED_REACH = 300.0
 _LAYER_NORM_EPS = 1e-12
 # hands every new Node its creation number
 _CREATED = itertools.count(1)
+# the parents of a node that backward has walked: empty, yet not ``()``
+_WALKED = type("_Walked", (tuple,), {})()
 
 
 @contextlib.contextmanager
@@ -666,25 +668,27 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
 
 def backward(loss: Node) -> None:
     """Add d(loss)/d(p) into ``p.grad`` for every parameter p in the graph,
-    which the walk consumes: each node's parents become ``()`` once their
-    pullbacks have run, and a second call on the same loss raises
-    RuntimeError. A node used several times receives the sum of all path
-    gradients, added in decreasing creation number of its consumers.
+    which the walk consumes: each node's parents become empty once their
+    pullbacks have run, and reaching a walked node, as a second call on the
+    same loss does, raises RuntimeError before any ``grad`` changes. A node
+    used several times receives the sum of all path gradients, added in
+    decreasing number of its consumers.
     """
     if loss.value.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     if not loss.requires_grad:
         return
-    if not loss.parents:
-        raise RuntimeError("backward: the loss has no graph left to walk")
     # a node pops only after every consumer, since each has a larger number
     flowing: dict[int, np.ndarray] = {loss.number: np.ones_like(loss.value)}
-    heap = [(-loss.number, loss)]
+    heap, leaves = [(-loss.number, loss)], []
     while heap:
         _, node = heapq.heappop(heap)
+        if node.parents is _WALKED:
+            raise RuntimeError("backward: no graph left below a walked node")
         g = flowing.pop(node.number)
         if not node.parents:
-            node.grad = g if node.grad is None else node.grad + g
+            leaves.append((node, g))
+            continue
         for parent, pull in node.parents:
             if not parent.requires_grad:
                 continue
@@ -692,4 +696,6 @@ def backward(loss: Node) -> None:
             if held is None:
                 heapq.heappush(heap, (-parent.number, parent))
             flowing[parent.number] = contrib if held is None else held + contrib
-        node.parents = ()
+        node.parents = _WALKED
+    for node, g in leaves:
+        node.grad = g if node.grad is None else node.grad + g

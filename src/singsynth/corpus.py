@@ -177,7 +177,7 @@ def random_score(lexicon: PhonemeLexicon, rng: np.random.Generator) -> MusicalSc
     return MusicalScore(tempo_bpm=tempo, events=tuple(events))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Utterance:
     """Score tokens with ground-truth durations that add up to the frame
     count of their reference features, as length regulation needs."""
@@ -261,10 +261,10 @@ def load_token_sidecar(path) -> PhonemeTokenSequence:
     columns = list(zip(*rows))
     try:
         return PhonemeTokenSequence(
-            phoneme_ids=list(columns[0]), pitch_ids=list(columns[1]),
-            note_frame_counts=list(columns[2]),
+            phoneme_ids=columns[0], pitch_ids=columns[1],
+            note_frame_counts=columns[2],
             syllable_spans=syllable_spans(columns[4]),
-            gt_phoneme_durations=list(columns[3]),
+            gt_phoneme_durations=columns[3],
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -4,7 +4,7 @@ voiced/unvoiced value, plus their binary file format."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,14 +20,16 @@ VUV_THRESHOLD = 0.5
 FEATURE_MAGIC = b"SVSFEAT1"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AcousticFeatureSequence:
     """T frames of vocoder features.
 
     ``logf0`` is natural-log Hz and only meaningful where ``vuv`` marks a
     voiced frame. Ground truth carries hard 0/1 voicing; model output carries
     a probability in [0, 1]. Every value must be finite, so a file that is
-    loaded or saved and a model output all pass the same check.
+    loaded or saved and a model output all pass the same check. Each stream
+    is a read-only float64 copy, so no edit of it or of the caller's array
+    can undo that check.
     """
 
     mgc: np.ndarray          # T x 60
@@ -36,10 +38,10 @@ class AcousticFeatureSequence:
     vuv: np.ndarray          # T, in [0, 1]
 
     def __post_init__(self):
-        self.mgc = np.ascontiguousarray(self.mgc, dtype=np.float64)
-        self.bap = np.ascontiguousarray(self.bap, dtype=np.float64)
-        self.logf0 = np.ascontiguousarray(self.logf0, dtype=np.float64)
-        self.vuv = np.ascontiguousarray(self.vuv, dtype=np.float64)
+        for name in ("mgc", "bap", "logf0", "vuv"):
+            stream = np.array(getattr(self, name), dtype=np.float64, order="C")
+            stream.flags.writeable = False
+            object.__setattr__(self, name, stream)
         t = self.mgc.shape[0]
         if t < 1:
             raise ValueError("feature sequence must contain at least one frame")
@@ -76,10 +78,8 @@ def concatenate_features(seqs) -> AcousticFeatureSequence:
 
 
 def save_features(path, feats: AcousticFeatureSequence) -> None:
-    """Write a feature file atomically (temp file + rename), after the
-    constructor's checks, which arrays edited since construction must pass
-    too; a stream that fails them raises before any file is opened."""
-    feats = replace(feats)
+    """Write a feature file atomically (temp file + rename); its streams
+    are the read-only arrays that the constructor checked."""
     with atomic_open(path) as fh:
         write_magic(fh, FEATURE_MAGIC)
         write_u32(fh, feats.num_frames)

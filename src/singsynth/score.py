@@ -274,18 +274,20 @@ def beats_to_frames(beat_length: float, tempo_bpm: float, frame_shift_s: float) 
 # ---------------------------------------------------------------------------
 # score -> phoneme tokens
 
-@dataclass
+@dataclass(frozen=True)
 class PhonemeTokenSequence:
     """Per-phoneme model input: phoneme ID, pitch ID and note frame count,
-    plus the syllable grouping needed for the syllable duration loss."""
+    plus the syllable grouping needed for the syllable duration loss, each
+    kept as a tuple so that it stays as its checks found it."""
 
-    phoneme_ids: list[int]
-    pitch_ids: list[int]
-    note_frame_counts: list[int]
-    syllable_spans: list[tuple[int, int]]
-    gt_phoneme_durations: list[int] | None = None
+    phoneme_ids: tuple[int, ...]
+    pitch_ids: tuple[int, ...]
+    note_frame_counts: tuple[int, ...]
+    syllable_spans: tuple[tuple[int, int], ...]
+    gt_phoneme_durations: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "syllable_spans", tuple(map(tuple, self.syllable_spans)))
         n = len(self.phoneme_ids)
         if n < 1:
             raise ValueError("token sequence is empty")
@@ -294,6 +296,8 @@ class PhonemeTokenSequence:
         for name in ("phoneme_ids", "pitch_ids", "note_frame_counts",
                      "gt_phoneme_durations"):
             values = getattr(self, name)
+            if values is not None:
+                object.__setattr__(self, name, tuple(values))
             # integers a sidecar can hold, so not bools or floats
             for kind in set(map(type, [] if values is None else values)):
                 if kind is bool or not issubclass(kind, (int, np.integer)):

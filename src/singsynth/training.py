@@ -20,7 +20,7 @@ import mmap
 import multiprocessing
 from collections import deque
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from typing import IO, Callable, Iterator, Sequence, get_type_hints
 
@@ -78,17 +78,6 @@ def lr_schedule(step: int, hidden_dim: int, warmup_steps: int) -> float:
     if step < 1:
         raise ValueError("lr_schedule is defined for steps >= 1")
     return hidden_dim ** -0.5 * min(step ** -0.5, step * warmup_steps ** -1.5)
-
-
-def validate_corpus(corpus: Sequence[Utterance]) -> list[str]:
-    """What stops training: an empty corpus, or each bad utterance, by id."""
-    problems = [] if corpus else ["corpus is empty"]
-    for utt in corpus:
-        try:
-            replace(utt, tokens=replace(utt.tokens), features=replace(utt.features))
-        except ValueError as exc:
-            problems.append(f"{utt.utt_id}: {exc}")
-    return problems
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +326,10 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
           on_start: Callable[[], None] | None = None) -> TrainResult:
     """Run Adam updates until config.total_steps, logging one record per step.
 
-    Aborts with :class:`TrainingDiverged` on a non-finite loss. A broken
-    corpus raises ``ValueError`` naming each bad utterance before step one,
-    as does a ``resume_from`` checkpoint that does not match
-    ``config.model``. ``on_start()`` runs once both are accepted.
+    Aborts with :class:`TrainingDiverged` on a non-finite loss. An empty
+    corpus raises ``ValueError`` before step one, as does a ``resume_from``
+    checkpoint that does not match ``config.model``; an Utterance is checked
+    when made and cannot change. ``on_start()`` runs once both are accepted.
 
     Each step's positions run in a pool of :func:`worker_count` processes,
     forked once both checks pass and shut down on return, while this one
@@ -350,9 +339,8 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
     of processes.
     """
     global _RUN
-    problems = validate_corpus(corpus)
-    if problems:
-        raise ValueError("corpus validation failed:\n" + "\n".join(problems))
+    if not corpus:
+        raise ValueError("corpus is empty")
 
     if resume_from is not None:
         params = params_from_checkpoint(resume_from, config.model)

@@ -50,7 +50,8 @@ def make_utterance(lexicon, seed=0,
                    text="tempo 130\nla 69 0.5\n- 0 0.25\nson 64 0.5\n"):
     rng = np.random.default_rng(seed)
     tokens = score_to_tokens(parse_score(text), lexicon)
-    tokens.gt_phoneme_durations = [int(d) for d in rng.integers(2, 6, size=len(tokens))]
+    tokens = dataclasses.replace(tokens, gt_phoneme_durations=[
+        int(d) for d in rng.integers(2, 6, size=len(tokens))])
     t = tokens.total_frames
     feats = AcousticFeatureSequence(
         mgc=rng.normal(scale=0.4, size=(t, 60)),

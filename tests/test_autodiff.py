@@ -70,6 +70,24 @@ def test_backward_accumulates_without_reset():
     np.testing.assert_array_equal(x.grad, [4.0, 8.0])
 
 
+def test_backward_refuses_a_loss_built_on_a_walked_graph():
+    x = ad.parameter([1.0, 2.0])
+    h = ad.mul(x, x)
+    ad.backward(ad.reduce_sum(h))
+    with pytest.raises(RuntimeError, match="no graph"):
+        ad.backward(ad.reduce_sum(ad.mul(h, h)))
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    assert h.grad is None
+    # y is reached before h, yet a walk that raises changes no grad
+    y = ad.parameter([3.0, 4.0])
+    with pytest.raises(RuntimeError, match="no graph"):
+        ad.backward(ad.reduce_sum(ad.mul(h, y)))
+    assert y.grad is None
+    # a parameter stays a leaf that later graphs reach
+    ad.backward(ad.reduce_sum(ad.mul(x, x)))
+    np.testing.assert_array_equal(x.grad, [4.0, 8.0])
+
+
 def test_backward_frees_the_graph_and_leaves_grad_only_on_parameters(rng):
     x = ad.parameter(rng.normal(size=(9, 4)))
     params = [ad.parameter(rng.normal(size=shape))

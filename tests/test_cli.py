@@ -497,13 +497,15 @@ def test_eval_pair_with_a_nan_feature_file_fails_that_pair_only(
         tmp_path, corpus_dir, capsys):
     gt0 = corpus_dir / "features" / "song_0000.feat"
     feats = load_features(gt0)
-    feats.logf0[7] = np.nan
+    streams = {name: getattr(feats, name) for name in ("mgc", "bap", "logf0", "vuv")}
+    streams["logf0"] = streams["logf0"].copy()
+    streams["logf0"][7] = np.nan
     bad = tmp_path / "nan_song.feat"
     with open(bad, "wb") as fh:  # save_features would refuse the NaN
         write_magic(fh, FEATURE_MAGIC)
         write_u32(fh, feats.num_frames)
-        for name in ("mgc", "bap", "logf0", "vuv"):
-            write_named_tensor(fh, name, getattr(feats, name))
+        for name, stream in streams.items():
+            write_named_tensor(fh, name, stream)
     out = tmp_path / "eval"
     assert main(["eval", "--out", str(out), "--pair", str(bad), str(gt0),
                  "--pair", str(gt0), str(gt0)]) == 0

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,8 +62,8 @@ def test_split_note_frames_rejects_too_short_note():
 def test_oracle_duration_example(lexicon):
     score = parse_score("tempo 121.2\nla 69 1.0\n")  # 0.495 s -> 33 frames
     tokens, feats = oracle_sing(score, lexicon, OracleConfig())
-    assert tokens.note_frame_counts == [33, 33]
-    assert tokens.gt_phoneme_durations == [8, 25]
+    assert tokens.note_frame_counts == (33, 33)
+    assert tokens.gt_phoneme_durations == (8, 25)
     assert feats.num_frames == 33
 
 
@@ -98,13 +99,22 @@ def test_utterance_refuses_missing_or_mismatched_durations(lexicon):
                                 lexicon, OracleConfig())
     assert Utterance("u", tokens, feats).features is feats
     durations = tokens.gt_phoneme_durations
-    tokens.gt_phoneme_durations = None
     with pytest.raises(ValueError, match="^missing ground-truth durations$"):
-        Utterance("u", tokens, feats)
-    tokens.gt_phoneme_durations = [durations[0] + 1] + durations[1:]
+        Utterance("u", replace(tokens, gt_phoneme_durations=None), feats)
+    longer = replace(tokens, gt_phoneme_durations=(durations[0] + 1,) + durations[1:])
     with pytest.raises(ValueError, match=f"^duration total {feats.num_frames + 1} "
                                          f"!= feature frames {feats.num_frames}$"):
-        Utterance("u", tokens, feats)
+        Utterance("u", longer, feats)
+
+
+def test_utterance_is_frozen(lexicon):
+    tokens, feats = oracle_sing(parse_score("tempo 120\nla 69 0.5\n"), lexicon,
+                                OracleConfig())
+    utt = Utterance("u", tokens, feats)
+    for name, value in (("utt_id", "v"), ("tokens", replace(tokens)),
+                        ("features", feats)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(utt, name, value)
 
 
 def test_load_corpus_items_names_the_feature_file_of_a_broken_utterance(

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -44,7 +46,8 @@ def test_feature_vuv_must_be_probability(rng):
 def test_feature_validation_names_a_non_finite_stream_and_frame(rng, stream,
                                                                 value):
     feats = random_features(rng, t=5)
-    streams = {name: getattr(feats, name) for name in ("mgc", "bap", "logf0", "vuv")}
+    streams = {name: getattr(feats, name).copy()
+               for name in ("mgc", "bap", "logf0", "vuv")}
     streams[stream][3] = value
     with pytest.raises(ValueError, match=rf"^{stream} is not finite at frame 3$"):
         AcousticFeatureSequence(**streams)
@@ -65,13 +68,21 @@ def test_load_features_refuses_a_nan_in_any_stream(tmp_path, stream):
         load_features(path)
 
 
-def test_save_features_refuses_a_stream_edited_after_construction(tmp_path,
-                                                                  rng):
-    feats = random_features(rng, t=9)
-    feats.bap[6, 2] = np.nan
-    with pytest.raises(ValueError, match=r"^bap is not finite at frame 6$"):
-        save_features(tmp_path / "edited.feat", feats)
-    assert list(tmp_path.iterdir()) == []
+def test_feature_streams_are_read_only_copies_of_their_input(rng):
+    given = {"mgc": np.asfortranarray(rng.normal(size=(6, 60))),
+             "bap": rng.normal(size=(6, 5)), "logf0": rng.normal(size=6),
+             "vuv": [0.0, 1.0, 1.0, 0.0, 1.0, 0.5]}
+    before = {name: np.array(value) for name, value in given.items()}
+    feats = AcousticFeatureSequence(**given)
+    with pytest.raises(FrozenInstanceError):
+        feats.vuv = np.zeros(6)
+    for name, value in given.items():
+        stream = getattr(feats, name)
+        assert stream.dtype == np.float64 and stream.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            stream[2] = np.nan
+        value[2] = np.nan   # the caller's array, edited after construction
+        np.testing.assert_array_equal(stream, before[name])
 
 
 def test_feature_file_round_trip(tmp_path, rng):
@@ -110,8 +121,10 @@ def test_feature_file_rejects_truncation(tmp_path, rng):
 
 
 def test_voiced_mask_threshold(rng):
-    feats = random_features(rng, t=4)
-    feats.vuv[:] = [0.0, 0.49, 0.5, 1.0]
+    feats = AcousticFeatureSequence(mgc=rng.normal(size=(4, 60)),
+                                    bap=rng.normal(size=(4, 5)),
+                                    logf0=rng.normal(size=4),
+                                    vuv=[0.0, 0.49, 0.5, 1.0])
     np.testing.assert_array_equal(feats.voiced_mask(),
                                   [False, False, True, True])
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -366,7 +367,8 @@ def _training_setup(tiny_config, seed=3):
     rng = np.random.default_rng(seed)
     tokens = score_to_tokens(
         parse_score("tempo 120\nla 69 0.5\n- 0 0.25\nmi 64 0.5\n"), demo_lexicon())
-    tokens.gt_phoneme_durations = [int(d) for d in rng.integers(2, 6, size=len(tokens))]
+    tokens = dataclasses.replace(tokens, gt_phoneme_durations=[
+        int(d) for d in rng.integers(2, 6, size=len(tokens))])
     t = tokens.total_frames
     gt = AcousticFeatureSequence(
         mgc=rng.normal(size=(t, 60)), bap=rng.normal(size=(t, 5)),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -109,11 +110,12 @@ def test_positional_encoding_is_read_only():
 
 
 def test_encode_rejects_out_of_range_ids(lexicon, tiny_config):
-    params = init_params(tiny_config, np.random.default_rng(0))
+    # the song's pitches reach 69, beyond a 60-entry pitch table
+    config = dataclasses.replace(tiny_config, pitch_vocab_size=60)
+    params = init_params(config, np.random.default_rng(0))
     tokens = make_tokens(lexicon)
-    tokens.pitch_ids[0] = 500
-    with pytest.raises(IndexError):
-        encode(tokens, params, tiny_config)
+    with pytest.raises(IndexError, match=r"pitch id 69 out of range \[0, 60\)"):
+        encode(tokens, params, config)
 
 
 def test_fft_block_permutation_equivariant(rng):
@@ -275,7 +277,7 @@ def test_forward_train_matches_inference_when_durations_agree(lexicon, tiny_conf
     params = init_params(tiny_config, rng)
     tokens = make_tokens(lexicon)
     feats, durations = synthesize(tokens, params, tiny_config)
-    tokens.gt_phoneme_durations = durations.tolist()
+    tokens = dataclasses.replace(tokens, gt_phoneme_durations=durations.tolist())
     fwd = forward_train(_utterance_for(tokens, rng), params, tiny_config)
     np.testing.assert_array_equal(fwd.decoder.mgc.value, feats.mgc)
     np.testing.assert_array_equal(fwd.decoder.logf0.value, feats.logf0)
@@ -296,7 +298,7 @@ def test_synthesize_matches_recorded_forward_on_a_long_song(lexicon):
     feats, durations = synthesize(tokens, params, config)
     t = feats.num_frames
     assert t > 2 * ad._ATTENTION_BLOCK_ELEMENTS // (config.attention_heads * t)
-    tokens.gt_phoneme_durations = durations.tolist()
+    tokens = dataclasses.replace(tokens, gt_phoneme_durations=durations.tolist())
     fwd = forward_train(_utterance_for(tokens, rng), params, config)
     assert fwd.decoder.mgc.requires_grad
     np.testing.assert_array_equal(decode_durations(fwd.log_durations.value),
@@ -349,7 +351,8 @@ def test_gradient_reaches_every_parameter_tensor(lexicon, tiny_config):
     rng = np.random.default_rng(11)
     params = init_params(tiny_config, rng)
     tokens = make_tokens(lexicon)
-    tokens.gt_phoneme_durations = [int(d) for d in rng.integers(2, 6, size=len(tokens))]
+    tokens = dataclasses.replace(tokens, gt_phoneme_durations=[
+        int(d) for d in rng.integers(2, 6, size=len(tokens))])
     fwd = forward_train(_utterance_for(tokens, rng), params, tiny_config)
     probe = ad.reduce_sum(fwd.decoder.mgc)
     for part in (fwd.decoder.bap, fwd.decoder.logf0, fwd.decoder.vuv_prob,

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from singsynth.score import (
     MusicalScore,
     NoteEvent,
     PhonemeLexicon,
+    PhonemeTokenSequence,
     ScoreParseError,
     beats_to_frames,
     demo_lexicon,
@@ -139,18 +141,18 @@ def test_score_to_tokens_duplicates_note_attributes(lexicon):
     score = parse_score("tempo 120\nla 69 1.0\n")
     tokens = score_to_tokens(score, lexicon)
     ids = lexicon.ids()
-    assert tokens.phoneme_ids == [ids["l"], ids["a"]]
-    assert tokens.pitch_ids == [69, 69]
-    assert tokens.note_frame_counts == [33, 33]
-    assert tokens.syllable_spans == [(0, 2)]
+    assert tokens.phoneme_ids == (ids["l"], ids["a"])
+    assert tokens.pitch_ids == (69, 69)
+    assert tokens.note_frame_counts == (33, 33)
+    assert tokens.syllable_spans == ((0, 2),)
 
 
 def test_score_to_tokens_rest(lexicon):
     score = parse_score("tempo 100\n- 0 0.5\n")
     tokens = score_to_tokens(score, lexicon)
-    assert tokens.phoneme_ids == [lexicon.ids()[SILENCE_PHONEME]]
-    assert tokens.pitch_ids == [0]
-    assert tokens.note_frame_counts == [20]
+    assert tokens.phoneme_ids == (lexicon.ids()[SILENCE_PHONEME],)
+    assert tokens.pitch_ids == (0,)
+    assert tokens.note_frame_counts == (20,)
 
 
 def test_score_to_tokens_melisma_merges_span(lexicon):
@@ -159,18 +161,35 @@ def test_score_to_tokens_melisma_merges_span(lexicon):
     ids = lexicon.ids()
     # first note carries the syllable's phonemes, the continuation repeats
     # the final vowel at the new pitch
-    assert tokens.phoneme_ids == [ids["l"], ids["a"], ids["a"]]
-    assert tokens.pitch_ids == [69, 69, 71]
-    assert tokens.note_frame_counts == [33, 33, 17]
-    assert tokens.syllable_spans == [(0, 3)]
+    assert tokens.phoneme_ids == (ids["l"], ids["a"], ids["a"])
+    assert tokens.pitch_ids == (69, 69, 71)
+    assert tokens.note_frame_counts == (33, 33, 17)
+    assert tokens.syllable_spans == ((0, 3),)
 
 
 def test_score_to_tokens_melisma_extension_uses_final_vowel(lexicon):
     score = parse_score("tempo 120\nlan 60 1.0\nlan 62 1.0 ~\n")
     tokens = score_to_tokens(score, lexicon)
     ids = lexicon.ids()
-    assert tokens.phoneme_ids == [ids["l"], ids["a"], ids["n"], ids["a"]]
-    assert tokens.syllable_spans == [(0, 4)]
+    assert tokens.phoneme_ids == (ids["l"], ids["a"], ids["n"], ids["a"])
+    assert tokens.syllable_spans == ((0, 4),)
+
+
+def test_token_sequence_keeps_tuples_of_its_own():
+    given = dict(phoneme_ids=[2, 3, 1], pitch_ids=np.array([60, 62, 0]),
+                 note_frame_counts=[4, 4, 2], syllable_spans=[[0, 2], (2, 3)],
+                 gt_phoneme_durations=[1, 3, 2])
+    tokens = PhonemeTokenSequence(**given)
+    with pytest.raises(FrozenInstanceError):
+        tokens.gt_phoneme_durations = None
+    given["phoneme_ids"][0] = -1   # the caller's lists, edited afterwards
+    given["pitch_ids"][0] = 500
+    given["syllable_spans"][0][1] = 1
+    given["gt_phoneme_durations"].append(9)
+    assert tokens.phoneme_ids == (2, 3, 1)
+    assert tokens.pitch_ids == (60, 62, 0)
+    assert tokens.syllable_spans == ((0, 2), (2, 3))
+    assert tokens.gt_phoneme_durations == (1, 3, 2)
 
 
 @pytest.mark.parametrize("events", [

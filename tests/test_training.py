@@ -30,7 +30,6 @@ from singsynth.training import (
     params_from_checkpoint,
     train,
     trained_model_config,
-    validate_corpus,
 )
 
 TINY_MODEL = ModelConfig(hidden_dim=8, encoder_blocks=1, decoder_blocks=1,
@@ -41,7 +40,8 @@ TINY_MODEL = ModelConfig(hidden_dim=8, encoder_blocks=1, decoder_blocks=1,
 def make_utterance(seed, text="tempo 140\nla 69 0.5\nmi 64 0.25\n- 0 0.25\n"):
     rng = np.random.default_rng(seed)
     tokens = score_to_tokens(parse_score(text), demo_lexicon())
-    tokens.gt_phoneme_durations = [int(d) for d in rng.integers(2, 7, size=len(tokens))]
+    tokens = dataclasses.replace(tokens, gt_phoneme_durations=[
+        int(d) for d in rng.integers(2, 7, size=len(tokens))])
     t = tokens.total_frames
     feats = AcousticFeatureSequence(
         mgc=rng.normal(scale=0.3, size=(t, 60)),
@@ -169,19 +169,11 @@ def test_training_mode_batch_loss_needs_rngs_when_the_model_drops_out():
 
 # --- the loop -----------------------------------------------------------------
 
-def test_validate_corpus_reports_each_bad_utterance():
-    corpus = make_corpus(4)
-    corpus[1].tokens.gt_phoneme_durations[0] += 1
-    corpus[2].tokens.gt_phoneme_durations = None
-    # features edited after loading are checked again, once per run
-    corpus[3].features.logf0[7] = np.nan
-    problems = validate_corpus(corpus)
-    assert len(problems) == 3
-    assert any("utt1" in p for p in problems)
-    assert any("utt2" in p for p in problems)
-    assert "utt3: logf0 is not finite at frame 7" in problems
-    with pytest.raises(ValueError, match="utt3: logf0 .* frame 7"):
-        train(desk_config(), corpus)
+def test_train_refuses_an_empty_corpus_before_it_starts():
+    started = []
+    with pytest.raises(ValueError, match="^corpus is empty$"):
+        train(desk_config(), [], on_start=lambda: started.append(True))
+    assert started == []
 
 
 def test_training_loss_decreases_on_single_utterance():
