@@ -177,10 +177,11 @@ def random_score(lexicon: PhonemeLexicon, rng: np.random.Generator) -> MusicalSc
     return MusicalScore(tempo_bpm=tempo, events=tuple(events))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Utterance:
     """Score tokens with ground-truth durations that add up to the frame
-    count of their reference features, as length regulation needs."""
+    count of their reference features, as length regulation needs. Compares
+    and hashes by identity."""
 
     utt_id: str
     tokens: PhonemeTokenSequence

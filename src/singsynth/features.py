@@ -20,7 +20,7 @@ VUV_THRESHOLD = 0.5
 FEATURE_MAGIC = b"SVSFEAT1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AcousticFeatureSequence:
     """T frames of vocoder features.
 
@@ -29,7 +29,7 @@ class AcousticFeatureSequence:
     a probability in [0, 1]. Every value must be finite, so a file that is
     loaded or saved and a model output all pass the same check. Each stream
     is a read-only float64 copy, so no edit of it or of the caller's array
-    can undo that check.
+    can undo that check. Sequences compare and hash by identity.
     """
 
     mgc: np.ndarray          # T x 60

@@ -54,58 +54,50 @@ class ModelConfig:
                    attention_heads=2, conv_filter_dim=64, max_note_frames=256)
 
 
-# named trainable tensors; iteration order is fixed by construction
+# named trainable tensors, in the order of param_shapes
 ModelParameters = dict[str, Node]
 
 
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def _block_params(rng, prefix: str, cfg: ModelConfig, out: dict[str, Node]) -> None:
-    d, f, k = cfg.hidden_dim, cfg.conv_filter_dim, cfg.conv_kernel_size
-    for name in ("wq", "wk", "wv", "wo"):
-        out[f"{prefix}.attn.{name}"] = ad.parameter(_xavier(rng, d, d, (d, d)))
-    for name in ("bq", "bk", "bv", "bo"):
-        out[f"{prefix}.attn.{name}"] = ad.parameter(np.zeros(d))
-    out[f"{prefix}.ln_attn.gain"] = ad.parameter(np.ones(d))
-    out[f"{prefix}.ln_attn.bias"] = ad.parameter(np.zeros(d))
-    out[f"{prefix}.conv1.w"] = ad.parameter(_xavier(rng, k * d, f, (k, d, f)))
-    out[f"{prefix}.conv1.b"] = ad.parameter(np.zeros(f))
-    out[f"{prefix}.conv2.w"] = ad.parameter(_xavier(rng, k * f, d, (k, f, d)))
-    out[f"{prefix}.conv2.b"] = ad.parameter(np.zeros(d))
-    out[f"{prefix}.ln_conv.gain"] = ad.parameter(np.ones(d))
-    out[f"{prefix}.ln_conv.bias"] = ad.parameter(np.zeros(d))
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every trainable tensor's name and shape, in initialisation order: the
+    one list of the model's tensors, for building and for checking them."""
+    d, f, k = config.hidden_dim, config.conv_filter_dim, config.conv_kernel_size
+    block = {**{f"attn.{w}": (d, d) for w in ("wq", "wk", "wv", "wo")},
+             **{f"attn.{b}": (d,) for b in ("bq", "bk", "bv", "bo")},
+             "ln_attn.gain": (d,), "ln_attn.bias": (d,),
+             "conv1.w": (k, d, f), "conv1.b": (f,), "conv2.w": (k, f, d),
+             "conv2.b": (d,), "ln_conv.gain": (d,), "ln_conv.bias": (d,)}
+    shapes = {"emb.phoneme": (config.phoneme_vocab_size, d),
+              "emb.pitch": (config.pitch_vocab_size, d),
+              "emb.note_frames": (config.max_note_frames + 1, d)}
+    for i in range(config.encoder_blocks):
+        shapes.update({f"enc.{i}.{name}": shape for name, shape in block.items()})
+    for i in (1, 2):
+        shapes.update({f"dur.conv{i}.w": (k, d, d), f"dur.conv{i}.b": (d,),
+                       f"dur.ln{i}.gain": (d,), f"dur.ln{i}.bias": (d,)})
+    shapes.update({"dur.proj.w": (d, 1), "dur.proj.b": (1,)})
+    for i in range(config.decoder_blocks):
+        shapes.update({f"dec.{i}.{name}": shape for name, shape in block.items()})
+    shapes.update({"out.w": (d, OUTPUT_DIM), "out.b": (OUTPUT_DIM,)})
+    return shapes
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParameters:
-    d, k = config.hidden_dim, config.conv_kernel_size
-    emb_scale = 1.0 / math.sqrt(d)
-    tensors: dict[str, Node] = {}
-    tensors["emb.phoneme"] = ad.parameter(
-        rng.normal(0.0, emb_scale, size=(config.phoneme_vocab_size, d)))
-    tensors["emb.pitch"] = ad.parameter(
-        rng.normal(0.0, emb_scale, size=(config.pitch_vocab_size, d)))
-    tensors["emb.note_frames"] = ad.parameter(
-        rng.normal(0.0, emb_scale, size=(config.max_note_frames + 1, d)))
-    for i in range(config.encoder_blocks):
-        _block_params(rng, f"enc.{i}", config, tensors)
-    tensors["dur.conv1.w"] = ad.parameter(_xavier(rng, k * d, d, (k, d, d)))
-    tensors["dur.conv1.b"] = ad.parameter(np.zeros(d))
-    tensors["dur.ln1.gain"] = ad.parameter(np.ones(d))
-    tensors["dur.ln1.bias"] = ad.parameter(np.zeros(d))
-    tensors["dur.conv2.w"] = ad.parameter(_xavier(rng, k * d, d, (k, d, d)))
-    tensors["dur.conv2.b"] = ad.parameter(np.zeros(d))
-    tensors["dur.ln2.gain"] = ad.parameter(np.ones(d))
-    tensors["dur.ln2.bias"] = ad.parameter(np.zeros(d))
-    tensors["dur.proj.w"] = ad.parameter(_xavier(rng, d, 1, (d, 1)))
-    tensors["dur.proj.b"] = ad.parameter(np.zeros(1))
-    for i in range(config.decoder_blocks):
-        _block_params(rng, f"dec.{i}", config, tensors)
-    tensors["out.w"] = ad.parameter(_xavier(rng, d, OUTPUT_DIM, (d, OUTPUT_DIM)))
-    tensors["out.b"] = ad.parameter(np.zeros(OUTPUT_DIM))
-    return tensors
+    """Fresh parameters, drawn from ``rng`` in :func:`param_shapes` order:
+    ``emb.*`` tensors are N(0, 1/sqrt(hidden_dim)); every other tensor of
+    rank >= 2 is Xavier-uniform, with fan-in the product of all axes but the
+    last and fan-out the last axis; ``*.gain`` tensors are 1 and the rest 0."""
+    params: ModelParameters = {}
+    for name, shape in param_shapes(config).items():
+        if name.startswith("emb."):
+            value = rng.normal(0.0, 1.0 / math.sqrt(config.hidden_dim), size=shape)
+        elif len(shape) >= 2:
+            limit = math.sqrt(6.0 / (math.prod(shape[:-1]) + shape[-1]))
+            value = rng.uniform(-limit, limit, size=shape)
+        else:
+            value = np.ones(shape) if name.endswith(".gain") else np.zeros(shape)
+        params[name] = ad.parameter(value)
+    return params
 
 
 _POSITION_TABLES: dict[int, np.ndarray] = {}  # width -> read-only table

@@ -32,7 +32,8 @@ from .checkpoint import Checkpoint
 from .corpus import Utterance
 from .losses import LOSS_NAMES, LossWeights, loss_counts, loss_terms, \
     utterance_share
-from .model import ModelConfig, ModelParameters, forward_train, init_params
+from .model import ModelConfig, ModelParameters, forward_train, init_params, \
+    param_shapes
 
 LOG_COLUMNS = ("step", "lr", "total") + LOSS_NAMES
 
@@ -343,12 +344,13 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
         raise ValueError("corpus is empty")
 
     if resume_from is not None:
-        params = params_from_checkpoint(resume_from, config.model)
-        adam = AdamState(params,
-                         m=_checked_tensors(resume_from.adam_m, params, "adam_m"),
-                         v=_checked_tensors(resume_from.adam_v, params, "adam_v"),
-                         t=resume_from.step)
         _check_trained_model(resume_from, config.model)
+        params = params_from_checkpoint(resume_from, config.model)
+        shapes = param_shapes(config.model)
+        adam = AdamState(params,
+                         m=_checked_tensors(resume_from.adam_m, shapes, "adam_m"),
+                         v=_checked_tensors(resume_from.adam_v, shapes, "adam_v"),
+                         t=resume_from.step)
         start_step = resume_from.step + 1
     else:
         params = init_params(config.model, np.random.default_rng([config.seed, 1]))
@@ -432,23 +434,25 @@ def _train_step(step: int, submit: Callable[..., Future]) -> LogRecord:
                      total=total, components=comps)
 
 
-def _checked_tensors(tensors: dict[str, np.ndarray], params: ModelParameters,
+def _checked_tensors(tensors: dict[str, np.ndarray],
+                     shapes: dict[str, tuple[int, ...]],
                      label: str) -> dict[str, np.ndarray]:
     """Copies of one checkpoint group's tensors (``param``, ``adam_m`` or
-    ``adam_v``), which must hold exactly one tensor of the right shape per
-    parameter; raises ValueError naming the first that does not."""
-    unknown = sorted(set(tensors) - set(params))
+    ``adam_v``) in the order of ``shapes``, a :func:`model.param_shapes`
+    table. The group must hold exactly the tensors the table names, each of
+    its shape; raises ValueError naming the first that does not."""
+    unknown = sorted(set(tensors) - set(shapes))
     if unknown:
         raise ValueError(f"checkpoint {label} has unknown tensors: {unknown}")
-    for name, node in params.items():
+    for name, shape in shapes.items():
         if name not in tensors:
             raise ValueError(f"checkpoint {label} lacks tensor {name}")
-        if tensors[name].shape != node.value.shape:
+        if tensors[name].shape != shape:
             raise ValueError(
                 f"checkpoint {label} tensor {name} has shape "
-                f"{tensors[name].shape}, model expects {node.value.shape}"
+                f"{tensors[name].shape}, model expects {shape}"
             )
-    return {k: v.copy() for k, v in tensors.items()}
+    return {name: tensors[name].copy() for name in shapes}
 
 
 def trained_model_config(ckpt: Checkpoint) -> ModelConfig:
@@ -480,10 +484,9 @@ def _check_trained_model(ckpt: Checkpoint, model: ModelConfig) -> None:
 
 
 def params_from_checkpoint(ckpt: Checkpoint, config: ModelConfig) -> ModelParameters:
-    """Rebuild model parameters (for inference or resuming) from checkpoint
-    tensors; a missing, misshapen or unknown tensor raises ValueError
-    naming it."""
-    params = init_params(config, np.random.default_rng(0))
-    for name, value in _checked_tensors(ckpt.params, params, "param").items():
-        params[name].value[...] = value
-    return params
+    """Model parameters (for inference or resuming) made from copies of the
+    checkpoint's tensors, checked against :func:`model.param_shapes`; no
+    model is initialised first. A missing, misshapen or unknown tensor raises
+    ValueError naming it."""
+    tensors = _checked_tensors(ckpt.params, param_shapes(config), "param")
+    return {name: ad.parameter(value) for name, value in tensors.items()}

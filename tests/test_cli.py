@@ -301,7 +301,8 @@ def test_train_resume_rejects_checkpoint_of_another_width(tmp_path, corpus_dir,
     assert main(["train", "--manifest", str(corpus_dir / "manifest.tsv"),
                  "--out", str(wide), "--steps", "3",
                  "--resume", str(narrow / "checkpoint.bin")]) == 1
-    assert "emb.phoneme" in capsys.readouterr().err
+    assert "trained with hidden_dim 16, run has hidden_dim 32" \
+        in capsys.readouterr().err
     assert (wide / "loss_log.tsv").read_text() == ""
 
 

@@ -117,6 +117,14 @@ def test_utterance_is_frozen(lexicon):
             setattr(utt, name, value)
 
 
+def test_equal_utterances_compare_by_identity(lexicon):
+    tokens, feats = oracle_sing(parse_score("tempo 120\nla 69 0.5\n"), lexicon,
+                                OracleConfig())
+    a, b = Utterance("u", tokens, feats), Utterance("u", tokens, replace(feats))
+    assert a == a and a != b and not (a == b)
+    assert {a, b, a} == {a, b} and hash(a) == hash(a)
+
+
 def test_load_corpus_items_names_the_feature_file_of_a_broken_utterance(
         tmp_path, lexicon):
     generate_corpus(3, seed=1, config=OracleConfig(seed=1), out_dir=tmp_path,

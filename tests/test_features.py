@@ -85,6 +85,15 @@ def test_feature_streams_are_read_only_copies_of_their_input(rng):
         np.testing.assert_array_equal(stream, before[name])
 
 
+def test_equal_feature_sequences_compare_by_identity(rng):
+    streams = {"mgc": rng.normal(size=(4, 60)), "bap": rng.normal(size=(4, 5)),
+               "logf0": rng.normal(size=4), "vuv": [0.0, 1.0, 1.0, 0.0]}
+    a = AcousticFeatureSequence(**streams)
+    b = AcousticFeatureSequence(**streams)
+    assert a == a and a != b and not (a == b)
+    assert {a, b, a} == {a, b} and hash(a) == hash(a)
+
+
 def test_feature_file_round_trip(tmp_path, rng):
     feats = random_features(rng)
     path = tmp_path / "x.feat"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -21,6 +22,7 @@ from singsynth.model import (
     frame_pitch_arrays,
     init_params,
     length_regulate,
+    param_shapes,
     positional_encoding,
     predict_durations,
     predicted_durations,
@@ -62,6 +64,40 @@ def test_model_config_validation():
     for dims in (dict(attention_heads=0), dict(conv_kernel_size=-1)):
         with pytest.raises(ValueError, match="all model dimensions must be positive"):
             ModelConfig(**dims)
+
+
+@pytest.mark.parametrize("label", ["desk", "tiny", "kernel5"])
+def test_param_shapes_list_init_params_in_order(label, tiny_config):
+    config = {"desk": ModelConfig.desk(), "tiny": tiny_config,
+              "kernel5": ModelConfig(hidden_dim=16, encoder_blocks=2,
+                                     decoder_blocks=3, conv_kernel_size=5,
+                                     conv_filter_dim=24)}[label]
+    params = init_params(config, np.random.default_rng(0))
+    assert list(param_shapes(config).items()) == [
+        (name, node.shape) for name, node in params.items()]
+
+
+def test_param_shapes_count_the_paper_model_without_allocating():
+    tracemalloc.start()
+    try:
+        shapes = param_shapes(ModelConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(math.prod(shape) for shape in shapes.values()) == 50_792_132
+    assert peak < 1_000_000
+
+
+def test_init_params_bytes_are_pinned():
+    """Names, order and values of the desk model's fresh parameters, pinned
+    so that any change to the table or to the initialisation rule shows."""
+    params = init_params(ModelConfig.desk(), np.random.default_rng([0, 1]))
+    digest = hashlib.sha256()
+    for name, node in params.items():
+        digest.update(name.encode())
+        digest.update(node.value.tobytes())
+    assert digest.hexdigest() == (
+        "c09f603158c976468c158d5491590ba8ba23da8dfddb8fa93026e41122176c2a")
 
 
 def test_encode_shape_and_finite_default_config(lexicon):

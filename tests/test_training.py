@@ -15,7 +15,7 @@ from singsynth.features import AcousticFeatureSequence
 from singsynth.losses import LossWeights
 from singsynth.model import ModelConfig
 from singsynth.score import demo_lexicon, parse_score, score_to_tokens
-from singsynth import autodiff as ad, training
+from singsynth import autodiff as ad, model, training
 from singsynth.training import (
     AdamState,
     TrainConfig,
@@ -253,7 +253,7 @@ def test_resume_rejects_checkpoint_of_another_width_before_step_one():
     wide = dataclasses.replace(TINY_MODEL, hidden_dim=16)
     log = io.StringIO()
     with pytest.raises(ValueError,
-                       match="checkpoint param tensor emb.phoneme has shape"):
+                       match="trained with hidden_dim 8, run has hidden_dim 16"):
         train(desk_config(total_steps=3, model=wide), corpus, resume_from=narrow,
               log_stream=log)
     assert log.getvalue() == ""
@@ -278,7 +278,8 @@ def test_resume_rejects_adam_moments_that_do_not_match_parameters(moments):
 
 
 @pytest.mark.parametrize("field, value", [("attention_heads", 4),
-                                          ("dropout", 0.5)])
+                                          ("dropout", 0.5),
+                                          ("conv_filter_dim", 32)])
 def test_resume_rejects_checkpoint_of_another_model_config(field, value):
     corpus = make_corpus(2)
     ckpt = train(desk_config(total_steps=1), corpus).checkpoint
@@ -298,6 +299,25 @@ def test_resume_may_change_loss_weights_and_optimizer():
     changed = desk_config(total_steps=2, warmup_steps=9, adam_beta1=0.8,
                           loss_weights=LossWeights(w_sd=0.5))
     assert len(train(changed, corpus, resume_from=ckpt).records) == 1
+
+
+def test_params_from_checkpoint_initialises_no_model(monkeypatch):
+    params = init_params(TINY_MODEL, np.random.default_rng(3))
+    tensors = {name: node.value.copy() for name, node in reversed(params.items())}
+    ckpt = Checkpoint(step=1, params=tensors, adam_m={}, adam_v={})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("params_from_checkpoint initialised a model")
+
+    monkeypatch.setattr(model, "init_params", refuse)
+    monkeypatch.setattr(training, "init_params", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    loaded = params_from_checkpoint(ckpt, TINY_MODEL)
+    assert list(loaded) == list(params)
+    for name, node in params.items():
+        assert loaded[name].requires_grad
+        np.testing.assert_array_equal(loaded[name].value, node.value)
+        assert not np.shares_memory(loaded[name].value, tensors[name])
 
 
 def test_params_from_checkpoint_rejects_an_unknown_param_tensor():
