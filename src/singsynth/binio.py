@@ -72,6 +72,7 @@ def read_exact(fh: BinaryIO, size: int, what: str) -> bytes:
 
 
 def read_named_tensor(fh: BinaryIO) -> tuple[str, np.ndarray]:
+    """A tensor's name and a read-only float64 array over the bytes read."""
     name_len = read_u32(fh)
     name = read_exact(fh, name_len, "tensor name").decode("utf-8")
     rank = read_u32(fh)
@@ -79,7 +80,7 @@ def read_named_tensor(fh: BinaryIO) -> tuple[str, np.ndarray]:
         raise ContainerError(f"implausible tensor rank {rank} for {name!r}")
     shape = tuple(read_u32(fh) for _ in range(rank))
     raw = read_exact(fh, math.prod(shape) * 8, f"tensor data for {name!r}")
-    return name, np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    return name, np.frombuffer(raw, "<f8").reshape(shape)
 
 
 def write_magic(fh: BinaryIO, magic: bytes, version: int = 1) -> None:

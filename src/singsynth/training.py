@@ -15,9 +15,11 @@ size and 3.7 GB at the full-size configuration (batch 32).
 
 from __future__ import annotations
 
+import ctypes
 import math
 import mmap
 import multiprocessing
+import os
 from collections import deque
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -26,7 +28,7 @@ from typing import IO, Callable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
-from . import autodiff as ad
+from . import BLAS_ONE_THREAD, autodiff as ad
 from .autodiff import Node
 from .checkpoint import Checkpoint
 from .corpus import Utterance
@@ -158,11 +160,10 @@ def batch_loss(params: ModelParameters, batch: Sequence[Utterance],
 # per-utterance gradients and the processes that compute them
 
 class GradientExchange:
-    """``rows`` flat gradient rows, as float64 views of an anonymous shared
-    mapping. Made before the workers fork, so they write their gradients
-    without pickling them. With workers, :meth:`share_params` moves the
-    parameters into a shared row of their own; one process keeps its
-    parameters where they are."""
+    """A row of the run's parameters, which becomes their ``value``s, and
+    ``rows`` flat gradient rows: float64 views of anonymous shared mappings,
+    made before any worker forks, so workers read the parameters that the
+    optimizer updates in place and write their gradients with no copies."""
 
     def __init__(self, params: ModelParameters, rows: int):
         self.layout, offset = [], 0
@@ -172,21 +173,15 @@ class GradientExchange:
             offset += size
         self.grads = np.frombuffer(mmap.mmap(-1, 8 * offset * rows)).reshape(
             rows, offset)
+        row = np.frombuffer(mmap.mmap(-1, 8 * offset))
+        for name, view in self.views(row).items():
+            view[...] = params[name].value
+            params[name].value = view
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Each parameter's part of a flat row, in its own shape."""
         return {name: flat[where].reshape(shape)
                 for name, where, shape in self.layout}
-
-    def share_params(self, params: ModelParameters) -> None:
-        """Copy each parameter's value into its part of a newly mapped row
-        and make that view its ``value``. Run before the workers fork: the
-        optimizer updates values in place, so each worker reads the
-        parent's latest parameters with no copy per step."""
-        row = np.frombuffer(mmap.mmap(-1, self.grads[0].nbytes))
-        for name, view in self.views(row).items():
-            view[...] = params[name].value
-            params[name].value = view
 
     def store(self, row: int, params: ModelParameters) -> None:
         """Gradient row ``row`` := the parameters' gradients, 0 for none."""
@@ -217,10 +212,25 @@ def utterance_gradient(params: ModelParameters, utt: Utterance,
 def worker_count(batch_size: int) -> int:
     """Processes that share each training step: one per CPU in
     :func:`autodiff.available_cpus`, at most one per batch item, and one
-    where the platform cannot fork. Training results do not depend on it."""
-    if "fork" not in multiprocessing.get_all_start_methods():
+    where the platform cannot fork or numpy's BLAS may run several threads.
+    Training results do not depend on it."""
+    if not BLAS_ONE_THREAD or "fork" not in multiprocessing.get_all_start_methods():
         return 1
     return min(ad.available_cpus(), batch_size)
+
+
+def _keep_heap() -> None:
+    """A worker's initializer: glibc keeps up to 256 MiB of freed heap, and
+    serves blocks below 32 MiB from it, instead of trimming and mapping
+    afresh, so each step reuses the pages of the last. Does nothing without
+    glibc's ``mallopt`` or when a ``MALLOC_*_`` variable sets glibc itself."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None or any(name.startswith("MALLOC_") and name.endswith("_")
+                              for name in os.environ):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
 
 
 def longest_first(frames: Sequence[int]) -> list[int]:
@@ -271,13 +281,16 @@ def _in_claim_order(submit: Callable[..., Future], tasks: list[tuple],
 # optimizer
 
 class AdamState:
+    """Adam's step count and moments: zeros, or copies of ``m`` and ``v``,
+    since :meth:`update` changes its moments in place."""
+
     def __init__(self, params: ModelParameters,
                  m: dict[str, np.ndarray] | None = None,
                  v: dict[str, np.ndarray] | None = None, t: int = 0):
-        self.m = m if m is not None else {
-            k: np.zeros_like(node.value) for k, node in params.items()}
-        self.v = v if v is not None else {
-            k: np.zeros_like(node.value) for k, node in params.items()}
+        self.m = {k: np.zeros_like(node.value) if m is None else m[k].copy()
+                  for k, node in params.items()}
+        self.v = {k: np.zeros_like(node.value) if v is None else v[k].copy()
+                  for k, node in params.items()}
         self.t = t
 
     def update(self, params: ModelParameters, lr: float,
@@ -368,11 +381,11 @@ def train(config: TrainConfig, corpus: Sequence[Utterance],
     pool, records = _Inline(), []
     try:
         if workers > 1:
-            exchange.share_params(params)
             # forked once the exchange exists, so workers share its mappings,
             # parameters included, and inherit the corpus copy-on-write
             pool = ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"))
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_keep_heap)
         for step in range(start_step, config.total_steps + 1):
             record = _train_step(step, partial(pool.submit, _gradient))
             adam.update(params, record.lr, config)
@@ -437,8 +450,8 @@ def _train_step(step: int, submit: Callable[..., Future]) -> LogRecord:
 def _checked_tensors(tensors: dict[str, np.ndarray],
                      shapes: dict[str, tuple[int, ...]],
                      label: str) -> dict[str, np.ndarray]:
-    """Copies of one checkpoint group's tensors (``param``, ``adam_m`` or
-    ``adam_v``) in the order of ``shapes``, a :func:`model.param_shapes`
+    """One checkpoint group's own tensors (``param``, ``adam_m`` or
+    ``adam_v``), not copies, in the order of ``shapes``, a ``param_shapes``
     table. The group must hold exactly the tensors the table names, each of
     its shape; raises ValueError naming the first that does not."""
     unknown = sorted(set(tensors) - set(shapes))
@@ -452,7 +465,7 @@ def _checked_tensors(tensors: dict[str, np.ndarray],
                 f"checkpoint {label} tensor {name} has shape "
                 f"{tensors[name].shape}, model expects {shape}"
             )
-    return {name: tensors[name].copy() for name in shapes}
+    return {name: tensors[name] for name in shapes}
 
 
 def trained_model_config(ckpt: Checkpoint) -> ModelConfig:
@@ -484,9 +497,9 @@ def _check_trained_model(ckpt: Checkpoint, model: ModelConfig) -> None:
 
 
 def params_from_checkpoint(ckpt: Checkpoint, config: ModelConfig) -> ModelParameters:
-    """Model parameters (for inference or resuming) made from copies of the
-    checkpoint's tensors, checked against :func:`model.param_shapes`; no
-    model is initialised first. A missing, misshapen or unknown tensor raises
-    ValueError naming it."""
+    """Model parameters (for inference or resuming) wrapping the checkpoint's
+    own tensors, checked against :func:`model.param_shapes`; no model is
+    initialised and nothing is copied. A missing, misshapen or unknown
+    tensor raises ValueError naming it."""
     tensors = _checked_tensors(ckpt.params, param_shapes(config), "param")
     return {name: ad.parameter(value) for name, value in tensors.items()}

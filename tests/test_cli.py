@@ -519,6 +519,7 @@ def test_synth_refuses_a_checkpoint_with_a_nan_parameter(tmp_path, corpus_dir,
                                                          run_dir, capsys):
     # save_checkpoint would refuse the NaN: write a marker, then overwrite it
     ckpt = load_checkpoint(run_dir / "checkpoint.bin")
+    ckpt.params["out.w"] = ckpt.params["out.w"].copy()  # loaded read-only
     ckpt.params["out.w"][0, 1] = 12345.678
     bad = tmp_path / "nan.bin"
     save_checkpoint(bad, ckpt)
@@ -634,23 +635,28 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 def test_cli_train_bytes_do_not_depend_on_cpu_count_without_blas_settings(
         tmp_path, corpus_dir):
     # the package itself pins BLAS to one thread, so a shell that sets no
-    # BLAS variable gets the same bits on one CPU as on all of them
+    # BLAS variable gets the same bits on one CPU as on all of them, and so
+    # does a program that imports numpy before singsynth, on two processes
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     src = str(Path(cli.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     one_cpu = min(os.sched_getaffinity(0))
+    numpy_first = ("import numpy, runpy, singsynth; assert singsynth.BLAS_ONE_THREAD; "
+                   "runpy.run_module('singsynth', run_name='__main__')")
     runs = {}
-    for name, cpus in (("one", {one_cpu}), ("all", None)):
+    for name, entry, cpus in (("one", ["-m", "singsynth"], {one_cpu}),
+                              ("all", ["-m", "singsynth"], None),
+                              ("numpy first", ["-c", numpy_first], None)):
         out = tmp_path / name
         subprocess.run(
-            [sys.executable, "-m", "singsynth", "train", "--manifest",
+            [sys.executable, *entry, "train", "--manifest",
              str(corpus_dir / "manifest.tsv"), "--steps", "6", "--seed", "5",
              "--out", str(out)],
             env=env, check=True, stdout=subprocess.DEVNULL,
             preexec_fn=cpus and (lambda: os.sched_setaffinity(0, cpus)))
         runs[name] = [(out / f).read_bytes()
                       for f in ("loss_log.tsv", "checkpoint.bin")]
-    assert runs["one"] == runs["all"]
+    assert runs["one"] == runs["all"] == runs["numpy first"]
 
 
 def test_verbose_prints_the_traceback_of_a_failure(tmp_path, capsys):

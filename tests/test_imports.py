@@ -1,7 +1,7 @@
 """Package import guards: every import sits at module level, so the module
 dependency graph is visible at the top of each file and has no cycles
-hidden inside functions; and importing the package records whether numpy's
-BLAS runs one thread."""
+hidden inside functions; and importing the package sets numpy's BLAS to one
+thread unless a variable says otherwise, and records whether it runs one."""
 
 import ast
 import os
@@ -44,15 +44,26 @@ def test_no_import_inside_a_function():
     assert offenders == []
 
 
+# OpenBLAS runs at most one thread per CPU in the affinity
+ONE_CPU = len(os.sched_getaffinity(0)) == 1
+# hides numpy's bundled OpenBLAS from the package
+NO_OPENBLAS = "import glob; glob.glob = lambda pattern: []"
+
+
 @pytest.mark.parametrize("code, env, one_thread", [
     ("import singsynth", {}, True),
-    ("import numpy, singsynth", {}, False),
-    ("import singsynth", {"OPENBLAS_NUM_THREADS": "2"}, False),
+    ("import numpy, singsynth", {}, True),
+    ("import singsynth", {"OPENBLAS_NUM_THREADS": "2"}, ONE_CPU),
     ("import numpy, singsynth", dict.fromkeys(BLAS_THREAD_VARS, "1"), True),
+    ("import numpy, singsynth", {"OPENBLAS_NUM_THREADS": "2"}, ONE_CPU),
+    # a BLAS whose count cannot be read, such as MKL: the variables decide
+    (f"{NO_OPENBLAS}; import singsynth", {}, True),
+    (f"{NO_OPENBLAS}; import numpy, singsynth", {}, False),
 ])
 def test_blas_one_thread_only_when_numpy_loads_with_every_variable_at_one(
         code, env, one_thread):
-    # the variables' values when numpy loads are what its BLAS reads
+    # numpy's OpenBLAS is set to one thread even when it loaded first, unless
+    # a variable was set, which wins; BLAS_ONE_THREAD reads its count
     child_env = {name: value for name, value in os.environ.items()
                  if name not in BLAS_THREAD_VARS}
     child_env["PYTHONPATH"] = str(PACKAGE_DIR.parent)

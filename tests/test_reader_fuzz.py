@@ -167,6 +167,17 @@ def test_checkpoint_of_finite_tensors_saves_and_loads_back_equal(
             assert read[name].tobytes() == array.tobytes()
 
 
+def test_loaded_checkpoint_arrays_are_read_only(tmp_path):
+    # parameters loaded for synthesis wrap these arrays uncopied
+    path = tmp_path / "ro.ckpt"
+    save_checkpoint(path, Checkpoint(3, {"w": np.ones((2, 3))}, {"w": np.zeros(3)},
+                                     {"w": np.zeros(())}))
+    loaded = load_checkpoint(path)
+    for group in (loaded.params, loaded.adam_m, loaded.adam_v):
+        with pytest.raises(ValueError, match="read-only"):
+            group["w"][...] = 1.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(params=finite_tensors.filter(lambda d: any(a.size for a in d.values())),
        group=st.sampled_from(["params", "adam_m", "adam_v"]), data=st.data())

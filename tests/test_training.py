@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import signal
+import types
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 
@@ -317,7 +318,7 @@ def test_params_from_checkpoint_initialises_no_model(monkeypatch):
     for name, node in params.items():
         assert loaded[name].requires_grad
         np.testing.assert_array_equal(loaded[name].value, node.value)
-        assert not np.shares_memory(loaded[name].value, tensors[name])
+        assert np.shares_memory(loaded[name].value, tensors[name])
 
 
 def test_params_from_checkpoint_rejects_an_unknown_param_tensor():
@@ -430,6 +431,45 @@ def test_one_process_without_affinity_or_fork(monkeypatch):
     log = io.StringIO()
     train(desk_config(total_steps=2), make_corpus(2), log_stream=log)
     assert log.getvalue().count("\n") == 2
+
+
+def test_workers_keep_their_heap_unless_glibc_is_set(monkeypatch):
+    calls, pools = [], []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    with monkeypatch.context() as patch:
+        patch.setattr(training.ctypes, "CDLL",
+                      lambda name: types.SimpleNamespace(mallopt=mallopt))
+        for name in [name for name in os.environ if name.startswith("MALLOC_")]:
+            patch.delenv(name)
+        training._keep_heap()
+        # M_TRIM_THRESHOLD 256 MiB, M_MMAP_THRESHOLD 32 MiB
+        assert calls == [(-1, 256 << 20), (-3, 32 << 20)]
+        patch.setenv("MALLOC_TOP_PAD_", "0")
+        calls.clear()
+        training._keep_heap()
+        assert calls == []
+        patch.setattr(training.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        training._keep_heap()   # no mallopt: nothing to call
+
+    pool = training.ProcessPoolExecutor
+
+    def recorded(*args, **kwargs):
+        pools.append(kwargs.get("initializer"))
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(training, "ProcessPoolExecutor", recorded)
+    run_with_workers(monkeypatch, 2, desk_config(total_steps=1), make_corpus(2))
+    assert pools == [training._keep_heap]
+
+
+def test_one_process_when_blas_may_run_several_threads(monkeypatch):
+    # several processes would each drive several BLAS threads on the same cores
+    monkeypatch.setattr(training, "BLAS_ONE_THREAD", False)
+    assert training.worker_count(10 ** 6) == 1
 
 
 def test_training_bits_do_not_depend_on_worker_count(monkeypatch, tmp_path):
@@ -593,21 +633,42 @@ def test_exchange_holds_four_gradient_rows_per_process(monkeypatch):
     assert [len(exchange.grads) for exchange in made] == [min(32, 4 * 2)]
 
 
-def test_train_shares_params_once_per_run_and_only_with_workers(monkeypatch):
-    # one process keeps its parameters where they are; workers read them
-    # from one shared row, mapped once per run, not once per step
-    shared = []
+def test_train_keeps_params_in_one_exchange_row_for_any_process_count(
+        monkeypatch):
+    # the exchange maps one parameter row per run, not per step, and the
+    # parameters stay views of it until the checkpoint hands them back
+    made = []
 
     class Recorded(training.GradientExchange):
-        def share_params(self, params):
-            shared.append(1)
-            super().share_params(params)
+        def __init__(self, params, rows):
+            super().__init__(params, rows)
+            made.append({name: node.value for name, node in params.items()})
 
     monkeypatch.setattr(training, "GradientExchange", Recorded)
-    run_with_workers(monkeypatch, 1, desk_config(total_steps=2), make_corpus(2))
-    assert shared == []
-    run_with_workers(monkeypatch, 2, desk_config(total_steps=2), make_corpus(2))
-    assert shared == [1]
+    for workers in (1, 2):
+        made.clear()
+        ckpt = run_with_workers(monkeypatch, workers, desk_config(total_steps=2),
+                                make_corpus(2))[1].checkpoint
+        assert len(made) == 1
+        row = made[0]["out.w"].base
+        assert isinstance(row.base, memoryview)  # a mapping, not the heap
+        assert row.size == sum(value.size for value in ckpt.params.values())
+        for name, value in ckpt.params.items():
+            assert value is made[0][name] and value.base is row, (workers, name)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_resume_writes_no_array_of_its_checkpoint(monkeypatch, workers):
+    corpus = make_corpus(2)
+    ckpt = train(desk_config(total_steps=1), corpus).checkpoint
+    groups = {"params": ckpt.params, "adam_m": ckpt.adam_m, "adam_v": ckpt.adam_v}
+    before = {group: {name: array.tobytes() for name, array in arrays.items()}
+              for group, arrays in groups.items()}
+    log, _ = run_with_workers(monkeypatch, workers, desk_config(total_steps=3),
+                              corpus, resume_from=ckpt)
+    assert log.count("\n") == 2
+    assert {group: {name: array.tobytes() for name, array in arrays.items()}
+            for group, arrays in groups.items()} == before
 
 
 def test_train_leaves_no_run_behind(monkeypatch):
