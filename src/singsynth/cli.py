@@ -106,6 +106,9 @@ def _checkpoint_for(path, lexicon: PhonemeLexicon):
     ``lexicon``'s phoneme vocabulary if it echoes one."""
     ckpt = load_checkpoint(path)
     stored = ckpt.config.get("phoneme_vocab")
+    if stored is not None and not (isinstance(stored, list) and all(
+            isinstance(name, str) for name in stored)):
+        raise CliError("checkpoint's phoneme_vocab echo is not a list of phoneme names")
     if stored is not None and tuple(stored) != lexicon.phoneme_vocab:
         raise CliError("checkpoint was trained with a different phoneme "
                        "vocabulary than the supplied lexicon")

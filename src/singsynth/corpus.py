@@ -23,7 +23,7 @@ from .features import AcousticFeatureSequence, BAP_DIM, FRAME_SHIFT_S, MGC_DIM, 
     load_features, save_features
 from .score import VOWELS, MusicalScore, NoteEvent, PhonemeLexicon, \
     PhonemeTokenSequence, beats_to_frames, event_phonemes, frame_pitch_arrays, \
-    round_half_up, score_to_tokens, serialize_score, syllable_spans
+    round_half_up, score_to_tokens, serialize_score
 
 VOICED_BAP_DB = -60.0
 UNVOICED_BAP_DB = 0.0
@@ -230,13 +230,11 @@ def sidecar_path(feature_path) -> str:
 
 
 def save_token_sidecar(path, tokens: PhonemeTokenSequence) -> None:
-    """One line per phoneme: its ids, note frames, duration and syllable."""
+    """One line per phoneme: its ids, note frames, duration and syllable id."""
     if tokens.gt_phoneme_durations is None:
         raise ValueError("a token sidecar needs ground-truth durations")
-    syllables = [row for row, (start, end) in enumerate(tokens.syllable_spans)
-                 for _ in range(start, end)]
     rows = zip(tokens.phoneme_ids, tokens.pitch_ids, tokens.note_frame_counts,
-               tokens.gt_phoneme_durations, syllables)
+               tokens.gt_phoneme_durations, tokens.syllable_ids)
     with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write("".join("\t".join(map(str, row)) + "\n" for row in rows))
 
@@ -263,8 +261,7 @@ def load_token_sidecar(path) -> PhonemeTokenSequence:
     try:
         return PhonemeTokenSequence(
             phoneme_ids=columns[0], pitch_ids=columns[1],
-            note_frame_counts=columns[2],
-            syllable_spans=syllable_spans(columns[4]),
+            note_frame_counts=columns[2], syllable_ids=columns[4],
             gt_phoneme_durations=columns[3],
         )
     except ValueError as exc:

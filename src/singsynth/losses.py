@@ -39,14 +39,6 @@ class LossWeights:
             raise ValueError("at least one loss weight must be positive")
 
 
-def syllable_indicator(syllable_spans, n: int) -> np.ndarray:
-    """0/1 matrix with one row per syllable selecting its phoneme indices."""
-    matrix = np.zeros((len(syllable_spans), n))
-    for row, (start, end) in enumerate(syllable_spans):
-        matrix[row, start:end] = 1.0
-    return matrix
-
-
 def _f0_mask(utt: Utterance) -> np.ndarray:
     """L_f's frames: voiced in the ground truth and not rests."""
     _, nonrest = frame_pitch_arrays(utt.tokens, utt.tokens.gt_phoneme_durations)
@@ -60,7 +52,7 @@ def loss_counts(utt: Utterance) -> dict[str, int]:
     t = utt.features.num_frames
     return {
         "L_pd": len(utt.tokens),
-        "L_sd": len(utt.tokens.syllable_spans),
+        "L_sd": utt.tokens.syllable_ids[-1] + 1,
         "L_m": t * MGC_DIM,
         "L_b": t * BAP_DIM,
         "L_f": int(_f0_mask(utt).sum()),
@@ -74,7 +66,7 @@ def loss_terms(fwd: TrainForward, utt: Utterance) -> dict[str, Node]:
 
     - L_pd: phoneme-duration L1 in the log(frames + 1) domain;
     - L_sd: syllable-duration L1 between ground-truth syllable frames and
-      the summed linear-domain predictions;
+      the linear-domain predictions summed by syllable id;
     - L_m, L_b: spectral L1 over every frame and coefficient;
     - L_f: log-F0 L1 over frames voiced in the ground truth and not rests
       (an all-unvoiced utterance sums to a constant 0, not NaN);
@@ -82,7 +74,8 @@ def loss_terms(fwd: TrainForward, utt: Utterance) -> dict[str, Node]:
     """
     gt, dec, n = utt.features, fwd.decoder, len(utt.tokens)
     gt_durs = np.asarray(utt.tokens.gt_phoneme_durations, dtype=np.float64)
-    indicator = syllable_indicator(utt.tokens.syllable_spans, n)
+    ids = np.asarray(utt.tokens.syllable_ids)
+    indicator = (np.arange(ids[-1] + 1)[:, None] == ids).astype(np.float64)
     # exp(d) + -1 has the bits of exp(d) - 1
     linear = ad.add(ad.exp(fwd.log_durations), ad.constant(-np.ones(n)))
     return {

@@ -276,25 +276,24 @@ def beats_to_frames(beat_length: float, tempo_bpm: float, frame_shift_s: float) 
 
 @dataclass(frozen=True)
 class PhonemeTokenSequence:
-    """Per-phoneme model input: phoneme ID, pitch ID and note frame count,
-    plus the syllable grouping needed for the syllable duration loss, each
-    kept as a tuple so that it stays as its checks found it."""
+    """Per-phoneme model input: phoneme ID, pitch ID, note frame count and
+    syllable number (counting up from 0, for the syllable duration loss),
+    each kept as a tuple so that it stays as its checks found it."""
 
     phoneme_ids: tuple[int, ...]
     pitch_ids: tuple[int, ...]
     note_frame_counts: tuple[int, ...]
-    syllable_spans: tuple[tuple[int, int], ...]
+    syllable_ids: tuple[int, ...]
     gt_phoneme_durations: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "syllable_spans", tuple(map(tuple, self.syllable_spans)))
         n = len(self.phoneme_ids)
         if n < 1:
             raise ValueError("token sequence is empty")
         if len(self.pitch_ids) != n or len(self.note_frame_counts) != n:
             raise ValueError("parallel token lists have different lengths")
         for name in ("phoneme_ids", "pitch_ids", "note_frame_counts",
-                     "gt_phoneme_durations"):
+                     "syllable_ids", "gt_phoneme_durations"):
             values = getattr(self, name)
             if values is not None:
                 object.__setattr__(self, name, tuple(values))
@@ -309,13 +308,10 @@ class PhonemeTokenSequence:
                 raise ValueError(f"pitch id {pitch} out of range [0, 127]")
         if any(c < 1 for c in self.note_frame_counts):
             raise ValueError("note frame counts must all be >= 1")
-        cursor = 0
-        for start, end in self.syllable_spans:
-            if start != cursor or end <= start:
-                raise ValueError(f"syllable spans do not tile [0, {n})")
-            cursor = end
-        if cursor != n:
-            raise ValueError(f"syllable spans do not cover [0, {n})")
+        ids = self.syllable_ids
+        if len(ids) != n or ids[0] != 0 or any(
+                b - a not in (0, 1) for a, b in zip(ids, ids[1:])):
+            raise ValueError("syllable ids must count up from 0 in steps of 1")
         if self.gt_phoneme_durations is not None:
             if len(self.gt_phoneme_durations) != n:
                 raise ValueError("ground-truth durations length mismatch")
@@ -343,44 +339,34 @@ def event_phonemes(event: NoteEvent, lexicon: PhonemeLexicon) -> tuple[str, ...]
     return lexicon.phonemes_for(event.syllable)
 
 
-def syllable_spans(numbers) -> list[tuple[int, int]]:
-    """The syllable spans of phonemes numbered by syllable: each run of
-    equal numbers, as a half-open range of phoneme positions."""
-    spans, start = [], 0
-    for i in range(1, len(numbers) + 1):
-        if i == len(numbers) or numbers[i] != numbers[i - 1]:
-            spans.append((start, i))
-            start = i
-    return spans
-
-
 def score_to_tokens(score: MusicalScore, lexicon: PhonemeLexicon,
                     frame_shift_s: float = FRAME_SHIFT_S) -> PhonemeTokenSequence:
     """Expand a score to phoneme level.
 
     Each note's pitch ID and frame count are duplicated onto every phoneme it
-    carries; rests become one silence phoneme with pitch ID 0; a melisma's
-    notes all land in one syllable span.
+    carries; rests become one silence phoneme with pitch ID 0; the syllable
+    number counts up at each event that does not continue, so a melisma's
+    notes all land in one syllable.
     """
     ids = lexicon.ids()
     phoneme_ids: list[int] = []
     pitch_ids: list[int] = []
     frame_counts: list[int] = []
-    numbers: list[int] = []   # each phoneme's syllable: its first note's index
-    for k, ev in enumerate(score.events):
+    syllable_ids: list[int] = []
+    syllable = -1   # each event that does not continue starts the next one
+    for ev in score.events:
         frames = beats_to_frames(ev.beat_length, score.tempo_bpm, frame_shift_s)
-        if not ev.continues:
-            number = k
+        syllable += not ev.continues
         for ph in event_phonemes(ev, lexicon):
             phoneme_ids.append(ids[ph])
             pitch_ids.append(ev.midi_pitch)
             frame_counts.append(frames)
-            numbers.append(number)
+            syllable_ids.append(syllable)
     return PhonemeTokenSequence(
         phoneme_ids=phoneme_ids,
         pitch_ids=pitch_ids,
         note_frame_counts=frame_counts,
-        syllable_spans=syllable_spans(numbers),
+        syllable_ids=syllable_ids,
     )
 
 

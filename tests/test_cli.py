@@ -534,6 +534,21 @@ def test_synth_refuses_a_checkpoint_with_a_nan_parameter(tmp_path, corpus_dir,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("echo", [5, "pad", ["pad", 1], {"pad": 0}])
+def test_synth_refuses_a_phoneme_vocab_echo_that_is_not_a_list_of_names(
+        tmp_path, corpus_dir, run_dir, capsys, echo):
+    ckpt = load_checkpoint(run_dir / "checkpoint.bin")
+    ckpt.config["phoneme_vocab"] = echo
+    bad = tmp_path / "echo.bin"
+    save_checkpoint(bad, ckpt)
+    out = tmp_path / "x.feat"
+    assert main(["synth", "--score", str(corpus_dir / "scores" / "song_0000.score"),
+                 "--checkpoint", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: checkpoint's phoneme_vocab echo is not a list of phoneme names\n")
+    assert not out.exists()
+
+
 def test_eval_without_inputs_is_runtime_error(tmp_path, capsys):
     assert main(["eval", "--out", str(tmp_path / "e")]) == 1
     assert "error" in capsys.readouterr().err

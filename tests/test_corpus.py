@@ -193,8 +193,18 @@ def test_token_sidecar_round_trip(tmp_path, lexicon):
     assert loaded.phoneme_ids == tokens.phoneme_ids
     assert loaded.pitch_ids == tokens.pitch_ids
     assert loaded.note_frame_counts == tokens.note_frame_counts
-    assert loaded.syllable_spans == tokens.syllable_spans
+    assert loaded.syllable_ids == tokens.syllable_ids
     assert loaded.gt_phoneme_durations == tokens.gt_phoneme_durations
+
+
+@pytest.mark.parametrize("syllables", [(0, 0, 2), (1, 1, 2)])
+def test_token_sidecar_refuses_syllables_that_do_not_count_up(tmp_path,
+                                                             syllables):
+    path = tmp_path / "x.tokens.tsv"
+    path.write_text("".join(f"5\t69\t10\t4\t{s}\n" for s in syllables))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: syllable ids must count up from 0 in steps of 1")):
+        load_token_sidecar(path)
 
 
 def test_generate_corpus_is_idempotent(tmp_path, lexicon):

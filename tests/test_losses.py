@@ -55,14 +55,14 @@ def _fake_forward(rng, t, log_durations=(1.0, 2.0), logit_value=None):
                         decoder=_fake_decoder_output(rng, t, logit_value))
 
 
-def _utterance(rng, durations, spans, vuv=None, pitches=None):
-    """An utterance with these ground-truth durations and syllable spans and
+def _utterance(rng, durations, ids, vuv=None, pitches=None):
+    """An utterance with these ground-truth durations and syllable ids and
     random reference features. ``pitches`` (all sung by default) gives the
     frame non-rest mask: a phoneme of pitch 0 is a rest."""
     n = len(durations)
     tokens = PhonemeTokenSequence(
         phoneme_ids=[2] * n, pitch_ids=list(pitches or [60] * n),
-        note_frame_counts=list(durations), syllable_spans=spans,
+        note_frame_counts=list(durations), syllable_ids=ids,
         gt_phoneme_durations=list(durations))
     return Utterance("utt", tokens, _fake_gt(rng, sum(durations), vuv))
 
@@ -101,7 +101,7 @@ def test_duration_loss_syllable_term(rng):
     # syllable sums 7 vs 8 give L_sd = 1
     t = 8
     fwd = _fake_forward(rng, t, log_domain([3.0, 4.0]))
-    utt = _utterance(rng, [3, 5], [(0, 2)])
+    utt = _utterance(rng, [3, 5], [0, 0])
     counts = loss_counts(utt)
     assert counts["L_sd"] == 1 and counts["L_pd"] == 2
     terms = loss_terms(fwd, utt)
@@ -117,7 +117,7 @@ def test_duration_loss_syllable_term(rng):
 def test_duration_loss_exact_prediction_is_zero(rng):
     t = 15
     fwd = _fake_forward(rng, t, log_domain([3.0, 5.0, 7.0]))
-    total, comps = utterance_loss(fwd, _utterance(rng, [3, 5, 7], [(0, 2), (2, 3)]),
+    total, comps = utterance_loss(fwd, _utterance(rng, [3, 5, 7], [0, 0, 1]),
                                   LossWeights(**ONLY_DURATIONS))
     assert comps["L_pd"].item() == pytest.approx(0.0, abs=1e-12)
     assert comps["L_sd"].item() == pytest.approx(0.0, abs=1e-12)
@@ -128,24 +128,25 @@ def test_duration_loss_weight_algebra(rng):
     t = 8
     fwd = _fake_forward(rng, t, log_domain([3.0, 4.0]))
     weights = LossWeights(w_pd=1.0, w_sd=0.0, w_m=0.0, w_b=0.0, w_f=0.0, w_u=0.0)
-    total, comps = utterance_loss(fwd, _utterance(rng, [3, 5], [(0, 2)]), weights)
+    total, comps = utterance_loss(fwd, _utterance(rng, [3, 5], [0, 0]), weights)
     assert comps["L_sd"].item() > 0.0
     assert total.item() == pytest.approx(comps["L_pd"].item(), rel=1e-12)
 
 
-def test_token_sequence_refuses_spans_that_do_not_tile():
-    # the syllable-duration loss reads its spans from tokens that hold this
-    for spans, message in (([(0, 3)], "do not cover"), ([(1, 1)], "do not tile"),
-                           ([(0, 1), (1, 1)], "do not tile"),
-                           ([(0, 1)], "do not cover")):
-        with pytest.raises(ValueError, match=f"syllable spans {message} "):
-            PhonemeTokenSequence([2, 3], [60, 62], [4, 4], spans, [3, 5])
+def test_token_sequence_refuses_syllable_ids_that_do_not_count_up():
+    # the syllable-duration loss reads its ids from tokens that hold this:
+    # starting at 1, a skip, a decrease and a wrong length
+    for ids in ([1, 1, 2], [0, 2, 2], [0, 1, 0], [0, 1], [0, 0, 1, 1]):
+        with pytest.raises(ValueError, match="^syllable ids must count up "
+                                             "from 0 in steps of 1$"):
+            PhonemeTokenSequence([2, 3, 4], [60, 62, 64], [4, 4, 4], ids,
+                                 [3, 5, 2])
 
 
 def test_spectral_loss_values(rng):
     t = 7
     fwd = _fake_forward(rng, t)
-    utt = _utterance(rng, [3, 4], [(0, 2)])
+    utt = _utterance(rng, [3, 4], [0, 0])
     gt = utt.features
     fwd.decoder.mgc = ad.constant(gt.mgc)
     fwd.decoder.bap = ad.constant(gt.bap)
@@ -164,7 +165,7 @@ def test_spectral_loss_values(rng):
 def test_spectral_loss_rejects_shape_mismatch(rng):
     # the ops refuse each mismatch with a ShapeError, which is a ValueError
     t = 7
-    utt = _utterance(rng, [3, 4], [(0, 2)])
+    utt = _utterance(rng, [3, 4], [0, 0])
     short = _fake_forward(rng, t)
     short.decoder.mgc = ad.constant(utt.features.mgc[:-1])
     three = _fake_forward(rng, t, log_durations=(1.0, 2.0, 3.0))
@@ -178,14 +179,14 @@ def test_spectral_loss_rejects_shape_mismatch(rng):
 def test_vuv_loss_at_maximum_entropy(rng):
     t = 11
     fwd = _fake_forward(rng, t, logit_value=0.0)  # probability 0.5
-    _, comps = utterance_loss(fwd, _utterance(rng, [5, 6], [(0, 2)]), LossWeights())
+    _, comps = utterance_loss(fwd, _utterance(rng, [5, 6], [0, 0]), LossWeights())
     assert comps["L_u"].item() == pytest.approx(math.log(2.0), rel=1e-12)
 
 
 def test_f0_loss_ignores_unvoiced_frames(rng):
     t = 10
     vuv = np.array([1.0] * 5 + [0.0] * 5)
-    utt = _utterance(rng, [5, 5], [(0, 2)], vuv=vuv)
+    utt = _utterance(rng, [5, 5], [0, 0], vuv=vuv)
     fwd = _fake_forward(rng, t)
     # match gt on voiced frames, garbage elsewhere
     logf0 = utt.features.logf0.copy()
@@ -198,7 +199,7 @@ def test_f0_loss_ignores_unvoiced_frames(rng):
 
 def test_f0_loss_defined_for_all_unvoiced(rng):
     t = 6
-    utt = _utterance(rng, [3, 3], [(0, 2)], vuv=np.zeros(t))
+    utt = _utterance(rng, [3, 3], [0, 0], vuv=np.zeros(t))
     assert loss_counts(utt)["L_f"] == 0
     total, comps = utterance_loss(_fake_forward(rng, t), utt, LossWeights())
     assert comps["L_f"].item() == 0.0
@@ -211,25 +212,26 @@ def test_decoder_loss_component_sum_oracle(rng):
     weights = LossWeights(w_pd=0.9, w_sd=1.7, w_m=0.7, w_b=1.3, w_f=2.0, w_u=0.5)
     # the first utterance's second phoneme is a rest
     cases = []
-    for durations, spans, vuv, pitches in (
-            ([2, 3, 4], [(0, 2), (2, 3)], None, [60, 0, 64]),
-            ([1, 4], [(0, 2)], np.zeros(5), None)):
+    for durations, ids, vuv, pitches in (
+            ([2, 3, 4], [0, 0, 1], None, [60, 0, 64]),
+            ([1, 4], [0, 0], np.zeros(5), None)):
         fwd = _fake_forward(rng, sum(durations), rng.normal(size=len(durations)))
-        cases.append((fwd, _utterance(rng, durations, spans, vuv, pitches)))
+        cases.append((fwd, _utterance(rng, durations, ids, vuv, pitches)))
     total, comps = pooled(cases, weights)
 
     sums = dict.fromkeys(LOSS_NAMES, 0.0)
     counts = dict.fromkeys(LOSS_NAMES, 0)
     for fwd, utt in cases:
-        durations, spans, gt = (utt.tokens.gt_phoneme_durations,
-                                utt.tokens.syllable_spans, utt.features)
+        durations, ids, gt = (utt.tokens.gt_phoneme_durations,
+                              utt.tokens.syllable_ids, utt.features)
         nonrest = np.repeat(np.asarray(utt.tokens.pitch_ids) > 0, durations)
         dec, gt_dur = fwd.decoder, np.asarray(durations, float)
         log_pred = fwd.log_durations.value
         sums["L_pd"] += np.abs(log_pred - np.log(gt_dur + 1.0)).sum()
         counts["L_pd"] += len(durations)
-        for s, e in spans:
-            sums["L_sd"] += abs((np.exp(log_pred[s:e]) - 1.0).sum() - gt_dur[s:e].sum())
+        for syllable in sorted(set(ids)):
+            mine = np.asarray(ids) == syllable
+            sums["L_sd"] += abs((np.exp(log_pred[mine]) - 1.0).sum() - gt_dur[mine].sum())
             counts["L_sd"] += 1
         sums["L_m"] += np.abs(dec.mgc.value - gt.mgc).sum()
         counts["L_m"] += gt.mgc.size
@@ -253,7 +255,7 @@ def test_decoder_loss_component_sum_oracle(rng):
 def test_loss_counts_come_from_ground_truth_alone(rng):
     t = 9
     # the first phoneme, frames 0 and 1, is a rest
-    utt = _utterance(rng, [2, 3, 4], [(0, 2), (2, 3)],
+    utt = _utterance(rng, [2, 3, 4], [0, 0, 1],
                      vuv=np.array([1, 1, 0, 1, 0, 0, 1, 1, 1.0]), pitches=[0, 60, 62])
     counts = loss_counts(utt)
     assert counts == {"L_pd": 3, "L_sd": 2, "L_m": 540, "L_b": 45, "L_f": 4,
@@ -266,8 +268,8 @@ def test_all_unvoiced_share_in_a_voiced_batch_keeps_its_total_bits(rng):
     # the unvoiced utterance's L_f sum is a constant 0 that its share adds as
     # w_f * 0.0, so its total has the bits of its other five terms
     weights = LossWeights(w_pd=0.9, w_sd=1.7, w_m=0.7, w_b=1.3, w_f=2.0, w_u=0.5)
-    voiced = _utterance(rng, [2, 3, 4], [(0, 2), (2, 3)], vuv=np.ones(9))
-    unvoiced = _utterance(rng, [1, 4], [(0, 2)], vuv=np.zeros(5))
+    voiced = _utterance(rng, [2, 3, 4], [0, 0, 1], vuv=np.ones(9))
+    unvoiced = _utterance(rng, [1, 4], [0, 0], vuv=np.zeros(5))
     counts = {name: loss_counts(voiced)[name] + loss_counts(unvoiced)[name]
               for name in LOSS_NAMES}
     assert counts["L_f"] > 0 and loss_counts(unvoiced)["L_f"] == 0

@@ -25,7 +25,7 @@ from singsynth.corpus import CorpusManifest, ManifestEntry, load_manifest, \
 from singsynth.features import AcousticFeatureSequence, load_features, \
     save_features
 from singsynth.score import PhonemeTokenSequence, demo_lexicon, load_lexicon, \
-    parse_score, score_to_tokens, syllable_spans
+    parse_score, score_to_tokens
 
 DOCUMENTED = (ValueError, FileNotFoundError)
 
@@ -88,6 +88,23 @@ def test_token_sidecar_raises_only_documented_errors(fuzz_dir, text):
     path = fuzz_dir / "fuzz.tokens"
     path.write_text(text, encoding="utf-8")
     only_documented_errors(load_token_sidecar, path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(syllables=st.lists(st.one_of(st.integers(-2, 3), st.integers()),
+                          min_size=1, max_size=8))
+def test_token_sidecar_syllable_column_raises_only_value_error(fuzz_dir,
+                                                              syllables):
+    path = fuzz_dir / "syllables.tokens"
+    path.write_text("".join(f"5\t69\t10\t4\t{s}\n" for s in syllables))
+    counts_up = syllables[0] == 0 and all(
+        b - a in (0, 1) for a, b in zip(syllables, syllables[1:]))
+    try:
+        tokens = load_token_sidecar(path)
+    except ValueError as exc:
+        assert not counts_up and str(path) in str(exc)
+    else:
+        assert counts_up and tokens.syllable_ids == tuple(syllables)
 
 
 # --- named tensors and checkpoints ----------------------------------------
@@ -205,9 +222,10 @@ token_rows = st.lists(st.tuples(
 
 def tokens_of(rows, durations=True):
     phonemes, pitches, frames, lengths, starts = map(list, zip(*rows))
-    return PhonemeTokenSequence(
-        phonemes, pitches, frames, syllable_spans(list(itertools.accumulate(starts))),
-        lengths if durations else None)
+    # the first phoneme starts syllable 0 whatever its flag says
+    ids = list(itertools.accumulate(starts[1:], initial=0))
+    return PhonemeTokenSequence(phonemes, pitches, frames, ids,
+                                lengths if durations else None)
 
 
 @settings(max_examples=60, deadline=None)

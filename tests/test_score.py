@@ -144,7 +144,7 @@ def test_score_to_tokens_duplicates_note_attributes(lexicon):
     assert tokens.phoneme_ids == (ids["l"], ids["a"])
     assert tokens.pitch_ids == (69, 69)
     assert tokens.note_frame_counts == (33, 33)
-    assert tokens.syllable_spans == ((0, 2),)
+    assert tokens.syllable_ids == (0, 0)
 
 
 def test_score_to_tokens_rest(lexicon):
@@ -153,6 +153,7 @@ def test_score_to_tokens_rest(lexicon):
     assert tokens.phoneme_ids == (lexicon.ids()[SILENCE_PHONEME],)
     assert tokens.pitch_ids == (0,)
     assert tokens.note_frame_counts == (20,)
+    assert tokens.syllable_ids == (0,)
 
 
 def test_score_to_tokens_melisma_merges_span(lexicon):
@@ -164,7 +165,7 @@ def test_score_to_tokens_melisma_merges_span(lexicon):
     assert tokens.phoneme_ids == (ids["l"], ids["a"], ids["a"])
     assert tokens.pitch_ids == (69, 69, 71)
     assert tokens.note_frame_counts == (33, 33, 17)
-    assert tokens.syllable_spans == ((0, 3),)
+    assert tokens.syllable_ids == (0, 0, 0)
 
 
 def test_score_to_tokens_melisma_extension_uses_final_vowel(lexicon):
@@ -172,24 +173,38 @@ def test_score_to_tokens_melisma_extension_uses_final_vowel(lexicon):
     tokens = score_to_tokens(score, lexicon)
     ids = lexicon.ids()
     assert tokens.phoneme_ids == (ids["l"], ids["a"], ids["n"], ids["a"])
-    assert tokens.syllable_spans == ((0, 4),)
+    assert tokens.syllable_ids == (0, 0, 0, 0)
+
+
+def test_score_to_tokens_numbers_each_syllable_and_rest_once(lexicon):
+    score = parse_score("tempo 120\nla 69 1.0\n- 0 0.5\nla 71 0.5\n"
+                        "la 72 0.5 ~\nlan 60 1.0\n")
+    tokens = score_to_tokens(score, lexicon)
+    assert tokens.syllable_ids == (0, 0, 1, 2, 2, 2, 3, 3, 3)
 
 
 def test_token_sequence_keeps_tuples_of_its_own():
     given = dict(phoneme_ids=[2, 3, 1], pitch_ids=np.array([60, 62, 0]),
-                 note_frame_counts=[4, 4, 2], syllable_spans=[[0, 2], (2, 3)],
+                 note_frame_counts=[4, 4, 2], syllable_ids=[0, 0, 1],
                  gt_phoneme_durations=[1, 3, 2])
     tokens = PhonemeTokenSequence(**given)
     with pytest.raises(FrozenInstanceError):
         tokens.gt_phoneme_durations = None
     given["phoneme_ids"][0] = -1   # the caller's lists, edited afterwards
     given["pitch_ids"][0] = 500
-    given["syllable_spans"][0][1] = 1
+    given["syllable_ids"][1] = 1
     given["gt_phoneme_durations"].append(9)
     assert tokens.phoneme_ids == (2, 3, 1)
     assert tokens.pitch_ids == (60, 62, 0)
-    assert tokens.syllable_spans == ((0, 2), (2, 3))
+    assert tokens.syllable_ids == (0, 0, 1)
     assert tokens.gt_phoneme_durations == (1, 3, 2)
+
+
+@pytest.mark.parametrize("ids", [[0, True], [0, 1.0], [0.0, 0]])
+def test_token_sequence_refuses_syllable_ids_that_are_not_integers(ids):
+    # a float id would pass the counting rule, since 1.0 - 0 == 1
+    with pytest.raises(ValueError, match="^syllable_ids holds a "):
+        PhonemeTokenSequence([2, 3], [60, 62], [4, 4], ids)
 
 
 @pytest.mark.parametrize("events", [
@@ -286,7 +301,10 @@ def test_tokens_satisfy_invariants(score):
     lexicon = demo_lexicon()
     tokens = score_to_tokens(score, lexicon)
     n = len(tokens)
-    assert sum(end - start for start, end in tokens.syllable_spans) == n
+    ids = tokens.syllable_ids
+    assert len(ids) == n and ids[0] == 0
+    assert all(b - a in (0, 1) for a, b in zip(ids, ids[1:]))
+    assert ids[-1] + 1 == sum(not ev.continues for ev in score.events)
     for pid, pitch in zip(tokens.phoneme_ids, tokens.pitch_ids):
         assert (pitch == 0) == (pid == lexicon.ids()[SILENCE_PHONEME])
     assert all(c >= 1 for c in tokens.note_frame_counts)
