@@ -12,8 +12,8 @@ instead of sorting it first.
 
 :func:`scaled_dot_attention` runs over tiles of about 2^16 scores, small
 enough for a core's L2 cache, in three passes over the H x T x S scores
-forward and seven backward; a recorded call keeps one tile and T- or S-row
-arrays, never an H x T x S one.
+forward, four when it subtracts a precomputed row max, and seven backward;
+a recorded call keeps one tile and T- or S-row arrays, never an H x T x S one.
 
 Broadcasting is deliberately restricted to :func:`matmul`'s bias and
 :func:`layer_norm`'s gain and bias, each over the last axis; everything else
@@ -280,21 +280,19 @@ def exp(a) -> Node:
     return Node(out, parents=[(a, lambda g: g * out)])
 
 
-def _exp_rows_(x: np.ndarray, shift: bool) -> np.ndarray | None:
-    """``exp`` in place in ``x``, after subtracting each last-axis row's max
-    when ``shift``; returns those maxes, or None without ``shift``."""
-    top = x.max(axis=-1, keepdims=True) if shift else None
-    if shift:
+def _exp_rows_(x: np.ndarray, top: np.ndarray | None) -> None:
+    """``exp`` in place in ``x``, after subtracting ``top`` (each last-axis
+    row's max) unless it is None."""
+    if top is not None:
         x -= top
     np.exp(x, out=x)
-    return top
 
 
 def softmax(a) -> Node:
     """Softmax over the last axis."""
     a = as_node(a)
     out = np.array(a.value)
-    _exp_rows_(out, shift=True)
+    _exp_rows_(out, out.max(axis=-1, keepdims=True))
     out /= out.sum(axis=-1, keepdims=True)
 
     def pull(g):
@@ -478,9 +476,9 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
     run last first, so one thread's buffer ends holding tile (0, 0). A
     per-row shift cancels in the division, so scores are shifted only when
     some head's bound c max_i |q_i| max_j |k_j| on every |score| reaches
-    ``_ATTENTION_UNSHIFTED_REACH`` or is not finite: each tile then subtracts
-    its own row max, and the block rescales its sums to the larger max as
-    its tiles add up (online softmax), keeping each row's max m.
+    ``_ATTENTION_UNSHIFTED_REACH`` or is not finite: each block then first
+    takes every row's max score m over all its key tiles (a fourth pass,
+    -inf over no keys), and every tile, forward and backward, subtracts m.
 
     A recorded call runs on one thread and keeps s, m, c q, [v | 1] and the
     tile (0, 0) its forward leaves in the buffer. The first of its q, k and
@@ -553,41 +551,38 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
         width = min(c0 + cols, s) - c0
         return buffer[: heads * (hi - lo) * width].reshape(heads, hi - lo, width)
 
-    def exp_scores(tile: np.ndarray, lo: int, c0: int):
-        # the tile's exponentials; returns its rows' max score when shifted
-        np.matmul(qch[:, lo : lo + tile.shape[1]], kth[:, :, c0 : c0 + cols],
-                  out=tile)
-        return _exp_rows_(tile, shift)
+    def scores(tile: np.ndarray, lo: int, c0: int) -> np.ndarray:
+        return np.matmul(qch[:, lo : lo + tile.shape[1]],
+                         kth[:, :, c0 : c0 + cols], out=tile)
+
+    def exp_scores(tile: np.ndarray, lo: int, c0: int) -> None:
+        # the tile's exponentials, less each row's max score when shifted
+        _exp_rows_(scores(tile, lo, c0),
+                   maxes[:, lo : lo + tile.shape[1]] if shift else None)
 
     starts, lock = iter(range(0, t, rows)[::-1]), threading.Lock()
 
-    def attend(flat: np.ndarray, acc: np.ndarray, part: np.ndarray):
-        # claims query blocks one at a time until none is left; returns the
-        # row maxes of the last tile it exponentiated (None unless shifted)
-        top = None
+    def attend(flat: np.ndarray, acc: np.ndarray, part: np.ndarray) -> None:
+        # claims query blocks one at a time until none is left
         while True:
             with lock:
                 lo = next(starts, None)
             if lo is None:
-                return top
+                return
             hi = min(lo + rows, t)
             a, p = acc[:, : hi - lo], part[:, : hi - lo]
+            if shift:  # each row's max score over all key tiles (-inf for none)
+                maxes[:, lo:hi] = np.maximum.reduce([
+                    scores(tile_of(flat, lo, hi, c0), lo, c0).max(
+                        axis=-1, keepdims=True, initial=-np.inf)
+                    for c0 in col_starts])
             for c0 in col_starts[::-1]:
                 tile = tile_of(flat, lo, hi, c0)
-                top = exp_scores(tile, lo, c0)
+                exp_scores(tile, lo, c0)
                 if c0 == col_starts[-1]:
                     np.matmul(tile, vo[:, c0 : c0 + cols], out=a)
-                    peak = top
-                    continue
-                np.matmul(tile, vo[:, c0 : c0 + cols], out=p)
-                if shift:  # both to the larger of their row maxes
-                    larger = np.maximum(peak, top)
-                    a *= np.exp(peak - larger)
-                    p *= np.exp(top - larger)
-                    peak = larger
-                a += p
-            if shift:
-                maxes[:, lo:hi] = peak
+                else:
+                    a += np.matmul(tile, vo[:, c0 : c0 + cols], out=p)
             sums[:, lo:hi] = a[..., -1:]
             np.divide(a[..., :-1], sums[:, lo:hi], out=outh[:, lo:hi])
 
@@ -596,8 +591,7 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
         _ATTENTION_MAX_THREADS)
     flat = buffers[0]
     if threads <= 1:
-        # flat ends holding tile (0, 0); these are its row maxes
-        first_top = attend(*buffers)
+        attend(*buffers)  # flat ends holding tile (0, 0)
     else:
         with ThreadPoolExecutor(threads - 1) as pool:
             # a copied context carries the caller's np.errstate to a helper
@@ -632,12 +626,10 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
             hi = min(lo + rows, t)
             for c0 in col_starts:
                 tile, dst = tile_of(flat, lo, hi, c0), tile_of(ds, lo, hi, c0)
-                top = exp_scores(tile, lo, c0) if lo or c0 else first_top
-                gct, gst = gc[:, lo:hi], gs[:, lo:hi]
-                if shift:  # the tile holds exp(score - its own row max)
-                    scale_rows = np.exp(top - maxes[:, lo:hi])
-                    gct, gst = gct * scale_rows, gst * scale_rows
-                np.matmul(gct, vo[:, c0 : c0 + cols].transpose(0, 2, 1), out=dst)
+                if lo or c0:  # the forward left tile (0, 0) in flat
+                    exp_scores(tile, lo, c0)
+                np.matmul(gc[:, lo:hi], vo[:, c0 : c0 + cols].transpose(0, 2, 1),
+                          out=dst)
                 dst *= tile
                 # dQ rows add up over key tiles, dK and dV rows over blocks
                 into(dqh[:, lo:hi], c0 == 0, dst, kh[:, c0 : c0 + cols],
@@ -645,7 +637,7 @@ def scaled_dot_attention(q, k, v, heads: int = 1) -> Node:
                 into(dkh[:, c0 : c0 + cols], lo == 0, dst.transpose(0, 2, 1),
                      qh[:, lo:hi], parts[1])
                 into(dvh[:, c0 : c0 + cols], lo == 0, tile.transpose(0, 2, 1),
-                     gst, parts[2])
+                     gs[:, lo:hi], parts[2])
         return grads
 
     # the q, k and v gradients, from the walk their first pullback runs

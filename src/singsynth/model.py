@@ -16,6 +16,8 @@ from .features import AcousticFeatureSequence, BAP_DIM, MGC_DIM
 from .score import PhonemeTokenSequence, frame_pitch_arrays
 
 OUTPUT_DIM = MGC_DIM + BAP_DIM + 1 + 1  # mgc | bap | logf0 residual | vuv logit
+# most frames synthesized for one phoneme or utterance (16.4 min at 15 ms)
+MAX_FRAMES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -193,16 +195,16 @@ def decode_durations(log_durations: np.ndarray) -> np.ndarray:
     """Integer frame counts from log(frames + 1) values, clamped to >= 1.
 
     Raises ValueError naming the first phoneme whose prediction is not
-    finite or whose frame count does not fit in int64.
+    finite or whose frame count is above ``MAX_FRAMES``.
     """
     log_durations = np.asarray(log_durations, dtype=np.float64)
     with np.errstate(over="ignore"):
         rounded = np.floor(np.exp(log_durations) - 1.0 + 0.5)
-    ok = np.isfinite(log_durations) & (rounded < 2.0 ** 63)
+    ok = np.isfinite(log_durations) & (rounded <= MAX_FRAMES)
     if not ok.all():
         i = int(np.argmin(ok))
-        cause = ("is not finite" if not np.isfinite(log_durations[i])
-                 else "gives a frame count beyond int64")
+        cause = ("is not finite" if not np.isfinite(log_durations[i]) else
+                 f"gives {rounded[i]:.0f} frames, above the cap of {MAX_FRAMES}")
         raise ValueError(
             f"duration prediction for phoneme {i} {cause}: "
             f"log(frames + 1) = {float(log_durations[i])!r}"
@@ -268,6 +270,8 @@ def forward_train(utt: Utterance, params: ModelParameters, config: ModelConfig,
 def _synthesize_from_hidden(tokens: PhonemeTokenSequence, hidden: Node,
                             params: ModelParameters, config: ModelConfig,
                             durations) -> AcousticFeatureSequence:
+    if (total := int(np.sum(durations))) > MAX_FRAMES:
+        raise ValueError(f"{total} frames to synthesize, above the cap of {MAX_FRAMES}")
     expanded = length_regulate(hidden, durations)
     note_logf0, nonrest = frame_pitch_arrays(tokens, durations)
     dec = decode(expanded, note_logf0, nonrest, params, config)

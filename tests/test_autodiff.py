@@ -338,9 +338,9 @@ def fused_attention_shifts(monkeypatch, q, k, v, heads):
     w = ad.constant(np.random.default_rng(0).normal(size=(q.shape[0], v.shape[1])))
     shifts, exp_rows = [], ad._exp_rows_
 
-    def recording(x, shift):
-        shifts.append(shift)
-        return exp_rows(x, shift)
+    def recording(x, top):
+        shifts.append(top is not None)
+        exp_rows(x, top)
 
     def recorded(attention):
         nodes = [ad.parameter(a) for a in (q, k, v)]
@@ -412,12 +412,19 @@ def test_attention_rejects_widths_not_divisible_by_heads():
 
 
 def test_attention_over_no_rows():
-    x = ad.parameter(np.zeros((0, 4)))
-    out = ad.scaled_dot_attention(x, x, x, heads=2)
-    ad.backward(ad.reduce_sum(out))
-    assert out.shape == (0, 4) and x.grad.shape == (0, 4)
-    with ad.no_grad():
-        assert ad.scaled_dot_attention(x, x, x, heads=2).shape == (0, 4)
+    # inf and NaN queries take the shifted path; over no keys its rows, like
+    # the unshifted path's, are a softmax over nothing: 0 / 0
+    for q in (np.zeros((0, 4)), np.zeros((3, 4)), np.full((3, 4), np.inf),
+              np.full((3, 4), np.nan)):
+        q, x = ad.parameter(q), ad.parameter(np.zeros((0, 4)))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = ad.scaled_dot_attention(q, x, x, heads=2)
+            ad.backward(ad.reduce_sum(out))
+            with ad.no_grad():
+                free = ad.scaled_dot_attention(q, x, x, heads=2)
+        assert out.shape == free.shape == q.shape == q.grad.shape
+        assert x.grad.shape == (0, 4)
+        assert np.isnan(out.value).all() and np.isnan(free.value).all()
 
 
 def test_grad_dropout(rng):
@@ -677,8 +684,8 @@ def test_attention_over_several_key_tiles_matches_per_head_composition(
 
 def test_shifted_attention_with_each_rows_max_in_any_key_tile(monkeypatch):
     # scores near +-1e4, whose rows peak in the first, a middle or the last
-    # of the tiles of 7, 7 and 3 keys: a block meets its last tile first and
-    # rescales what it has added up whenever a later tile has a larger max
+    # of the tiles of 7, 7 and 3 keys: every tile subtracts its rows' max
+    # over all three, wherever it lies
     small_tiles(monkeypatch)
     rng = np.random.default_rng(14)
     q, k = 100 * rng.normal(size=(23, 8)), 100 * rng.normal(size=(17, 8))
@@ -694,8 +701,9 @@ def test_shifted_attention_with_each_rows_max_in_any_key_tile(monkeypatch):
 
 @pytest.mark.parametrize("scale", [1, 100])
 def test_attention_backward_twice_over_several_key_tiles(monkeypatch, scale):
-    # each backward walks a graph of its own, from the tile (0, 0), and at
-    # scale 100 its row maxes, that its forward left in the buffer
+    # each backward walks a graph of its own, from the tile (0, 0) that its
+    # forward left in the buffer, and at scale 100 from the row maxes over
+    # all key tiles that its forward took
     small_tiles(monkeypatch)
     rng = np.random.default_rng(6)
     nodes = [ad.parameter(scale * rng.normal(size=shape))
@@ -770,13 +778,23 @@ def test_threaded_attention_bytes_do_not_depend_on_cpu_count(
     assert started_pools == pools
 
 
+@pytest.mark.parametrize("scale", [1, 100])
 def test_threaded_attention_over_several_key_tiles_same_bytes_on_any_cpus(
-        monkeypatch, started_pools):
+        monkeypatch, started_pools, scale):
     # tiles of 20, 20 and 10 keys and 12 query rows: 13 query blocks, so 2
-    # threads at 2 CPUs and 3 at 3 or 8
+    # threads at 2 CPUs and 3 at 3 or 8; at scale 100 scores near +-1e4
+    # shift, and each thread writes the row maxes of the blocks it claims
     monkeypatch.setattr(ad, "_ATTENTION_TILE_COLS", 20)
     rng = np.random.default_rng(15)
-    q, k, v = (rng.normal(size=shape) for shape in ((150, 8), (50, 8), (50, 6)))
+    q, k = (scale * rng.normal(size=shape) for shape in ((150, 8), (50, 8)))
+    v = rng.normal(size=(50, 6))
+    shifts, exp_rows = set(), ad._exp_rows_
+
+    def recording(x, top):
+        shifts.add(top is not None)
+        exp_rows(x, top)
+
+    monkeypatch.setattr(ad, "_exp_rows_", recording)
     outputs = {}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -787,9 +805,11 @@ def test_threaded_attention_over_several_key_tiles_same_bytes_on_any_cpus(
     finally:
         sys.setswitchinterval(interval)
     assert all(outputs[cpus] == outputs[1] for cpus in (2, 3, 8))
+    reference = (unblocked_attention(q, k, v, 2) if scale == 1 else
+                 per_head_attention(*map(ad.constant, (q, k, v)), 2).value)
     np.testing.assert_allclose(np.frombuffer(outputs[1]).reshape(150, 6),
-                               unblocked_attention(q, k, v, 2), rtol=0,
-                               atol=1e-12)
+                               reference, rtol=0, atol=1e-12)
+    assert shifts == {scale == 100}
     assert started_pools == [2, 3, 3]
 
 
@@ -817,13 +837,13 @@ def test_threaded_attention_raises_a_helpers_exception(monkeypatch,
     raised = threading.Event()
     exp_rows = ad._exp_rows_
 
-    def failing_in_helper(x, shift):
+    def failing_in_helper(x, top):
         if threading.get_ident() != caller:
             raised.set()
             raise RuntimeError("helper block failed")
         # hold the caller's first block until a helper has claimed one
         assert raised.wait(timeout=30)
-        return exp_rows(x, shift)
+        exp_rows(x, top)
 
     monkeypatch.setattr(ad, "_exp_rows_", failing_in_helper)
     x = np.ones((60, 8))

@@ -12,7 +12,9 @@ from gradcheck import scale
 from singsynth import autodiff as ad
 from singsynth.corpus import Utterance
 from singsynth.features import AcousticFeatureSequence
+from singsynth import model
 from singsynth.model import (
+    MAX_FRAMES,
     ModelConfig,
     decode,
     decode_durations,
@@ -209,11 +211,22 @@ def test_decode_durations_rejects_non_finite_prediction():
 
 
 def test_decode_durations_rejects_int64_overflow():
-    # exp(800) overflows float64; exp(50) ~ 5e21 frames overflows int64
-    with pytest.raises(ValueError, match="phoneme 1 gives a frame count beyond int64"):
+    # exp(800) overflows float64; exp(50) ~ 5e21 frames overflows int64; both
+    # are far above the frame cap
+    with pytest.raises(ValueError, match="phoneme 1 gives inf frames, above "
+                                         "the cap of 65536"):
         decode_durations(np.array([0.0, 800.0, math.nan]))
-    with pytest.raises(ValueError, match="phoneme 0 gives a frame count beyond int64"):
+    with pytest.raises(ValueError, match="phoneme 0 gives 5184705528587072045056 "
+                                         "frames, above the cap of 65536"):
         decode_durations(np.array([50.0, 1.0]))
+
+
+def test_decode_durations_caps_each_phoneme():
+    at_cap = math.log(MAX_FRAMES + 1.0)
+    assert decode_durations(np.array([at_cap])).tolist() == [MAX_FRAMES]
+    with pytest.raises(ValueError, match="phoneme 1 gives 65537 frames, above "
+                                         "the cap of 65536"):
+        decode_durations(np.array([0.0, math.log(MAX_FRAMES + 2.0)]))
 
 
 def test_predict_durations_shape(lexicon, tiny_config):
@@ -437,6 +450,28 @@ def test_synthesize_with_given_durations_aligns_to_them(lexicon, tiny_config):
     assert durations.tobytes() == expected_durations.tobytes()
     for name in ("mgc", "bap", "logf0", "vuv"):
         assert getattr(feats, name).tobytes() == getattr(expected, name).tobytes()
+
+
+def test_synthesis_refuses_more_frames_than_the_cap(monkeypatch, lexicon,
+                                                   tiny_config):
+    # eight phonemes of 40,000 predicted frames each, within the cap one by
+    # one; refused before the length regulator allocates 320,000 rows
+    params = init_params(tiny_config, np.random.default_rng(5))
+    params["dur.proj.w"].value[...] = 0.0
+    params["dur.proj.b"].value[:] = math.log(40_001.0)
+    tokens = make_tokens(lexicon)
+    assert len(tokens) == 8
+
+    def unreached(hidden, durations):
+        raise AssertionError("length regulation ran")
+
+    monkeypatch.setattr(model, "length_regulate", unreached)
+    with pytest.raises(ValueError, match="320000 frames to synthesize, above "
+                                         "the cap of 65536"):
+        synthesize(tokens, params, tiny_config)
+    given = [MAX_FRAMES - 6] + [1] * 7
+    with pytest.raises(ValueError, match="65537 frames to synthesize"):
+        synthesize_with_durations(tokens, params, tiny_config, given)
 
 
 def test_dropout_runs_exactly_when_an_rng_is_given(lexicon, tiny_config):
